@@ -94,24 +94,28 @@ fn bench_sketch(out: &mut Vec<Measurement>) {
     }));
 }
 
+/// One tall solve (primal form, d×d system) and one wide solve shaped like
+/// a School (L) lake batch (dual form, n×n system).
 fn bench_l21(out: &mut Vec<Measurement>) {
     let mut rng = StdRng::seed_from_u64(3);
-    let mut x = Matrix::from_vec(
-        400,
-        60,
-        (0..400 * 60).map(|_| rng.gen::<f64>() - 0.5).collect(),
-    )
-    .unwrap();
-    standardize_columns(&mut x);
-    let y: Vec<f64> = (0..400).map(|i| x.get(i, 0) * 3.0 - x.get(i, 1)).collect();
-    let ym = target_matrix(&y, Task::Regression);
     let cfg = L21Config {
         max_iter: 10,
         ..Default::default()
     };
-    out.push(time_op("l21_irls_400x60_10iter", WINDOW_SECS, || {
-        black_box(l21_solve(&x, &ym, &cfg).unwrap());
-    }));
+    for (n, d) in [(400, 60), (75, 220)] {
+        let mut x =
+            Matrix::from_vec(n, d, (0..n * d).map(|_| rng.gen::<f64>() - 0.5).collect()).unwrap();
+        standardize_columns(&mut x);
+        let y: Vec<f64> = (0..n).map(|i| x.get(i, 0) * 3.0 - x.get(i, 1)).collect();
+        let ym = target_matrix(&y, Task::Regression);
+        out.push(time_op(
+            &format!("l21_irls_{n}x{d}_10iter"),
+            WINDOW_SECS,
+            || {
+                black_box(l21_solve(&x, &ym, &cfg).unwrap());
+            },
+        ));
+    }
 }
 
 fn bench_forest(out: &mut Vec<Measurement>) {

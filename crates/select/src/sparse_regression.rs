@@ -5,17 +5,26 @@
 //! jointly across all targets. The solver is the standard IRLS fixed-point
 //! iteration for this objective (Nie et al., "Efficient and Robust Feature
 //! Selection via Joint ℓ2,1-Norms Minimization"; the ARDA paper cites the
-//! gradient solver of Qian & Zhai for the same loss):
+//! gradient solver of Qian & Zhai for the same loss). Each step reweights
+//! the rows of the residual `R = XW − Y` and of `W`, with row norms clamped
+//! below at ε (the usual smoothed convergence guarantee):
 //!
 //! ```text
-//! repeat:
-//!   D₁ = diag(1 / 2‖(XW − Y)ᵢ‖)        (residual row weights)
-//!   D₂ = diag(1 / 2‖Wⱼ‖)               (coefficient row weights)
-//!   W  = (Xᵀ D₁ X + γ D₂)⁻¹ Xᵀ D₁ Y
+//! D₁ = diag(1 / 2‖Rᵢ‖)        B = D₁⁻¹       (n×n, residual rows)
+//! D₂ = diag(1 / 2‖Wⱼ‖)        A = (γD₂)⁻¹    (d×d, coefficient rows)
+//!
+//! primal (d ≤ n or γ = 0):  W = (Xᵀ D₁ X + γ D₂)⁻¹ Xᵀ D₁ Y
+//! dual   (d > n and γ > 0): W = A Xᵀ (X A Xᵀ + B)⁻¹ Y
 //! ```
 //!
-//! Each step solves an SPD system (Cholesky); ε-clamping of the row norms
-//! gives the usual smoothed convergence guarantee.
+//! The two forms are equal by the Woodbury identity. The primal factors a
+//! d×d system (an `n·d²/2` weighted Gram plus a `d³/3` Cholesky); the dual
+//! factors an n×n one (an `n²·d` product plus an `n³/3` Cholesky), so the
+//! solver picks it whenever a batch has more features than rows. The ridge
+//! start follows the same rule: `(XᵀX + γI)⁻¹XᵀY` or `Xᵀ(XXᵀ + γI)⁻¹Y`.
+//! The choice depends only on the input's shape, and both forms run their
+//! products through budget-independent kernels, so the output is
+//! bit-identical at any thread budget.
 
 use crate::{Result, SelectError};
 use arda_linalg::{cholesky_solve_multi, Matrix};
@@ -70,6 +79,9 @@ pub struct L21Solution {
     pub objective: f64,
     /// Iterations performed.
     pub iterations: usize,
+    /// Whether the relative objective change met `tol` before `max_iter`
+    /// stopped the loop.
+    pub converged: bool,
 }
 
 /// Build the target matrix `Y`: the raw column for regression, one-hot for
@@ -152,6 +164,47 @@ fn weighted_cross(x: &Matrix, weights: &[f64], y: &Matrix) -> Matrix {
     out
 }
 
+/// Primal update `W = (Xᵀ D₁ X + diag(ridge))⁻¹ Xᵀ D₁ Y`.
+fn primal_update(x: &Matrix, y: &Matrix, d1: &[f64], ridge: &[f64]) -> Result<Matrix> {
+    let mut lhs = weighted_gram(x, d1);
+    for (i, &r) in ridge.iter().enumerate() {
+        let v = lhs.get(i, i) + r;
+        lhs.set(i, i, v);
+    }
+    let rhs = weighted_cross(x, d1, y);
+    cholesky_solve_multi(&lhs, &rhs).map_err(|e| SelectError::Invalid(e.to_string()))
+}
+
+/// Dual update `W = A Xᵀ (X A Xᵀ + B)⁻¹ Y` for diagonal `A = diag(a)`,
+/// `B = diag(b)`, given `xt = Xᵀ`.
+fn dual_update(
+    x: &Matrix,
+    xt: &Matrix,
+    y: &Matrix,
+    a: &[f64],
+    b: &[f64],
+    threads: usize,
+) -> Result<Matrix> {
+    let mut axt = xt.clone();
+    for (j, &aj) in a.iter().enumerate() {
+        for v in axt.row_mut(j) {
+            *v *= aj;
+        }
+    }
+    let mut k = x.matmul_threads(&axt, threads).expect("dims");
+    for (i, &bi) in b.iter().enumerate() {
+        let v = k.get(i, i) + bi;
+        k.set(i, i, v);
+    }
+    let z = cholesky_solve_multi(&k, y).map_err(|e| SelectError::Invalid(e.to_string()))?;
+    Ok(axt.matmul_threads(&z, threads).expect("dims"))
+}
+
+/// `2·max(‖mᵢ‖, ε)` per row of `m`: the inverse IRLS weight of each row.
+fn clamped_twice_norms(m: &Matrix, eps: f64) -> Vec<f64> {
+    m.row_norms().iter().map(|r| 2.0 * r.max(eps)).collect()
+}
+
 /// Solve the ℓ2,1 objective on (standardised) `x` against targets `y`.
 pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution> {
     if x.rows() != y.rows() {
@@ -166,60 +219,47 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
     if n == 0 || d == 0 {
         return Err(SelectError::Invalid("l21: empty input".into()));
     }
+    // `Some(Xᵀ)` selects the dual form (see the module doc).
+    let xt = (d > n && cfg.gamma > 0.0).then(|| x.transpose_threads(cfg.threads));
     let mut y_work = y.clone();
 
-    // Ridge initialisation: (XᵀX + γI) W = XᵀY.
-    let ones = vec![1.0; n];
-    let mut gram = weighted_gram(x, &ones);
-    for i in 0..d {
-        let v = gram.get(i, i) + cfg.gamma.max(1e-9);
-        gram.set(i, i, v);
-    }
-    let rhs = weighted_cross(x, &ones, &y_work);
-    let mut w =
-        cholesky_solve_multi(&gram, &rhs).map_err(|e| SelectError::Invalid(e.to_string()))?;
-
-    let objective = |w: &Matrix, y_cur: &Matrix| -> f64 {
-        let resid = x
-            .matmul_threads(w, cfg.threads)
-            .expect("dims")
-            .sub(y_cur)
-            .expect("dims");
-        l21_norm_rows(&resid) + cfg.gamma * l21_norm_rows(w)
+    // Ridge initialisation: W = (XᵀX + γI)⁻¹ XᵀY = Xᵀ (XXᵀ + γI)⁻¹ Y.
+    let ridge = cfg.gamma.max(1e-9);
+    let mut w = match &xt {
+        None => primal_update(x, &y_work, &vec![1.0; n], &vec![ridge; d])?,
+        Some(xt) => dual_update(x, xt, &y_work, &vec![1.0; d], &vec![ridge; n], cfg.threads)?,
     };
-    let mut prev_obj = objective(&w, &y_work);
+
+    let predict = |w: &Matrix| x.matmul_threads(w, cfg.threads).expect("dims");
+    let objective =
+        |resid: &Matrix, w: &Matrix| l21_norm_rows(resid) + cfg.gamma * l21_norm_rows(w);
+    // The residual of the current `W` against the current labels; each
+    // iteration's objective check leaves it ready for the next reweighting.
+    let mut resid = predict(&w).sub(&y_work).expect("dims");
+    let mut prev_obj = objective(&resid, &w);
     let mut iterations = 0;
+    let mut converged = false;
 
     for it in 0..cfg.max_iter {
         iterations = it + 1;
-        let resid = x
-            .matmul_threads(&w, cfg.threads)
-            .expect("dims")
-            .sub(&y_work)
-            .expect("dims");
-        let d1: Vec<f64> = resid
-            .row_norms()
-            .iter()
-            .map(|r| 1.0 / (2.0 * r.max(cfg.eps)))
-            .collect();
-        let d2: Vec<f64> = w
-            .row_norms()
-            .iter()
-            .map(|r| 1.0 / (2.0 * r.max(cfg.eps)))
-            .collect();
-
-        let mut lhs = weighted_gram(x, &d1);
-        for i in 0..d {
-            let v = lhs.get(i, i) + cfg.gamma * d2[i];
-            lhs.set(i, i, v);
-        }
-        let rhs = weighted_cross(x, &d1, &y_work);
-        w = cholesky_solve_multi(&lhs, &rhs).map_err(|e| SelectError::Invalid(e.to_string()))?;
+        let r2 = clamped_twice_norms(&resid, cfg.eps);
+        let w2 = clamped_twice_norms(&w, cfg.eps);
+        w = match &xt {
+            None => {
+                let d1: Vec<f64> = r2.iter().map(|v| 1.0 / v).collect();
+                let ridge: Vec<f64> = w2.iter().map(|v| cfg.gamma * (1.0 / v)).collect();
+                primal_update(x, &y_work, &d1, &ridge)?
+            }
+            Some(xt) => {
+                let a: Vec<f64> = w2.iter().map(|v| v / cfg.gamma).collect();
+                dual_update(x, xt, &y_work, &a, &r2, cfg.threads)?
+            }
+        };
+        let pred = predict(&w);
 
         // Optional robust-label refinement (classification): pull Y towards
         // the model's own hardened predictions.
         if cfg.robust_labels && y.cols() > 1 {
-            let pred = x.matmul_threads(&w, cfg.threads).expect("dims");
             for r in 0..n {
                 let best = (0..y.cols())
                     .max_by(|&a, &b| pred.get(r, a).total_cmp(&pred.get(r, b)))
@@ -236,12 +276,14 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
             }
         }
 
-        let obj = objective(&w, &y_work);
-        if (prev_obj - obj).abs() <= cfg.tol * prev_obj.abs().max(1e-12) {
-            prev_obj = obj;
+        resid = pred.sub(&y_work).expect("dims");
+        let obj = objective(&resid, &w);
+        let done = (prev_obj - obj).abs() <= cfg.tol * prev_obj.abs().max(1e-12);
+        prev_obj = obj;
+        if done {
+            converged = true;
             break;
         }
-        prev_obj = obj;
     }
 
     let feature_scores = w.row_norms();
@@ -250,6 +292,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
         feature_scores,
         objective: prev_obj,
         iterations,
+        converged,
     })
 }
 
@@ -271,6 +314,271 @@ mod tests {
             .map(|r| 3.0 * r[0] - 2.0 * r[1] + rng.gen_range(-0.01..0.01))
             .collect();
         (Matrix::from_rows(&rows).unwrap(), y)
+    }
+
+    /// The solver before the dual form and the residual reuse: the primal
+    /// IRLS loop, kept verbatim as the oracle the primal path must match
+    /// bit for bit.
+    fn seed_l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<(Matrix, f64, usize)> {
+        let n = x.rows();
+        let d = x.cols();
+        let mut y_work = y.clone();
+        let ones = vec![1.0; n];
+        let mut gram = weighted_gram(x, &ones);
+        for i in 0..d {
+            let v = gram.get(i, i) + cfg.gamma.max(1e-9);
+            gram.set(i, i, v);
+        }
+        let rhs = weighted_cross(x, &ones, &y_work);
+        let mut w =
+            cholesky_solve_multi(&gram, &rhs).map_err(|e| SelectError::Invalid(e.to_string()))?;
+        let objective = |w: &Matrix, y_cur: &Matrix| -> f64 {
+            let resid = x
+                .matmul_threads(w, cfg.threads)
+                .expect("dims")
+                .sub(y_cur)
+                .expect("dims");
+            l21_norm_rows(&resid) + cfg.gamma * l21_norm_rows(w)
+        };
+        let mut prev_obj = objective(&w, &y_work);
+        let mut iterations = 0;
+        for it in 0..cfg.max_iter {
+            iterations = it + 1;
+            let resid = x
+                .matmul_threads(&w, cfg.threads)
+                .expect("dims")
+                .sub(&y_work)
+                .expect("dims");
+            let d1: Vec<f64> = resid
+                .row_norms()
+                .iter()
+                .map(|r| 1.0 / (2.0 * r.max(cfg.eps)))
+                .collect();
+            let d2: Vec<f64> = w
+                .row_norms()
+                .iter()
+                .map(|r| 1.0 / (2.0 * r.max(cfg.eps)))
+                .collect();
+            let mut lhs = weighted_gram(x, &d1);
+            for i in 0..d {
+                let v = lhs.get(i, i) + cfg.gamma * d2[i];
+                lhs.set(i, i, v);
+            }
+            let rhs = weighted_cross(x, &d1, &y_work);
+            w = cholesky_solve_multi(&lhs, &rhs)
+                .map_err(|e| SelectError::Invalid(e.to_string()))?;
+            if cfg.robust_labels && y.cols() > 1 {
+                let pred = x.matmul_threads(&w, cfg.threads).expect("dims");
+                for r in 0..n {
+                    let best = (0..y.cols())
+                        .max_by(|&a, &b| pred.get(r, a).total_cmp(&pred.get(r, b)))
+                        .unwrap_or(0);
+                    for c in 0..y.cols() {
+                        let orig = y.get(r, c);
+                        let hard = if c == best { 1.0 } else { 0.0 };
+                        y_work.set(
+                            r,
+                            c,
+                            (1.0 - cfg.label_blend) * orig + cfg.label_blend * hard,
+                        );
+                    }
+                }
+            }
+            let obj = objective(&w, &y_work);
+            if (prev_obj - obj).abs() <= cfg.tol * prev_obj.abs().max(1e-12) {
+                prev_obj = obj;
+                break;
+            }
+            prev_obj = obj;
+        }
+        Ok((w, prev_obj, iterations))
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The standardised [`planted`] problem with targets for `task`: the
+    /// raw signal for regression, its equal-width class bins otherwise.
+    fn shaped(n: usize, d: usize, task: Task, seed: u64) -> (Matrix, Matrix) {
+        let (mut x, signal) = planted(n, d, seed);
+        standardize_columns(&mut x);
+        let y: Vec<f64> = match task {
+            Task::Regression => signal,
+            Task::Classification { n_classes } => {
+                let k = n_classes as f64;
+                signal
+                    .iter()
+                    .map(|&s| ((s + 5.0) / 10.0 * k).floor().clamp(0.0, k - 1.0))
+                    .collect()
+            }
+        };
+        (x, target_matrix(&y, task))
+    }
+
+    /// Append zero rows to `m` until it has `rows` rows.
+    fn pad_rows(m: &Matrix, rows: usize) -> Matrix {
+        let mut data = m.data().to_vec();
+        data.resize(rows * m.cols(), 0.0);
+        Matrix::from_vec(rows, m.cols(), data).unwrap()
+    }
+
+    fn assert_scores_close(got: &[f64], want: &[f64], what: &str) {
+        let scale = want.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-8 * scale,
+                "{what}: feature {j}: {g} vs {w} (scale {scale})"
+            );
+        }
+    }
+
+    const TASKS: [Task; 3] = [
+        Task::Regression,
+        Task::Classification { n_classes: 2 },
+        Task::Classification { n_classes: 3 },
+    ];
+
+    #[test]
+    fn primal_path_matches_seed_solver_bit_for_bit() {
+        let configs = [
+            L21Config::default(),
+            L21Config {
+                gamma: 2.0,
+                ..Default::default()
+            },
+            L21Config {
+                robust_labels: true,
+                ..Default::default()
+            },
+            L21Config {
+                max_iter: 3,
+                ..Default::default()
+            },
+        ];
+        // Tall, square (d = n stays primal) and γ = 0 on a wide input.
+        let mut cases: Vec<(usize, usize, L21Config)> = Vec::new();
+        for cfg in &configs {
+            cases.push((90, 12, cfg.clone()));
+            cases.push((25, 25, cfg.clone()));
+        }
+        cases.push((
+            20,
+            30,
+            L21Config {
+                gamma: 0.0,
+                max_iter: 4,
+                ..Default::default()
+            },
+        ));
+        for (seed, (n, d, cfg)) in cases.into_iter().enumerate() {
+            for task in TASKS {
+                let (x, y) = shaped(n, d, task, seed as u64);
+                let what = format!("{n}x{d} {task:?} {cfg:?}");
+                match (l21_solve(&x, &y, &cfg), seed_l21_solve(&x, &y, &cfg)) {
+                    (Ok(sol), Ok((w, objective, iterations))) => {
+                        assert_eq!(bits(&sol.w), bits(&w), "{what}");
+                        assert_eq!(sol.objective.to_bits(), objective.to_bits(), "{what}");
+                        assert_eq!(sol.iterations, iterations, "{what}");
+                    }
+                    (Err(_), Err(_)) => {}
+                    (got, want) => panic!("{what}: {:?} vs {:?}", got.is_ok(), want.is_ok()),
+                }
+            }
+        }
+    }
+
+    /// Zero rows of X and Y add nothing to the objective, so padding a wide
+    /// problem until it is tall gives the same optimum through the primal
+    /// path.
+    #[test]
+    fn dual_path_matches_zero_padded_primal() {
+        for (seed, task) in TASKS.into_iter().enumerate() {
+            for gamma in [0.1, 1.0] {
+                let (x, y) = shaped(30, 70, task, 10 + seed as u64);
+                let cfg = L21Config {
+                    gamma,
+                    ..Default::default()
+                };
+                let dual = l21_solve(&x, &y, &cfg).unwrap();
+                let primal = l21_solve(&pad_rows(&x, 80), &pad_rows(&y, 80), &cfg).unwrap();
+                let what = format!("{task:?} gamma={gamma}");
+                assert_scores_close(&dual.feature_scores, &primal.feature_scores, &what);
+                assert_eq!(dual.iterations, primal.iterations, "{what}");
+                assert_eq!(dual.converged, primal.converged, "{what}");
+                assert!(
+                    (dual.objective - primal.objective).abs() <= 1e-8 * primal.objective,
+                    "{what}: {} vs {}",
+                    dual.objective,
+                    primal.objective
+                );
+            }
+        }
+    }
+
+    /// Robust relabelling gives padded rows non-zero targets, so the padded
+    /// problem is a different objective there; the oracle is the seed
+    /// solver, which ran the primal form on the wide input directly.
+    #[test]
+    fn dual_path_matches_seed_solver_with_robust_labels() {
+        for (seed, task) in TASKS.into_iter().enumerate() {
+            let (x, y) = shaped(30, 70, task, 20 + seed as u64);
+            let cfg = L21Config {
+                robust_labels: true,
+                ..Default::default()
+            };
+            let dual = l21_solve(&x, &y, &cfg).unwrap();
+            let (w, _, iterations) = seed_l21_solve(&x, &y, &cfg).unwrap();
+            let what = format!("{task:?}");
+            assert_scores_close(&dual.feature_scores, &w.row_norms(), &what);
+            assert_eq!(dual.iterations, iterations, "{what}");
+        }
+    }
+
+    #[test]
+    fn dual_path_identical_across_budgets() {
+        let (x, y) = shaped(75, 220, Task::Classification { n_classes: 3 }, 30);
+        let solve = |threads| {
+            l21_solve(
+                &x,
+                &y,
+                &L21Config {
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let (one, eight) = (solve(1), solve(8));
+        assert_eq!(bits(&one.w), bits(&eight.w));
+        assert_eq!(one.objective.to_bits(), eight.objective.to_bits());
+        assert_eq!(one.iterations, eight.iterations);
+    }
+
+    /// At γ = 2 the planted problem needs about two dozen iterations
+    /// (at γ = 0.1 the ridge start already meets `tol` after one).
+    #[test]
+    fn converged_reports_whether_tol_was_met() {
+        let (mut x, y) = planted(200, 8, 0);
+        standardize_columns(&mut x);
+        let ym = target_matrix(&y, Task::Regression);
+        let solve = |max_iter| {
+            l21_solve(
+                &x,
+                &ym,
+                &L21Config {
+                    gamma: 2.0,
+                    max_iter,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let capped = solve(1);
+        assert!(!capped.converged, "stopped by max_iter: {capped:?}");
+        let full = solve(L21Config::default().max_iter);
+        assert!(full.converged, "meets tol at the default cap: {full:?}");
+        assert!(full.iterations > 1);
     }
 
     #[test]
