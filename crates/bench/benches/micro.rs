@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the performance-critical primitives: hard/soft join
 //! throughput, group-by pre-aggregation, OSNAP sketching, the ℓ2,1 IRLS
-//! solver, random-forest fitting and RIFS fractions.
+//! solver, random-forest fitting, RIFS fractions and CSV / `.arda`
+//! ingestion.
 //!
 //! Runs under `cargo bench -p arda-bench` with the in-repo timing harness
-//! (`harness = false`; the build is offline, so no criterion). For the
-//! thread-count sweep that records the perf trajectory, see the
-//! `bench_pr1` binary.
+//! (`harness = false`; the build is offline, so no criterion), at the
+//! budget `ARDA_THREADS` sets. End-to-end `Arda::run` timings, broken down
+//! per layer, come from the `perfbench` package.
 
 use arda_bench::timing::{print_measurements, time_op, Measurement};
 use arda_bench::{bench_rifs, Scale};
@@ -16,7 +17,9 @@ use arda_ml::{Dataset, ForestConfig, RandomForest, Task};
 use arda_select::rifs_fractions;
 use arda_select::sparse_regression::{l21_solve, target_matrix, L21Config};
 use arda_synth::{taxi, ScenarioConfig};
-use arda_table::{Column, GroupBy, Table};
+use arda_table::{
+    read_arda_bytes, read_csv_str, write_arda, write_csv, Column, ColumnData, GroupBy, Table,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -206,6 +209,52 @@ fn bench_pipeline(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// Reading one mixed-dtype table (every dtype, nulls, and strings with
+/// commas, quotes and newlines for the quote-aware scanner) with the
+/// streaming CSV reader vs the binary `.arda` decoder.
+fn bench_ingest(out: &mut Vec<Measurement>) {
+    let rows = 20_000;
+    let mut rng = StdRng::seed_from_u64(7);
+    let strs = (0..rows)
+        .map(|i| {
+            (i % 23 != 0).then(|| match i % 4 {
+                0 => format!("plain_{i}"),
+                1 => format!("with,comma_{i}"),
+                2 => format!("say \"hi\" {i}"),
+                _ => format!("line\nbreak_{i}"),
+            })
+        })
+        .collect();
+    let table = Table::new(
+        "ingest",
+        vec![
+            Column::from_i64("id", (0..rows as i64).collect()),
+            Column::from_timestamps("ts", (0..rows as i64).map(|i| i * 3_600).collect()),
+            Column::from_f64("x", (0..rows).map(|_| rng.gen_range(-1e3..1e3)).collect()),
+            Column::from_f64_opt(
+                "y",
+                (0..rows)
+                    .map(|i| (i % 17 != 0).then(|| rng.gen::<f64>()))
+                    .collect(),
+            ),
+            Column::from_bool("flag", (0..rows).map(|i| i % 3 == 0).collect()),
+            Column::new("s", ColumnData::Str(strs)),
+        ],
+    )
+    .unwrap();
+    let mut csv = Vec::new();
+    write_csv(&table, &mut csv).unwrap();
+    let csv = String::from_utf8(csv).unwrap();
+    let mut arda = Vec::new();
+    write_arda(&table, &mut arda).unwrap();
+    out.push(time_op("csv_read_20k_rows_6cols", WINDOW_SECS, || {
+        black_box(read_csv_str("t", &csv).unwrap());
+    }));
+    out.push(time_op("arda_read_20k_rows_6cols", WINDOW_SECS, || {
+        black_box(read_arda_bytes("t", &arda).unwrap());
+    }));
+}
+
 fn main() {
     let mut results = Vec::new();
     bench_joins(&mut results);
@@ -215,6 +264,7 @@ fn main() {
     bench_forest(&mut results);
     bench_rifs_fractions(&mut results);
     bench_pipeline(&mut results);
+    bench_ingest(&mut results);
     print_measurements(
         &format!("micro benchmarks ({} threads)", arda_par::default_threads()),
         &results,

@@ -1,6 +1,5 @@
 //! A tiny self-contained timing harness (the workspace builds offline, so
-//! no criterion). Used by the `micro` bench target and the `bench_pr1`
-//! perf-trajectory binary.
+//! no criterion). Used by the `micro` bench target.
 
 use std::time::Instant;
 

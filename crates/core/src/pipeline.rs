@@ -6,9 +6,7 @@ use crate::plan::{plan_batches, JoinPlan};
 use crate::{ArdaError, Result};
 use arda_coreset::{row_coreset, CoresetSpec};
 use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
-use arda_join::{
-    execute_join_threads, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod,
-};
+use arda_join::{execute_join, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod};
 use arda_ml::model::holdout_score;
 use arda_ml::{featurize, Dataset, FeaturizeOptions, ModelKind};
 use arda_select::{
@@ -189,7 +187,7 @@ impl Arda {
             // eliminated count and the earliest error are identical to
             // the sequential scan.
             let verdicts: Vec<Result<TupleRatioDecision>> =
-                arda_par::par_map(candidates, 0, |_, c| {
+                arda_par::par_map(candidates, |_, c| {
                     let foreign = repo.table(c.table_index)?;
                     let stats = join_stats(
                         &kept,
@@ -239,7 +237,7 @@ impl Arda {
             // candidates, a lone candidate keeps all of it, and the permit
             // pool guarantees the nested scans never oversubscribe.
             let snapshot = &kept;
-            let extra_tables: Vec<Result<Table>> = arda_par::par_map(batch, 0, |_, cand| {
+            let extra_tables: Vec<Result<Table>> = arda_par::par_map(batch, |_, cand| {
                 // On a sharded repository this is where the foreign shard
                 // is streamed in — concurrently per candidate, under the
                 // batch's split of the work budget.
@@ -251,7 +249,7 @@ impl Arda {
                     kind,
                 };
                 let before: HashSet<&str> = snapshot.columns().iter().map(|c| c.name()).collect();
-                let joined = execute_join_threads(snapshot, &foreign, &spec, cfg.seed, 0)?;
+                let joined = execute_join(snapshot, &foreign, &spec, cfg.seed)?;
                 let mut extras = Table::empty(cand.table_name.clone());
                 for col in joined.columns() {
                     if !before.contains(col.name()) {

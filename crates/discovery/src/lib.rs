@@ -891,7 +891,7 @@ pub fn discover_joins(
         .filter(|&d| keyable(d))
         .collect();
     let indices: Vec<usize> = (0..repo.len()).collect();
-    let mined = arda_par::par_map(&indices, 0, |_, &ti| {
+    let mined = arda_par::par_map(&indices, |_, &ti| {
         if let Some(dtypes) = repo.dtypes(ti) {
             let joinable = dtypes
                 .iter()

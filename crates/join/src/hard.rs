@@ -58,9 +58,10 @@ pub fn left_hard_join(
     // Probe scan: each base row's lookup is independent, so large bases
     // fan out on the ambient work budget (results stay in row order).
     let bkeys = base.keys(base_keys)?;
-    let threads = arda_par::threads_for(0, bkeys.len(), PAR_MIN_ROWS);
-    let matches: Vec<Option<usize>> = arda_par::par_map(&bkeys, threads, |_, k| {
-        k.as_ref().and_then(|k| index.get(k).copied())
+    let matches: Vec<Option<usize>> = arda_par::sequential_below(bkeys.len(), PAR_MIN_ROWS, || {
+        arda_par::par_map(&bkeys, |_, k| {
+            k.as_ref().and_then(|k| index.get(k).copied())
+        })
     });
 
     // Gather matched foreign rows (nulls where unmatched), minus key columns.

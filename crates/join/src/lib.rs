@@ -134,23 +134,10 @@ pub type Result<T> = std::result::Result<T, JoinError>;
 /// The base table's rows (count and order) are always preserved; foreign
 /// non-key columns are appended, renamed on collision. The foreign table is
 /// pre-aggregated on its keys first, so to-many joins cannot duplicate rows.
-/// `seed` drives the random choices of categorical interpolation.
+/// `seed` drives the random choices of categorical interpolation. The join
+/// runs on the ambient `arda-par` work budget; under the pipeline's batch
+/// fan-out each join plans with its split, so nesting cannot oversubscribe.
 pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -> Result<Table> {
-    execute_join_threads(base, foreign, spec, seed, 0)
-}
-
-/// [`execute_join`] with an explicit cap on the join's internal worker
-/// count (`0` = the ambient `arda-par` work budget). Callers that already
-/// fan out over candidate joins (the pipeline's batch executor) can leave
-/// the cap at 0: each join plans with its split of the shared budget, so
-/// nesting cannot oversubscribe.
-pub fn execute_join_threads(
-    base: &Table,
-    foreign: &Table,
-    spec: &JoinSpec,
-    seed: u64,
-    threads: usize,
-) -> Result<Table> {
     if spec.base_keys.len() != spec.foreign_keys.len() || spec.base_keys.is_empty() {
         return Err(JoinError::InvalidSpec(format!(
             "{} base keys vs {} foreign keys",
@@ -167,10 +154,10 @@ pub fn execute_join_threads(
             let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
             match method {
                 SoftMethod::Nearest { tolerance } => {
-                    soft::nearest_join_threads(base, foreign, bk, fk, tolerance, threads)
+                    soft::nearest_join(base, foreign, bk, fk, tolerance)
                 }
                 SoftMethod::TwoWayNearest => {
-                    soft::two_way_nearest_join_threads(base, foreign, bk, fk, seed, threads)
+                    soft::two_way_nearest_join(base, foreign, bk, fk, seed)
                 }
             }
         }
@@ -184,10 +171,10 @@ pub fn execute_join_threads(
             let resampled = resample::resample_to_base(base, foreign, bk, fk)?;
             match method {
                 SoftMethod::Nearest { tolerance } => {
-                    soft::nearest_join_threads(base, &resampled, bk, fk, tolerance, threads)
+                    soft::nearest_join(base, &resampled, bk, fk, tolerance)
                 }
                 SoftMethod::TwoWayNearest => {
-                    soft::two_way_nearest_join_threads(base, &resampled, bk, fk, seed, threads)
+                    soft::two_way_nearest_join(base, &resampled, bk, fk, seed)
                 }
             }
         }

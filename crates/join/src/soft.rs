@@ -13,6 +13,7 @@ use arda_table::Value;
 use arda_table::{Column, ColumnData, DataType, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Base rows below which per-row matching stays sequential.
 const PAR_MIN_ROWS: usize = 4_096;
@@ -76,14 +77,14 @@ impl SoftKeyIndex {
         };
         (low, high)
     }
+}
 
-    /// Worker count for a scan over `n_rows` base rows: an explicit caller
-    /// cap wins, otherwise small scans stay sequential and large ones plan
-    /// with the ambient work budget (the pipeline's batch fan-out installs
-    /// each candidate's split, so nested joins never oversubscribe).
-    fn scan_threads(n_rows: usize, requested: usize) -> usize {
-        arda_par::threads_for(requested, n_rows, PAR_MIN_ROWS)
-    }
+/// Per-base-row matching over `0..n_rows` in parallel row bands: small
+/// scans stay sequential and large ones plan with the ambient work budget
+/// (the pipeline's batch fan-out installs each candidate's split, so nested
+/// joins never oversubscribe).
+fn scan_rows<U: Send>(n_rows: usize, f: impl Fn(Range<usize>) -> Vec<U> + Sync) -> Vec<U> {
+    arda_par::sequential_below(n_rows, PAR_MIN_ROWS, || arda_par::par_for_rows(n_rows, f))
 }
 
 /// Nearest-neighbour soft LEFT join: each base row joins the foreign row
@@ -96,18 +97,6 @@ pub fn nearest_join(
     foreign_key: &str,
     tolerance: Option<f64>,
 ) -> Result<Table> {
-    nearest_join_threads(base, foreign, base_key, foreign_key, tolerance, 0)
-}
-
-/// [`nearest_join`] with an explicit worker cap (`0` = automatic).
-pub fn nearest_join_threads(
-    base: &Table,
-    foreign: &Table,
-    base_key: &str,
-    foreign_key: &str,
-    tolerance: Option<f64>,
-    threads: usize,
-) -> Result<Table> {
     let base_col = base.column(base_key)?;
     if !base_col.dtype().is_numeric() {
         return Err(JoinError::NonNumericSoftKey(base_key.to_string()));
@@ -115,23 +104,19 @@ pub fn nearest_join_threads(
     let foreign = pre_aggregate(foreign, &[foreign_key])?;
     let index = SoftKeyIndex::build(&foreign, foreign_key)?;
 
-    let matches: Vec<Option<usize>> = arda_par::par_for_rows(
-        base.n_rows(),
-        SoftKeyIndex::scan_threads(base.n_rows(), threads),
-        |range| {
-            range
-                .map(|i| {
-                    let x = base_col.get_f64(i)?;
-                    let c = index.closest(x)?;
-                    let (v, row) = index.sorted[c];
-                    match tolerance {
-                        Some(t) if (v - x).abs() > t => None,
-                        _ => Some(row),
-                    }
-                })
-                .collect()
-        },
-    );
+    let matches: Vec<Option<usize>> = scan_rows(base.n_rows(), |range| {
+        range
+            .map(|i| {
+                let x = base_col.get_f64(i)?;
+                let c = index.closest(x)?;
+                let (v, row) = index.sorted[c];
+                match tolerance {
+                    Some(t) if (v - x).abs() > t => None,
+                    _ => Some(row),
+                }
+            })
+            .collect()
+    });
 
     let value_names: Vec<&str> = foreign
         .columns()
@@ -157,18 +142,6 @@ pub fn two_way_nearest_join(
     foreign_key: &str,
     seed: u64,
 ) -> Result<Table> {
-    two_way_nearest_join_threads(base, foreign, base_key, foreign_key, seed, 0)
-}
-
-/// [`two_way_nearest_join`] with an explicit worker cap (`0` = automatic).
-pub fn two_way_nearest_join_threads(
-    base: &Table,
-    foreign: &Table,
-    base_key: &str,
-    foreign_key: &str,
-    seed: u64,
-    threads: usize,
-) -> Result<Table> {
     let base_col = base.column(base_key)?;
     if !base_col.dtype().is_numeric() {
         return Err(JoinError::NonNumericSoftKey(base_key.to_string()));
@@ -178,35 +151,31 @@ pub fn two_way_nearest_join_threads(
 
     // Interpolation plan per base row: (row_low, row_high, λ). Pure binary
     // searches over the shared index → parallel row bands.
-    let plans: Vec<Option<(usize, usize, f64)>> = arda_par::par_for_rows(
-        base.n_rows(),
-        SoftKeyIndex::scan_threads(base.n_rows(), threads),
-        |range| {
-            range
-                .map(|i| {
-                    let x = base_col.get_f64(i)?;
-                    let (low, high) = index.bracketing(x);
-                    match (low, high) {
-                        (Some(l), Some(h)) => {
-                            let (yl, rl) = index.sorted[l];
-                            let (yh, rh) = index.sorted[h];
-                            let lambda = if yh > yl { (yh - x) / (yh - yl) } else { 1.0 };
-                            Some((rl, rh, lambda))
-                        }
-                        (Some(l), None) => {
-                            let (_, rl) = index.sorted[l];
-                            Some((rl, rl, 1.0))
-                        }
-                        (None, Some(h)) => {
-                            let (_, rh) = index.sorted[h];
-                            Some((rh, rh, 1.0))
-                        }
-                        (None, None) => None,
+    let plans: Vec<Option<(usize, usize, f64)>> = scan_rows(base.n_rows(), |range| {
+        range
+            .map(|i| {
+                let x = base_col.get_f64(i)?;
+                let (low, high) = index.bracketing(x);
+                match (low, high) {
+                    (Some(l), Some(h)) => {
+                        let (yl, rl) = index.sorted[l];
+                        let (yh, rh) = index.sorted[h];
+                        let lambda = if yh > yl { (yh - x) / (yh - yl) } else { 1.0 };
+                        Some((rl, rh, lambda))
                     }
-                })
-                .collect()
-        },
-    );
+                    (Some(l), None) => {
+                        let (_, rl) = index.sorted[l];
+                        Some((rl, rl, 1.0))
+                    }
+                    (None, Some(h)) => {
+                        let (_, rh) = index.sorted[h];
+                        Some((rh, rh, 1.0))
+                    }
+                    (None, None) => None,
+                }
+            })
+            .collect()
+    });
 
     // Categorical neighbour picks consume the seeded RNG sequentially in
     // (column, row) order — exactly the draws the old sequential loop made —
@@ -243,10 +212,9 @@ pub fn two_way_nearest_join_threads(
     // Each output column interpolates independently from the shared plans.
     let jobs: Vec<(&Column, Option<Vec<Option<usize>>>)> =
         value_cols.into_iter().zip(str_picks).collect();
-    let threads = arda_par::threads_for(threads, base.n_rows() * jobs.len().max(1), PAR_MIN_ROWS);
     let new_cols: Vec<Result<Column>> =
-        arda_par::par_map(&jobs, threads, |_, (col, picks)| {
-            match (col.data(), picks) {
+        arda_par::sequential_below(base.n_rows() * jobs.len().max(1), PAR_MIN_ROWS, || {
+            arda_par::par_map(&jobs, |_, (col, picks)| match (col.data(), picks) {
                 (ColumnData::Str(cells), Some(picks)) => {
                     let values: Vec<Option<String>> = picks
                         .iter()
@@ -269,7 +237,7 @@ pub fn two_way_nearest_join_threads(
                         .collect();
                     Ok(Column::from_f64_opt(col.name(), values))
                 }
-            }
+            })
         });
 
     let mut extras = Table::empty(foreign.name().to_string());

@@ -4,9 +4,9 @@
 //! contiguous row bands processed concurrently via [`arda_par`]; within a
 //! band the loops are blocked for cache reuse. Every kernel accumulates
 //! each output element in the same (ascending) order regardless of band
-//! size or thread count, so results are **bit-identical** to the sequential
+//! size or budget, so results are **bit-identical** to the sequential
 //! naive versions — a property the test suite asserts across random shapes
-//! and thread counts.
+//! and budget widths.
 
 use crate::{LinalgError, Result};
 
@@ -22,13 +22,12 @@ const TRANSPOSE_TILE: usize = 32;
 /// below this the scoped-thread setup dominates.
 const PAR_MIN_OPS: usize = 1 << 15;
 
-/// Worker count for a kernel touching `ops` scalar operations: the shared
-/// `arda-par` small-input policy with this crate's op threshold, fully
-/// resolved (never the `0` = "global default" placeholder) because the
-/// kernels derive their band sizes from it.
-#[inline]
-fn kernel_threads(requested: usize, ops: usize) -> usize {
-    arda_par::resolve_threads(arda_par::threads_for(requested, ops, PAR_MIN_OPS))
+/// Run a kernel touching `ops` scalar operations under the shared
+/// `arda-par` small-input policy with this crate's op threshold. `f`
+/// receives the width its budget plans with, from which the kernels derive
+/// their band sizes.
+fn kernel<R>(ops: usize, f: impl FnOnce(usize) -> R) -> R {
+    arda_par::sequential_below(ops, PAR_MIN_OPS, || f(arda_par::current_budget().width()))
 }
 
 /// A dense `rows × cols` matrix of `f64` stored row-major.
@@ -174,16 +173,17 @@ impl Matrix {
         if d == 0 || rows == 0 {
             return Ok(out);
         }
-        let threads = kernel_threads(0, rows * d);
-        let band = rows.div_ceil(threads).max(1) * d;
-        arda_par::par_chunks_mut(&mut out.data, band, threads, |start, chunk| {
-            let r0 = start / d;
-            for (local_r, out_row) in chunk.chunks_mut(d).enumerate() {
-                let r = r0 + local_r;
-                for (o, col) in out_row.iter_mut().zip(columns) {
-                    *o = col[r];
+        kernel(rows * d, |width| {
+            let band = rows.div_ceil(width).max(1) * d;
+            arda_par::par_chunks_mut(&mut out.data, band, |start, chunk| {
+                let r0 = start / d;
+                for (local_r, out_row) in chunk.chunks_mut(d).enumerate() {
+                    let r = r0 + local_r;
+                    for (o, col) in out_row.iter_mut().zip(columns) {
+                        *o = col[r];
+                    }
                 }
-            }
+            })
         });
         Ok(out)
     }
@@ -191,49 +191,38 @@ impl Matrix {
     /// Transposed copy: tiled to keep both the source and destination
     /// access patterns cache-resident, parallel over output row bands.
     pub fn transpose(&self) -> Matrix {
-        self.transpose_threads(0)
-    }
-
-    /// [`Matrix::transpose`] with an explicit worker count (`0` = global
-    /// default).
-    pub fn transpose_threads(&self, threads: usize) -> Matrix {
         let (n, d) = (self.rows, self.cols);
         let mut out = Matrix::zeros(d, n);
         if n == 0 || d == 0 {
             return out;
         }
-        let threads = kernel_threads(threads, n * d);
         let src = &self.data;
         let t = TRANSPOSE_TILE;
-        // Output rows are input columns; hand each worker a band of them.
-        let band_rows = d.div_ceil(threads).max(1).min(t);
-        arda_par::par_chunks_mut(&mut out.data, band_rows * n, threads, |start, chunk| {
-            let c0 = start / n;
-            let c1 = c0 + chunk.len().div_ceil(n.max(1));
-            for rr in (0..n).step_by(t) {
-                let r_end = (rr + t).min(n);
-                for c in c0..c1 {
-                    let out_row = &mut chunk[(c - c0) * n..][..n];
-                    for r in rr..r_end {
-                        out_row[r] = src[r * d + c];
+        kernel(n * d, |width| {
+            // Output rows are input columns; hand each worker a band of them.
+            let band_rows = d.div_ceil(width).max(1).min(t);
+            arda_par::par_chunks_mut(&mut out.data, band_rows * n, |start, chunk| {
+                let c0 = start / n;
+                let c1 = c0 + chunk.len().div_ceil(n.max(1));
+                for rr in (0..n).step_by(t) {
+                    let r_end = (rr + t).min(n);
+                    for c in c0..c1 {
+                        let out_row = &mut chunk[(c - c0) * n..][..n];
+                        for r in rr..r_end {
+                            out_row[r] = src[r * d + c];
+                        }
                     }
                 }
-            }
+            })
         });
         out
     }
 
     /// Matrix product `self * other`: cache-blocked over `k` and `j`,
     /// parallel over output row bands. Bit-identical to the sequential
-    /// naive i-k-j product for every thread count because each output
-    /// element accumulates its `k` contributions in ascending order.
+    /// naive i-k-j product at every budget because each output element
+    /// accumulates its `k` contributions in ascending order.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_threads(other, 0)
-    }
-
-    /// [`Matrix::matmul`] with an explicit worker count (`0` = global
-    /// default).
-    pub fn matmul_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
                 context: format!(
@@ -247,107 +236,99 @@ impl Matrix {
         if n == 0 || kd == 0 || m == 0 {
             return Ok(out);
         }
-        let threads = kernel_threads(threads, n * kd * m);
         let a = &self.data;
         let b = &other.data;
-        // One contiguous row band per worker (par_chunks_mut assigns
-        // contiguous spans statically, so finer bands would collapse into
-        // the same partition); results are band-size-independent.
-        let band_rows = n.div_ceil(threads).max(1);
-        arda_par::par_chunks_mut(&mut out.data, band_rows * m, threads, |start, chunk| {
-            let i0 = start / m;
-            let rows_here = chunk.len() / m;
-            for kk in (0..kd).step_by(MATMUL_KC) {
-                let k_end = (kk + MATMUL_KC).min(kd);
-                for jj in (0..m).step_by(MATMUL_JC) {
-                    let j_end = (jj + MATMUL_JC).min(m);
-                    for li in 0..rows_here {
-                        let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
-                        let out_row = &mut chunk[li * m + jj..li * m + j_end];
-                        for k in kk..k_end {
-                            let av = a_row[k];
-                            // One-hot featurized matrices are mostly zeros;
-                            // adding an exact 0·x term is a bitwise no-op
-                            // for finite x, so skipping keeps bit-identity.
-                            if av == 0.0 {
-                                continue;
-                            }
-                            let b_row = &b[k * m + jj..k * m + j_end];
-                            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                                *o += av * bv;
+        kernel(n * kd * m, |width| {
+            // One contiguous row band per worker (par_chunks_mut assigns
+            // contiguous spans statically, so finer bands would collapse
+            // into the same partition); results are band-size-independent.
+            let band_rows = n.div_ceil(width).max(1);
+            arda_par::par_chunks_mut(&mut out.data, band_rows * m, |start, chunk| {
+                let i0 = start / m;
+                let rows_here = chunk.len() / m;
+                for kk in (0..kd).step_by(MATMUL_KC) {
+                    let k_end = (kk + MATMUL_KC).min(kd);
+                    for jj in (0..m).step_by(MATMUL_JC) {
+                        let j_end = (jj + MATMUL_JC).min(m);
+                        for li in 0..rows_here {
+                            let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
+                            let out_row = &mut chunk[li * m + jj..li * m + j_end];
+                            for k in kk..k_end {
+                                let av = a_row[k];
+                                // One-hot featurized matrices are mostly
+                                // zeros; adding an exact 0·x term is a
+                                // bitwise no-op for finite x, so skipping
+                                // keeps bit-identity.
+                                if av == 0.0 {
+                                    continue;
+                                }
+                                let b_row = &b[k * m + jj..k * m + j_end];
+                                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                                    *o += av * bv;
+                                }
                             }
                         }
                     }
                 }
-            }
+            })
         });
         Ok(out)
     }
 
     /// Matrix-vector product, parallel over output rows.
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        self.matvec_threads(v, 0)
-    }
-
-    /// [`Matrix::matvec`] with an explicit worker count (`0` = global
-    /// default).
-    pub fn matvec_threads(&self, v: &[f64], threads: usize) -> Result<Vec<f64>> {
         if v.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("matvec: {}x{} * len {}", self.rows, self.cols, v.len()),
             });
         }
-        let threads = kernel_threads(threads, self.rows * self.cols);
-        Ok(arda_par::par_for_rows(self.rows, threads, |range| {
-            range
-                .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-                .collect()
+        Ok(kernel(self.rows * self.cols, |_| {
+            arda_par::par_for_rows(self.rows, |range| {
+                range
+                    .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
+                    .collect()
+            })
         }))
     }
 
     /// `selfᵀ * self` (Gram matrix), computed without materialising the
     /// transpose, parallel over output rows.
-    pub fn gram(&self) -> Matrix {
-        self.gram_threads(0)
-    }
-
-    /// [`Matrix::gram`] with an explicit worker count (`0` = global
-    /// default).
     ///
     /// Each worker owns a band of output rows and streams the input once,
     /// accumulating `out[i][j] += x[r][i] · x[r][j]` in ascending `r` for
     /// both triangles. Since IEEE multiplication commutes exactly, the two
     /// triangles come out bitwise symmetric and the result matches the
-    /// sequential upper-triangle + mirror oracle bit-for-bit at any thread
-    /// count — for *finite* inputs. With `±inf`/`NaN` cells the per-row
+    /// sequential upper-triangle + mirror oracle bit-for-bit at any budget
+    /// — for *finite* inputs. With `±inf`/`NaN` cells the per-row
     /// zero-skip can produce `0 · inf = NaN` in the lower triangle where
     /// the mirrored oracle skipped it; no workspace data path produces
     /// non-finite features.
-    pub fn gram_threads(&self, threads: usize) -> Matrix {
+    pub fn gram(&self) -> Matrix {
         let (n, d) = (self.rows, self.cols);
         let mut out = Matrix::zeros(d, d);
         if n == 0 || d == 0 {
             return out;
         }
-        let threads = kernel_threads(threads, n * d * d / 2);
         let x = &self.data;
-        let band_rows = d.div_ceil(threads).max(1);
-        arda_par::par_chunks_mut(&mut out.data, band_rows * d, threads, |start, chunk| {
-            let i0 = start / d;
-            let rows_here = chunk.len() / d;
-            for r in 0..n {
-                let row = &x[r * d..(r + 1) * d];
-                for li in 0..rows_here {
-                    let a = row[i0 + li];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut chunk[li * d..(li + 1) * d];
-                    for (o, &v) in out_row.iter_mut().zip(row) {
-                        *o += a * v;
+        kernel(n * d * d / 2, |width| {
+            let band_rows = d.div_ceil(width).max(1);
+            arda_par::par_chunks_mut(&mut out.data, band_rows * d, |start, chunk| {
+                let i0 = start / d;
+                let rows_here = chunk.len() / d;
+                for r in 0..n {
+                    let row = &x[r * d..(r + 1) * d];
+                    for li in 0..rows_here {
+                        let a = row[i0 + li];
+                        if a == 0.0 {
+                            continue;
+                        }
+                        let out_row = &mut chunk[li * d..(li + 1) * d];
+                        for (o, &v) in out_row.iter_mut().zip(row) {
+                            *o += a * v;
+                        }
                     }
                 }
-            }
+            })
         });
         out
     }
@@ -536,6 +517,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arda_par::Budget;
 
     #[test]
     fn construction_and_access() {
@@ -634,14 +616,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_threads_resolves_the_default_path() {
-        // Regression: band sizes derive from this value, so the default
-        // path must resolve to the real worker count, never the 0
-        // placeholder (which would collapse every kernel to one band).
-        arda_par::set_default_threads(6);
-        assert_eq!(kernel_threads(0, PAR_MIN_OPS * 2), 6);
-        assert_eq!(kernel_threads(0, 10), 1, "small inputs stay sequential");
-        assert_eq!(kernel_threads(3, 10), 3, "explicit request wins");
+    fn kernel_width_follows_the_installed_budget() {
+        // Band sizes derive from this width, so a kernel must plan with the
+        // installed budget's width above the threshold and one band below.
+        Budget::isolated(6).install(|| {
+            assert_eq!(kernel(PAR_MIN_OPS * 2, |w| w), 6);
+            assert_eq!(kernel(10, |w| w), 1, "small inputs stay sequential");
+        });
     }
 
     #[test]
@@ -686,13 +667,16 @@ mod tests {
 
     #[test]
     fn blocked_kernels_match_naive_oracles_across_shapes_and_threads() {
-        // Shapes straddling every block/tile boundary constant.
+        // Shapes straddling every block/tile boundary constant. The last
+        // one is above `PAR_MIN_OPS` for all four kernels, and its 131
+        // rows and 257 columns leave a ragged last band at widths 2, 3, 8.
         let shapes = [
             (1, 1, 1),
             (3, 7, 2),
             (17, 33, 9),
             (40, 130, 70),
             (65, 257, 31),
+            (131, 257, 31),
         ];
         for (si, &(n, k, m)) in shapes.iter().enumerate() {
             let a = filled(n, k, si as u64);
@@ -702,27 +686,33 @@ mod tests {
             let t_oracle = a.transpose_naive();
             let g_oracle = a.gram_naive();
             let mv_oracle = a.matvec_naive(&v).unwrap();
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    a.matmul_threads(&b, threads).unwrap().data(),
-                    mm_oracle.data(),
-                    "matmul {n}x{k}x{m} threads={threads}"
-                );
-                assert_eq!(
-                    a.transpose_threads(threads).data(),
+            for width in [1, 2, 3, 8] {
+                let budget = Budget::isolated(width);
+                // Runs one kernel against its oracle, checking that it
+                // spawned exactly when the policy lets it fan out.
+                let check =
+                    |name: &str, ops: usize, kernel: &dyn Fn() -> Vec<f64>, oracle: &[f64]| {
+                        let what = format!("{name} {n}x{k}x{m} width={width}");
+                        budget.reset_counters();
+                        assert_eq!(budget.install(kernel), oracle, "{what}");
+                        let parallel = width > 1 && ops >= PAR_MIN_OPS;
+                        assert_eq!(budget.total_spawns() > 0, parallel, "{what}");
+                    };
+                let matmul = || a.matmul(&b).unwrap().data().to_vec();
+                check("matmul", n * k * m, &matmul, mm_oracle.data());
+                check(
+                    "transpose",
+                    n * k,
+                    &|| a.transpose().data().to_vec(),
                     t_oracle.data(),
-                    "transpose {n}x{k} threads={threads}"
                 );
-                assert_eq!(
-                    a.gram_threads(threads).data(),
+                check(
+                    "gram",
+                    n * k * k / 2,
+                    &|| a.gram().data().to_vec(),
                     g_oracle.data(),
-                    "gram {n}x{k} threads={threads}"
                 );
-                assert_eq!(
-                    a.matvec_threads(&v, threads).unwrap(),
-                    mv_oracle,
-                    "matvec {n}x{k} threads={threads}"
-                );
+                check("matvec", n * k, &|| a.matvec(&v).unwrap(), &mv_oracle);
             }
         }
     }

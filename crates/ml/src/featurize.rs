@@ -101,9 +101,10 @@ pub fn featurize(
         .iter()
         .filter(|c| c.name() != target)
         .collect();
-    let threads = arda_par::threads_for(0, n * feature_cols.len().max(1), PAR_MIN_CELLS);
     let encoded: Vec<Vec<(String, Vec<f64>)>> =
-        arda_par::par_map(&feature_cols, threads, |_, col| encode_column(col, n, opts));
+        arda_par::sequential_below(n * feature_cols.len().max(1), PAR_MIN_CELLS, || {
+            arda_par::par_map(&feature_cols, |_, col| encode_column(col, n, opts))
+        });
 
     let mut columns: Vec<Vec<f64>> = Vec::new();
     let mut names: Vec<String> = Vec::new();

@@ -32,10 +32,6 @@ pub struct ForestConfig {
     pub bootstrap: bool,
     /// Master RNG seed.
     pub seed: u64,
-    /// Worker threads: `0` = the ambient `arda-par` work budget
-    /// (`ARDA_THREADS` at top level, the stage's split when nested),
-    /// `1` = sequential, otherwise an explicit count.
-    pub n_threads: usize,
 }
 
 impl Default for ForestConfig {
@@ -48,7 +44,6 @@ impl Default for ForestConfig {
             max_features: None,
             bootstrap: true,
             seed: 0,
-            n_threads: 0,
         }
     }
 }
@@ -117,14 +112,13 @@ impl RandomForest {
         };
 
         // Every tree is fully determined by its pre-drawn (seed, rows) job,
-        // so `par_map`'s ordered results are identical at any thread count
-        // or work-budget size; each tree fit plans with its split of the
-        // ambient budget, so nesting a fit under RIFS rounds or the τ-sweep
-        // cannot oversubscribe.
-        let trees: Vec<DecisionTree> =
-            arda_par::par_map(&jobs, cfg.n_threads, |_, (s, rows)| fit_one(*s, rows))
-                .into_iter()
-                .collect::<Result<_>>()?;
+        // so `par_map`'s ordered results are identical at any work-budget
+        // size; each tree fit plans with its split of the ambient budget, so
+        // nesting a fit under RIFS rounds or the τ-sweep cannot
+        // oversubscribe.
+        let trees: Vec<DecisionTree> = arda_par::par_map(&jobs, |_, (s, rows)| fit_one(*s, rows))
+            .into_iter()
+            .collect::<Result<_>>()?;
 
         // Mean impurity decrease, normalised to sum to 1 (when non-zero).
         let mut importances = vec![0.0; x.cols()];
@@ -149,10 +143,12 @@ impl RandomForest {
     /// over trees for prediction workloads large enough to amortise the
     /// thread spawn.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        let threads = arda_par::threads_for(0, x.rows() * self.trees.len(), PAR_MIN_PREDICTIONS);
-        let per_tree: Vec<Vec<f64>> = arda_par::par_map(&self.trees, threads, |_, t| t.predict(x))
-            .into_iter()
-            .collect::<Result<_>>()?;
+        let work = x.rows() * self.trees.len();
+        let per_tree: Vec<Vec<f64>> = arda_par::sequential_below(work, PAR_MIN_PREDICTIONS, || {
+            arda_par::par_map(&self.trees, |_, t| t.predict(x))
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
         let n = x.rows();
         match self.task {
             Task::Regression => {
@@ -206,6 +202,7 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arda_par::Budget;
     use rand::Rng;
 
     fn classification_blob(n: usize, seed: u64) -> Dataset {
@@ -288,21 +285,13 @@ mod tests {
     #[test]
     fn deterministic_given_seed_regardless_of_threads() {
         let d = classification_blob(120, 4);
-        let base = ForestConfig {
+        let cfg = ForestConfig {
             n_trees: 8,
             seed: 9,
-            n_threads: 1,
             ..Default::default()
         };
-        let rf1 = RandomForest::fit(&d, &base).unwrap();
-        let rf2 = RandomForest::fit(
-            &d,
-            &ForestConfig {
-                n_threads: 4,
-                ..base
-            },
-        )
-        .unwrap();
+        let fit = |width| Budget::isolated(width).install(|| RandomForest::fit(&d, &cfg).unwrap());
+        let (rf1, rf2) = (fit(1), fit(4));
         assert_eq!(rf1.predict(&d.x).unwrap(), rf2.predict(&d.x).unwrap());
         assert_eq!(rf1.importances(), rf2.importances());
     }

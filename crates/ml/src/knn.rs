@@ -1,7 +1,7 @@
 //! k-nearest-neighbour queries (linear scan), used by the Relief feature
 //! selector's nearest-hit/nearest-miss searches. The distance scan runs in
 //! parallel row bands for large matrices; candidate order (and therefore
-//! the tie-break) is identical to the sequential scan at any thread count.
+//! the tie-break) is identical to the sequential scan at any budget.
 
 use arda_linalg::Matrix;
 
@@ -19,35 +19,26 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 /// itself, optionally restricted by a row filter.
 ///
 /// `filter` receives each candidate row index; return `false` to skip it
-/// (Relief uses this to search hits and misses separately).
+/// (Relief uses this to search hits and misses separately). The scan runs
+/// on the ambient `arda-par` work budget; callers running many scans
+/// concurrently (Relief's anchor loop) give each its split of the shared
+/// budget, so nesting cannot oversubscribe.
 pub fn nearest_neighbors(
     x: &Matrix,
     query: usize,
     k: usize,
     filter: impl Fn(usize) -> bool + Sync,
 ) -> Vec<usize> {
-    nearest_neighbors_threads(x, query, k, filter, 0)
-}
-
-/// [`nearest_neighbors`] with an explicit worker cap (`0` = the ambient
-/// `arda-par` work budget). Callers already running many scans concurrently
-/// (Relief's anchor loop) can leave this at 0: each scan plans with its
-/// split of the shared budget, so nesting cannot oversubscribe.
-pub fn nearest_neighbors_threads(
-    x: &Matrix,
-    query: usize,
-    k: usize,
-    filter: impl Fn(usize) -> bool + Sync,
-    threads: usize,
-) -> Vec<usize> {
     let q = x.row(query);
-    let threads = arda_par::threads_for(threads, x.rows(), PAR_MIN_ROWS);
-    let mut candidates: Vec<(f64, usize)> = arda_par::par_for_rows(x.rows(), threads, |range| {
-        range
-            .filter(|&i| i != query && filter(i))
-            .map(|i| (sq_dist(q, x.row(i)), i))
-            .collect()
-    });
+    let mut candidates: Vec<(f64, usize)> =
+        arda_par::sequential_below(x.rows(), PAR_MIN_ROWS, || {
+            arda_par::par_for_rows(x.rows(), |range| {
+                range
+                    .filter(|&i| i != query && filter(i))
+                    .map(|i| (sq_dist(q, x.row(i)), i))
+                    .collect()
+            })
+        });
     candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     candidates.truncate(k);
     candidates.into_iter().map(|(_, i)| i).collect()

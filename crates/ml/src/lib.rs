@@ -39,7 +39,7 @@ pub mod tree;
 pub use dataset::{Dataset, Task};
 pub use featurize::{featurize, FeaturizeOptions};
 pub use forest::{ForestConfig, RandomForest};
-pub use knn::{nearest_neighbors, nearest_neighbors_threads};
+pub use knn::nearest_neighbors;
 pub use linear::{Lasso, LinearSvm, LogisticRegression, Ridge};
 pub use model::{score_for_task, Model, ModelKind};
 pub use split::{kfold_indices, stratified_split, train_test_split};

@@ -10,7 +10,7 @@
 
 use crate::mutual_info::discretize_target;
 use arda_linalg::Matrix;
-use arda_ml::{nearest_neighbors_threads, Task};
+use arda_ml::{nearest_neighbors, Task};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,15 +73,14 @@ pub fn relief_scores(x: &Matrix, y: &[f64], task: Task, cfg: &ReliefConfig) -> V
 
     // Each anchor's hit/miss search and weight delta is independent; the
     // deltas are reduced in anchor order afterwards, so the accumulated
-    // weights match the sequential loop at any thread count. Small
+    // weights match the sequential loop at any budget. Small
     // datasets stay sequential (the per-anchor scan costs ~n·d work).
-    let threads = arda_par::threads_for(0, anchors.len() * n * d, PAR_MIN_WORK);
-    let deltas: Vec<Option<Vec<f64>>> = arda_par::par_map(&anchors, threads, |_, &i| {
+    let anchor_delta = |_, &i: &usize| {
         // Inner scans run on this anchor's split of the shared work budget:
         // sequential when the anchor fan-out is wide, parallel when few
         // anchors leave budget to spare — never oversubscribed.
-        let hits = nearest_neighbors_threads(x, i, cfg.k, |j| classes[j] == classes[i], 0);
-        let misses = nearest_neighbors_threads(x, i, cfg.k, |j| classes[j] != classes[i], 0);
+        let hits = nearest_neighbors(x, i, cfg.k, |j| classes[j] == classes[i]);
+        let misses = nearest_neighbors(x, i, cfg.k, |j| classes[j] != classes[i]);
         if hits.is_empty() || misses.is_empty() {
             return None;
         }
@@ -101,7 +100,11 @@ pub fn relief_scores(x: &Matrix, y: &[f64], task: Task, cfg: &ReliefConfig) -> V
             *w = miss_diff - hit_diff;
         }
         Some(delta)
-    });
+    };
+    let deltas: Vec<Option<Vec<f64>>> =
+        arda_par::sequential_below(anchors.len() * n * d, PAR_MIN_WORK, || {
+            arda_par::par_map(&anchors, anchor_delta)
+        });
 
     let mut weights = vec![0.0f64; d];
     let mut updates = 0usize;

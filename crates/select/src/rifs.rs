@@ -169,8 +169,8 @@ fn max_normalize(scores: &mut [f64]) {
 /// One ensemble ranking over the augmented matrix (Algorithm 1, step 2):
 /// ν-weighted combination of RF importances and ℓ2,1 row norms.
 ///
-/// The forest fit and ℓ2,1 solve run with `threads = 0`: when RIFS fans its
-/// injection rounds out, each round's ambient work budget is the
+/// The forest fit and ℓ2,1 solve run on the ambient work budget: when RIFS
+/// fans its injection rounds out, each round's ambient budget is the
 /// `arda-par` split of the whole, so a wide round fan-out makes these
 /// sequential while a narrow one lets them use the freed budget — without
 /// ever oversubscribing.
@@ -221,7 +221,7 @@ pub fn rifs_fractions(train_data: &Dataset, cfg: &RifsConfig, seed: u64) -> Resu
         .map(|_| inject_features(&train_data.x, t, cfg.distribution, &mut rng))
         .collect();
     let names: Vec<String> = (0..t).map(|i| format!("__rifs_noise_{i}")).collect();
-    let round_scores: Vec<Result<Vec<f64>>> = arda_par::par_map(&noises, 0, |rep, noise| {
+    let round_scores: Vec<Result<Vec<f64>>> = arda_par::par_map(&noises, |rep, noise| {
         let aug = train_data.append_features(noise, names.clone())?;
         ensemble_scores(&aug, cfg, seed.wrapping_add(rep as u64))
     });
@@ -288,7 +288,7 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
     }
     let mut scores: Vec<Option<f64>> = vec![None; distinct.len()];
     if arda_par::current_budget().width() > 1 {
-        let evaluated = arda_par::par_map(&distinct, 0, |_, subset| ctx.evaluate(data, subset));
+        let evaluated = arda_par::par_map(&distinct, |_, subset| ctx.evaluate(data, subset));
         for (slot, score) in scores.iter_mut().zip(evaluated) {
             *slot = Some(score?);
         }

@@ -47,11 +47,6 @@ pub struct L21Config {
     pub robust_labels: bool,
     /// Blend factor for robust labels.
     pub label_blend: f64,
-    /// Worker cap for the solver's matrix products (`0` = the ambient
-    /// `arda-par` work budget). Callers that run many solves concurrently
-    /// (RIFS rounds) can leave this at 0: each solve plans with its split
-    /// of the shared budget, so nesting cannot oversubscribe.
-    pub threads: usize,
 }
 
 impl Default for L21Config {
@@ -63,7 +58,6 @@ impl Default for L21Config {
             eps: 1e-8,
             robust_labels: false,
             label_blend: 0.3,
-            threads: 0,
         }
     }
 }
@@ -177,27 +171,20 @@ fn primal_update(x: &Matrix, y: &Matrix, d1: &[f64], ridge: &[f64]) -> Result<Ma
 
 /// Dual update `W = A Xᵀ (X A Xᵀ + B)⁻¹ Y` for diagonal `A = diag(a)`,
 /// `B = diag(b)`, given `xt = Xᵀ`.
-fn dual_update(
-    x: &Matrix,
-    xt: &Matrix,
-    y: &Matrix,
-    a: &[f64],
-    b: &[f64],
-    threads: usize,
-) -> Result<Matrix> {
+fn dual_update(x: &Matrix, xt: &Matrix, y: &Matrix, a: &[f64], b: &[f64]) -> Result<Matrix> {
     let mut axt = xt.clone();
     for (j, &aj) in a.iter().enumerate() {
         for v in axt.row_mut(j) {
             *v *= aj;
         }
     }
-    let mut k = x.matmul_threads(&axt, threads).expect("dims");
+    let mut k = x.matmul(&axt).expect("dims");
     for (i, &bi) in b.iter().enumerate() {
         let v = k.get(i, i) + bi;
         k.set(i, i, v);
     }
     let z = cholesky_solve_multi(&k, y).map_err(|e| SelectError::Invalid(e.to_string()))?;
-    Ok(axt.matmul_threads(&z, threads).expect("dims"))
+    Ok(axt.matmul(&z).expect("dims"))
 }
 
 /// `2·max(‖mᵢ‖, ε)` per row of `m`: the inverse IRLS weight of each row.
@@ -220,17 +207,17 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
         return Err(SelectError::Invalid("l21: empty input".into()));
     }
     // `Some(Xᵀ)` selects the dual form (see the module doc).
-    let xt = (d > n && cfg.gamma > 0.0).then(|| x.transpose_threads(cfg.threads));
+    let xt = (d > n && cfg.gamma > 0.0).then(|| x.transpose());
     let mut y_work = y.clone();
 
     // Ridge initialisation: W = (XᵀX + γI)⁻¹ XᵀY = Xᵀ (XXᵀ + γI)⁻¹ Y.
     let ridge = cfg.gamma.max(1e-9);
     let mut w = match &xt {
         None => primal_update(x, &y_work, &vec![1.0; n], &vec![ridge; d])?,
-        Some(xt) => dual_update(x, xt, &y_work, &vec![1.0; d], &vec![ridge; n], cfg.threads)?,
+        Some(xt) => dual_update(x, xt, &y_work, &vec![1.0; d], &vec![ridge; n])?,
     };
 
-    let predict = |w: &Matrix| x.matmul_threads(w, cfg.threads).expect("dims");
+    let predict = |w: &Matrix| x.matmul(w).expect("dims");
     let objective =
         |resid: &Matrix, w: &Matrix| l21_norm_rows(resid) + cfg.gamma * l21_norm_rows(w);
     // The residual of the current `W` against the current labels; each
@@ -252,7 +239,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
             }
             Some(xt) => {
                 let a: Vec<f64> = w2.iter().map(|v| v / cfg.gamma).collect();
-                dual_update(x, xt, &y_work, &a, &r2, cfg.threads)?
+                dual_update(x, xt, &y_work, &a, &r2)?
             }
         };
         let pred = predict(&w);
@@ -300,6 +287,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
 mod tests {
     use super::*;
     use arda_linalg::stats::standardize_columns;
+    use arda_par::Budget;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -333,22 +321,14 @@ mod tests {
         let mut w =
             cholesky_solve_multi(&gram, &rhs).map_err(|e| SelectError::Invalid(e.to_string()))?;
         let objective = |w: &Matrix, y_cur: &Matrix| -> f64 {
-            let resid = x
-                .matmul_threads(w, cfg.threads)
-                .expect("dims")
-                .sub(y_cur)
-                .expect("dims");
+            let resid = x.matmul(w).expect("dims").sub(y_cur).expect("dims");
             l21_norm_rows(&resid) + cfg.gamma * l21_norm_rows(w)
         };
         let mut prev_obj = objective(&w, &y_work);
         let mut iterations = 0;
         for it in 0..cfg.max_iter {
             iterations = it + 1;
-            let resid = x
-                .matmul_threads(&w, cfg.threads)
-                .expect("dims")
-                .sub(&y_work)
-                .expect("dims");
+            let resid = x.matmul(&w).expect("dims").sub(&y_work).expect("dims");
             let d1: Vec<f64> = resid
                 .row_norms()
                 .iter()
@@ -368,7 +348,7 @@ mod tests {
             w = cholesky_solve_multi(&lhs, &rhs)
                 .map_err(|e| SelectError::Invalid(e.to_string()))?;
             if cfg.robust_labels && y.cols() > 1 {
-                let pred = x.matmul_threads(&w, cfg.threads).expect("dims");
+                let pred = x.matmul(&w).expect("dims");
                 for r in 0..n {
                     let best = (0..y.cols())
                         .max_by(|&a, &b| pred.get(r, a).total_cmp(&pred.get(r, b)))
@@ -538,16 +518,11 @@ mod tests {
     #[test]
     fn dual_path_identical_across_budgets() {
         let (x, y) = shaped(75, 220, Task::Classification { n_classes: 3 }, 30);
-        let solve = |threads| {
-            l21_solve(
-                &x,
-                &y,
-                &L21Config {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+        let solve = |width| {
+            let budget = Budget::isolated(width);
+            let solution = budget.install(|| l21_solve(&x, &y, &L21Config::default()).unwrap());
+            assert_eq!(budget.total_spawns() > 0, width > 1, "width={width}");
+            solution
         };
         let (one, eight) = (solve(1), solve(8));
         assert_eq!(bits(&one.w), bits(&eight.w));

@@ -450,11 +450,11 @@ fn infer_pass<R: Read>(reader: R, opts: &CsvReadOptions) -> Result<InferState> {
 
     let (mut types, mut n_rows) = infer_block(&first.text, 0, 1, width)?;
     loop {
-        let window = stream.next_window(arda_par::resolve_threads(0))?;
+        let window = stream.next_window(arda_par::current_budget().width())?;
         if window.is_empty() {
             break;
         }
-        let results = arda_par::par_map(&window, 0, |_, block| {
+        let results = arda_par::par_map(&window, |_, block| {
             infer_block(&block.text, block.first_record, 0, width)
         });
         // Fold in block order; `unify` is order-insensitive but the fold
@@ -604,13 +604,13 @@ fn build_pass<R: Read>(
     let mut stream = BlockStream::new(reader, opts.chunk_size);
     let mut first = true;
     loop {
-        let window = stream.next_window(arda_par::resolve_threads(0))?;
+        let window = stream.next_window(arda_par::current_budget().width())?;
         if window.is_empty() {
             break;
         }
         let skip_header = first;
         first = false;
-        let parts = arda_par::par_map(&window, 0, |bi, block| {
+        let parts = arda_par::par_map(&window, |bi, block| {
             let skip = usize::from(skip_header && bi == 0);
             build_block(&block.text, block.first_record, skip, &types)
         });

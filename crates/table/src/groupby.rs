@@ -165,13 +165,11 @@ impl<'a> GroupBy<'a> {
             used.insert(name.clone());
             jobs.push((src, expr.agg, name));
         }
-        let threads = arda_par::threads_for(
-            0,
-            self.table.n_rows() * jobs.len().max(1),
-            PAR_MIN_AGG_CELLS,
-        );
-        let agg_cols = arda_par::par_map(&jobs, threads, |_, (src, agg, name)| {
-            aggregate_column(src, &groups, *agg, name)
+        let cells = self.table.n_rows() * jobs.len().max(1);
+        let agg_cols = arda_par::sequential_below(cells, PAR_MIN_AGG_CELLS, || {
+            arda_par::par_map(&jobs, |_, (src, agg, name)| {
+                aggregate_column(src, &groups, *agg, name)
+            })
         });
         for col in agg_cols {
             out_cols.push(col?);

@@ -143,7 +143,7 @@ fn encode_column(col: &Column) -> Vec<u8> {
 /// any budget (payloads are written in column order).
 pub fn write_arda(table: &Table, mut out: impl Write) -> Result<()> {
     let io_err = |e: std::io::Error| err(format!("write failed: {e}"));
-    let payloads: Vec<Vec<u8>> = arda_par::par_map(table.columns(), 0, |_, c| encode_column(c));
+    let payloads: Vec<Vec<u8>> = arda_par::par_map(table.columns(), |_, c| encode_column(c));
 
     out.write_all(&ARDA_MAGIC).map_err(io_err)?;
     out.write_all(&ARDA_VERSION.to_le_bytes()).map_err(io_err)?;
@@ -452,7 +452,7 @@ pub fn read_arda_bytes(name: &str, bytes: &[u8]) -> Result<Table> {
         regions.push((field.clone(), &body[offset..offset + len]));
         offset += len;
     }
-    let columns = arda_par::par_map(&regions, 0, |_, (field, slice)| {
+    let columns = arda_par::par_map(&regions, |_, (field, slice)| {
         decode_column(&field.name, field.dtype, header.n_rows, slice)
     })
     .into_iter()

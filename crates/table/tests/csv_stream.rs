@@ -22,6 +22,7 @@
 //! `tests/budget_determinism.rs` at the workspace root additionally drives
 //! ingestion through the full pipeline across budgets.
 
+use arda_par::Budget;
 use arda_table::{
     read_csv_str, read_csv_str_with, write_csv, Column, ColumnData, CsvReadOptions, Table,
     TableError,
@@ -371,33 +372,43 @@ fn all_null_column_matches_seed_fallback() {
     );
 }
 
-/// Parsing is bit-identical across work budgets {1, 2, 8}: block layout
+/// Parsing is bit-identical across work budgets {1, 2, 3, 8}: block layout
 /// derives from `chunk_size` alone, and per-block results merge in block
-/// order regardless of how many workers the pool grants.
+/// order regardless of how many workers the pool grants. Each budget is
+/// installed in scope with its own permit pool, and every width above 1
+/// must have spawned somewhere in the sweep.
 #[test]
 fn ingestion_identical_across_budgets() {
-    let restore = arda_par::default_threads();
     let mut rng = StdRng::seed_from_u64(0xbadc0de);
     let texts: Vec<String> = (0..6)
         .map(|_| to_csv(&random_table(&mut rng, true, true)))
         .collect();
+    let budgets = [1usize, 2, 3, 8].map(Budget::isolated);
     for text in &texts {
         let mut reference: Option<Table> = None;
-        for budget in [1usize, 2, 8] {
-            arda_par::set_default_threads(budget);
-            let got = read_csv_str_with(
-                "t",
-                text,
-                &CsvReadOptions {
-                    chunk_size: 64, // small chunks → many blocks → real fan-out
-                },
-            )
-            .unwrap();
+        for budget in &budgets {
+            let got = budget.install(|| {
+                read_csv_str_with(
+                    "t",
+                    text,
+                    &CsvReadOptions {
+                        chunk_size: 64, // small chunks → many blocks → real fan-out
+                    },
+                )
+                .unwrap()
+            });
             match &reference {
                 None => reference = Some(got),
-                Some(r) => assert_eq!(&got, r, "budget {budget}\n{text:?}"),
+                Some(r) => assert_eq!(&got, r, "budget {}\n{text:?}", budget.width()),
             }
         }
     }
-    arda_par::set_default_threads(restore);
+    for budget in &budgets {
+        assert_eq!(
+            budget.total_spawns() > 0,
+            budget.width() > 1,
+            "budget {}",
+            budget.width()
+        );
+    }
 }

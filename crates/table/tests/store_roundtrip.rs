@@ -3,7 +3,7 @@
 //! * **Round-trip**: random tables over all five dtypes — nulls, hostile
 //!   strings (embedded separators, quotes, newlines, multi-byte UTF-8),
 //!   non-finite floats, negative timestamps — encode → decode
-//!   **bit-identically** at work budgets {1, 2, 8}. Bit-identity is
+//!   **bit-identically** at work budgets {1, 2, 3, 8}. Bit-identity is
 //!   checked by re-encoding (NaN defeats `PartialEq`); the encoded byte
 //!   stream itself must also be identical at every budget.
 //! * **Corruption**: every possible truncation of a valid shard, plus
@@ -14,6 +14,7 @@
 //! mtime/size change) lives with the `Repository` tests in
 //! `arda-discovery`.
 
+use arda_par::Budget;
 use arda_table::{read_arda_bytes, write_arda, Column, ColumnData, Table, TableError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,20 +101,23 @@ fn to_bytes(t: &Table) -> Vec<u8> {
 /// encoded byte stream is budget-invariant too.
 #[test]
 fn random_tables_round_trip_bit_identically_across_budgets() {
-    let restore = arda_par::default_threads();
     let mut rng = StdRng::seed_from_u64(0x57a5);
+    let budgets = [1usize, 2, 3, 8].map(Budget::isolated);
     for case in 0..60 {
         let table = random_table(&mut rng);
         let mut reference: Option<Vec<u8>> = None;
-        for budget in [1usize, 2, 8] {
-            arda_par::set_default_threads(budget);
-            let bytes = to_bytes(&table);
+        for pool in &budgets {
+            let budget = pool.width();
+            let (bytes, back) = pool.install(|| {
+                let bytes = to_bytes(&table);
+                let back = read_arda_bytes("t", &bytes)
+                    .unwrap_or_else(|e| panic!("case {case} budget {budget}: {e}"));
+                (bytes, back)
+            });
             match &reference {
                 None => reference = Some(bytes.clone()),
                 Some(r) => assert_eq!(&bytes, r, "case {case}: encode at budget {budget}"),
             }
-            let back = read_arda_bytes("t", &bytes)
-                .unwrap_or_else(|e| panic!("case {case} budget {budget}: {e}"));
             // Dtypes survive exactly (the fix CSV cannot provide) ...
             assert_eq!(back.schema(), table.schema(), "case {case}");
             assert_eq!(back.n_rows(), table.n_rows(), "case {case}");
@@ -125,7 +129,16 @@ fn random_tables_round_trip_bit_identically_across_budgets() {
             );
         }
     }
-    arda_par::set_default_threads(restore);
+    // Multi-column tables fan out over columns, so every width above 1
+    // must have spawned somewhere in the sweep.
+    for pool in &budgets {
+        assert_eq!(
+            pool.total_spawns() > 0,
+            pool.width() > 1,
+            "budget {}",
+            pool.width()
+        );
+    }
 }
 
 /// Every truncation of a valid shard is a clean `Store` error; random

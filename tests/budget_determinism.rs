@@ -2,47 +2,24 @@
 //! workspace must produce output identical to its sequential run, across
 //! budgets {1, 2, 3, 8} and nested split shapes.
 //!
-//! This extends `tests/par_determinism.rs` for the PR-3 budget scheduler:
-//! chunk layouts derive from a budget's *nominal width* — never from how
+//! Chunk layouts derive from a budget's *nominal width* — never from how
 //! many spawn permits the pool actually granted — and results are stitched
 //! in chunk order, so parallel output equals sequential output for any
-//! budget, any split, and any permit availability. The budgets here are
-//! driven through `set_default_threads` (which resizes the global permit
-//! pool and every ambient width derived from it) plus explicit
-//! `Budget::isolated` pools for the split-shape cases.
+//! budget, any split, and any permit availability. Each case runs under
+//! `Budget::isolated(w).install(..)`, a scoped budget with its own permit
+//! pool, so tests running side by side cannot change each other's width,
+//! and every width above 1 must actually spawn (a sweep that silently ran
+//! sequentially would prove nothing). Row scans sit above their small-input
+//! thresholds, with row counts that leave a ragged last band at widths 2,
+//! 3 and 8. `tests/par_determinism.rs` covers the kernels underneath.
+
+mod common;
 
 use arda::prelude::*;
-use arda_par::{set_default_threads, Budget};
+use arda_par::Budget;
+use common::{assert_identical_across_budgets, ragged, BUDGETS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const BUDGETS: [usize; 4] = [1, 2, 3, 8];
-
-/// `set_default_threads` mutates the process-wide budget, so the sweeps
-/// serialize behind this lock — otherwise a sibling test could resize the
-/// global mid-iteration and an iteration would not actually run at the
-/// budget it claims to test (outputs are budget-invariant, so the
-/// assertions would still pass and the coverage would be lost silently).
-static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Run `f` once per budget and assert every output equals the first.
-fn assert_identical_across_budgets<T: PartialEq + std::fmt::Debug>(
-    what: &str,
-    mut f: impl FnMut() -> T,
-) {
-    let _serialize = BUDGET_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let mut reference: Option<T> = None;
-    for budget in BUDGETS {
-        set_default_threads(budget);
-        let got = f();
-        match &reference {
-            None => reference = Some(got),
-            Some(r) => assert_eq!(&got, r, "{what}: budget={budget}"),
-        }
-    }
-}
 
 /// RIFS — including the now-parallel τ-threshold holdout sweep — selects
 /// the same features, threshold and score at every budget.
@@ -93,7 +70,9 @@ fn rifs_with_tau_sweep_identical_across_budgets() {
 #[test]
 fn joins_identical_across_budgets() {
     let mut rng = StdRng::seed_from_u64(700);
-    let n_base = 6_000;
+    // Above the 4096-row scan threshold, ragged bands at every width.
+    let n_base = 6_007;
+    assert!(ragged(n_base));
     let n_foreign = 9_000; // heavy duplication → pre-aggregation runs
     let base = Table::new(
         "b",
@@ -325,10 +304,11 @@ fn nested_split_shapes_identical() {
     for width in BUDGETS {
         for stages in [1usize, 2, 4, 16] {
             let budget = Budget::isolated(width);
-            let outer = budget.split(stages);
-            let got: Vec<Vec<u64>> = arda_par::par_map_budget(&groups, &outer, |_, g| {
-                // Nested stage picks the ambient split up via threads = 0.
-                arda_par::par_map(g, 0, |_, &x| x * 3 + 1)
+            let got: Vec<Vec<u64>> = budget.split(stages).install(|| {
+                arda_par::par_map(&groups, |_, g| {
+                    // The nested stage picks the ambient split up.
+                    arda_par::par_map(g, |_, &x| x * 3 + 1)
+                })
             });
             assert_eq!(got, reference, "width={width} stages={stages}");
             assert_eq!(

@@ -4,15 +4,13 @@
 //! workers — spawned workers plus the calling thread — must never exceed
 //! the work budget.
 //!
-//! This file holds exactly one `#[test]` on purpose: it reads the *global*
-//! permit pool's instrumentation counters, and a sibling test running in
-//! the same process would add its own spawns to the measurement.
+//! The run happens under an isolated budget, whose permit pool and
+//! instrumentation counters belong to this test alone: sibling tests in the
+//! same process cannot add spawns to the measurement, and nothing here
+//! touches the process-wide budget.
 
 use arda::prelude::*;
-use arda_par::{
-    live_spawned_workers, peak_spawned_workers, reset_spawn_counters, set_default_threads,
-    total_spawned_workers,
-};
+use arda_par::Budget;
 
 #[test]
 fn pipeline_never_exceeds_work_budget() {
@@ -32,38 +30,36 @@ fn pipeline_never_exceeds_work_budget() {
         ..Default::default()
     };
 
+    let run = |pool: &Budget| {
+        pool.install(|| Arda::new(config.clone()).run(&sc.base, &repo, &sc.target))
+            .unwrap()
+    };
     for budget in [3usize, 8] {
-        set_default_threads(budget);
-        reset_spawn_counters();
-        let report = Arda::new(config.clone())
-            .run(&sc.base, &repo, &sc.target)
-            .unwrap();
+        let pool = Budget::isolated(budget);
+        let report = run(&pool);
         assert!(report.joins_executed > 0, "budget={budget}: pipeline ran");
 
-        let peak = peak_spawned_workers();
+        let peak = pool.peak_workers();
         assert!(
             peak < budget,
             "budget={budget}: peak {peak} spawned workers + caller exceeds the budget"
         );
         assert!(
-            total_spawned_workers() > 0,
+            pool.total_spawns() > 0,
             "budget={budget}: the parallel paths never engaged, the test has no teeth"
         );
         assert_eq!(
-            live_spawned_workers(),
+            pool.live_workers(),
             0,
             "budget={budget}: every permit must be returned after the run"
         );
     }
 
     // A one-wide budget must never spawn at all, anywhere in the pipeline.
-    set_default_threads(1);
-    reset_spawn_counters();
-    Arda::new(config.clone())
-        .run(&sc.base, &repo, &sc.target)
-        .unwrap();
+    let pool = Budget::isolated(1);
+    run(&pool);
     assert_eq!(
-        total_spawned_workers(),
+        pool.total_spawns(),
         0,
         "budget=1: nested stages must all run inline"
     );

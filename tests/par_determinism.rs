@@ -1,21 +1,35 @@
-//! Parallel-vs-sequential determinism properties: every parallel hot path
-//! in the workspace must produce output identical to its sequential run,
-//! across random shapes, seeds and thread counts {1, 2, 8}.
+//! Parallel-vs-sequential determinism of the kernels and stages under the
+//! pipeline: blocked matmul, gram and transpose, soft joins, forest fits,
+//! featurization, RIFS fractions and the pipeline itself must produce
+//! output identical to their sequential run across random shapes, seeds
+//! and budgets {1, 2, 3, 8}.
 //!
 //! The `arda-par` primitives hand each worker contiguous, ordered chunks
 //! and stitch results back in order, so these are *exact* equality
-//! assertions (no tolerances). Tests that exercise paths which read the
-//! global default worker count flip it with `set_default_threads`; that is
-//! safe to do concurrently precisely because of the property under test —
-//! results do not depend on the thread count.
+//! assertions (no tolerances). Each sweep runs under
+//! `Budget::isolated(w).install(..)` and asserts that widths above 1
+//! spawned, so every input sits above its kernel's small-input threshold
+//! (32k scalar ops for the matrix kernels, 4096 base rows for soft-join
+//! scans, 16k cells for featurization), with row counts that leave a
+//! ragged last band at widths 2, 3 and 8.
+
+mod common;
 
 use arda::linalg::Matrix;
 use arda::prelude::*;
-use arda_par::set_default_threads;
+use common::{assert_identical_across_budgets, ragged};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+/// A row count in `lo..hi` whose bands are ragged at widths 2, 3 and 8.
+fn ragged_rows(rng: &mut StdRng, lo: usize, hi: usize) -> usize {
+    loop {
+        let n = rng.gen_range(lo..hi);
+        if ragged(n) {
+            return n;
+        }
+    }
+}
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, sparse: bool) -> Matrix {
     let data = (0..rows * cols)
@@ -51,20 +65,16 @@ fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 fn blocked_matmul_matches_reference_across_shapes_and_threads() {
     for case in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(case);
-        let n = rng.gen_range(1usize..90);
-        let k = rng.gen_range(1usize..300);
-        let m = rng.gen_range(1usize..90);
+        // n ≥ 20, k ≥ 60, m ≥ 30: at least 36k ops.
+        let n = ragged_rows(&mut rng, 20, 90);
+        let k = rng.gen_range(60usize..300);
+        let m = rng.gen_range(30usize..90);
         let a = random_matrix(&mut rng, n, k, case % 2 == 0);
         let b = random_matrix(&mut rng, k, m, case % 3 == 0);
         let expect = reference_matmul(&a, &b);
-        for threads in THREAD_COUNTS {
-            let got = a.matmul_threads(&b, threads).unwrap();
-            assert_eq!(
-                got.data(),
-                expect.data(),
-                "case {case}: {n}x{k} * {k}x{m} at {threads} threads"
-            );
-        }
+        let what = format!("case {case}: {n}x{k} * {k}x{m}");
+        let got = assert_identical_across_budgets(&what, || a.matmul(&b).unwrap());
+        assert_eq!(got.data(), expect.data(), "{what}");
     }
 }
 
@@ -72,41 +82,31 @@ fn blocked_matmul_matches_reference_across_shapes_and_threads() {
 fn gram_matches_transpose_product_across_shapes_and_threads() {
     for case in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(100 + case);
-        let n = rng.gen_range(1usize..400);
-        let d = rng.gen_range(1usize..60);
+        // Bands run over the d output rows; n·d ≥ 34k for the transpose.
+        let n = rng.gen_range(1_700usize..2_500);
+        let d = ragged_rows(&mut rng, 20, 64);
         let x = random_matrix(&mut rng, n, d, case % 2 == 0);
-        let sequential = x.gram_threads(1);
+        let what = format!("case {case}: {n}x{d}");
+        let gram = assert_identical_across_budgets(&format!("gram {what}"), || x.gram());
+        let xt = assert_identical_across_budgets(&format!("transpose {what}"), || x.transpose());
         // Mathematical oracle (different accumulation order → tolerance).
-        let explicit = reference_matmul(&x.transpose_threads(1), &x);
-        for (g, e) in sequential.data().iter().zip(explicit.data()) {
+        let explicit = reference_matmul(&xt, &x);
+        for (g, e) in gram.data().iter().zip(explicit.data()) {
             assert!(
                 (g - e).abs() < 1e-9 * (1.0 + e.abs()),
-                "case {case}: gram vs XᵀX"
-            );
-        }
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                x.gram_threads(threads).data(),
-                sequential.data(),
-                "case {case}: gram {n}x{d} at {threads} threads"
-            );
-            assert_eq!(
-                x.transpose_threads(threads).data(),
-                x.transpose_threads(1).data(),
-                "case {case}: transpose {n}x{d} at {threads} threads"
+                "{what}: gram vs XᵀX"
             );
         }
     }
 }
 
-/// Soft joins run their row scans in parallel above an internal row
-/// threshold read from the global default worker count; results must be
-/// identical at every count.
+/// Soft joins run their row scans in parallel above a 4096-row threshold;
+/// results must be identical at every budget.
 #[test]
 fn soft_joins_identical_across_thread_counts() {
     for case in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(200 + case);
-        let n_base = 6_000;
+        let n_base = 6_007;
         let n_foreign = 500;
         let base = Table::new(
             "b",
@@ -149,19 +149,12 @@ fn soft_joins_identical_across_thread_counts() {
             },
         );
         let two_way = JoinSpec::soft("k", "k", SoftMethod::TwoWayNearest);
-        let mut reference: Option<(Table, Table)> = None;
-        for threads in THREAD_COUNTS {
-            set_default_threads(threads);
-            let a = execute_join(&base, &foreign, &nearest, case).unwrap();
-            let b = execute_join(&base, &foreign, &two_way, case).unwrap();
-            match &reference {
-                None => reference = Some((a, b)),
-                Some((ra, rb)) => {
-                    assert_eq!(&a, ra, "case {case}: nearest join at {threads} threads");
-                    assert_eq!(&b, rb, "case {case}: two-way join at {threads} threads");
-                }
-            }
-        }
+        assert_identical_across_budgets(&format!("case {case}: nearest join"), || {
+            execute_join(&base, &foreign, &nearest, case).unwrap()
+        });
+        assert_identical_across_budgets(&format!("case {case}: two-way join"), || {
+            execute_join(&base, &foreign, &two_way, case).unwrap()
+        });
     }
 }
 
@@ -182,30 +175,25 @@ fn forest_fit_identical_across_thread_counts() {
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = (0..n).map(|i| (i % 2) as f64).collect();
-        let mut reference: Option<(Vec<f64>, Vec<f64>)> = None;
-        for threads in THREAD_COUNTS {
-            let cfg = arda::ml::ForestConfig {
-                n_trees: 12,
-                seed: case,
-                n_threads: threads,
-                ..Default::default()
-            };
+        let cfg = arda::ml::ForestConfig {
+            n_trees: 12,
+            seed: case,
+            ..Default::default()
+        };
+        assert_identical_across_budgets(&format!("case {case}: forest"), || {
             let rf =
                 arda::ml::RandomForest::fit_xy(&x, &y, Task::Classification { n_classes: 2 }, &cfg)
                     .unwrap();
-            let got = (rf.predict(&x).unwrap(), rf.importances().to_vec());
-            match &reference {
-                None => reference = Some(got),
-                Some(r) => assert_eq!(&got, r, "case {case}: forest at {threads} threads"),
-            }
-        }
+            (rf.predict(&x).unwrap(), rf.importances().to_vec())
+        });
     }
 }
 
 #[test]
 fn featurize_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(400);
-    let n = 4_000;
+    // 3 source columns × 6007 rows: above the 16k-cell threshold.
+    let n = 6_007;
     let cats = ["a", "b", "c", "d", "e"];
     let t = Table::new(
         "t",
@@ -231,19 +219,10 @@ fn featurize_identical_across_thread_counts() {
         ],
     )
     .unwrap();
-    let mut reference: Option<Dataset> = None;
-    for threads in THREAD_COUNTS {
-        set_default_threads(threads);
+    assert_identical_across_budgets("featurize", || {
         let d = featurize(&t, "target", false, &FeaturizeOptions::default()).unwrap();
-        match &reference {
-            None => reference = Some(d),
-            Some(r) => {
-                assert_eq!(d.feature_names, r.feature_names, "{threads} threads");
-                assert_eq!(d.x.data(), r.x.data(), "{threads} threads");
-                assert_eq!(d.y, r.y, "{threads} threads");
-            }
-        }
-    }
+        (d.feature_names, d.x, d.y)
+    });
 }
 
 #[test]
@@ -272,20 +251,14 @@ fn rifs_fractions_identical_across_thread_counts() {
         rf_trees: 8,
         ..Default::default()
     };
-    let mut reference: Option<Vec<f64>> = None;
-    for threads in THREAD_COUNTS {
-        set_default_threads(threads);
-        let fr = arda::select::rifs_fractions(&ds, &cfg, 7).unwrap();
-        match &reference {
-            None => reference = Some(fr),
-            Some(r) => assert_eq!(&fr, r, "{threads} threads"),
-        }
-    }
+    assert_identical_across_budgets("rifs_fractions", || {
+        arda::select::rifs_fractions(&ds, &cfg, 7).unwrap()
+    });
 }
 
 /// The full pipeline — coreset, parallel batch joins, imputation, parallel
 /// featurization, RIFS, final estimate — is deterministic in the seed at
-/// any worker count.
+/// any budget.
 #[test]
 fn pipeline_identical_across_thread_counts() {
     let sc = arda::synth::taxi(&ScenarioConfig {
@@ -303,24 +276,18 @@ fn pipeline_identical_across_thread_counts() {
         seed: 11,
         ..Default::default()
     };
-    let mut reference: Option<(f64, f64, Vec<String>)> = None;
-    for threads in THREAD_COUNTS {
-        set_default_threads(threads);
+    assert_identical_across_budgets("pipeline", || {
         let report = Arda::new(config.clone())
             .run(&sc.base, &repo, &sc.target)
             .unwrap();
-        let got = (
-            report.base_score,
-            report.augmented_score,
+        (
+            report.base_score.to_bits(),
+            report.augmented_score.to_bits(),
             report
                 .selected
                 .iter()
                 .map(|s| format!("{}.{}", s.table, s.column))
-                .collect(),
-        );
-        match &reference {
-            None => reference = Some(got),
-            Some(r) => assert_eq!(&got, r, "{threads} threads"),
-        }
-    }
+                .collect::<Vec<_>>(),
+        )
+    });
 }
