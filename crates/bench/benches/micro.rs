@@ -155,6 +155,42 @@ fn bench_forest(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// Shaped like one taxi RIFS round: 750×288 regression, 24 trees of depth
+/// 10, with taxi's column mix of 56% binary, 13% with 3–20 distinct values
+/// and 31% continuous columns.
+fn bench_forest_taxi_round(out: &mut Vec<Measurement>) {
+    let (n, d) = (750, 288);
+    let mut rng = StdRng::seed_from_u64(8);
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..d)
+                .map(|f| match f {
+                    0..=160 => (rng.gen::<f64>() < 0.05 + (f % 10) as f64 * 0.09) as u8 as f64,
+                    161..=197 => rng.gen_range(0..3 + (f - 161) % 18) as f64,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = rows
+        .iter()
+        .map(|r| 3.0 * r[200] - 2.0 * r[201] + r[3] + 0.5 * r[170] + rng.gen_range(-0.5..0.5))
+        .collect();
+    let x = Matrix::from_rows(&rows).unwrap();
+    let cfg = ForestConfig {
+        n_trees: 24,
+        max_depth: 10,
+        ..Default::default()
+    };
+    out.push(time_op(
+        "random_forest_fit_750x288_24trees",
+        WINDOW_SECS,
+        || {
+            black_box(RandomForest::fit_xy(&x, &y, Task::Regression, &cfg).unwrap());
+        },
+    ));
+}
+
 fn bench_rifs_fractions(out: &mut Vec<Measurement>) {
     let mut rng = StdRng::seed_from_u64(5);
     let rows: Vec<Vec<f64>> = (0..200)
@@ -262,6 +298,7 @@ fn main() {
     bench_sketch(&mut results);
     bench_l21(&mut results);
     bench_forest(&mut results);
+    bench_forest_taxi_round(&mut results);
     bench_rifs_fractions(&mut results);
     bench_pipeline(&mut results);
     bench_ingest(&mut results);

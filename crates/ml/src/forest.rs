@@ -1,11 +1,17 @@
 //! Random forests: bootstrap-bagged CART trees fitted in parallel, with
 //! impurity-based feature importances.
 //!
+//! A fit ranks the training matrix once into a [`RankTable`] that every
+//! tree shares. A tree's bootstrap sample is a list of row *positions* into
+//! that table, repeats included, not a copied matrix: position `p` trains
+//! on table row `rows[p]`, and positions keep the order the bootstrap drew
+//! them in, so ties split exactly as they would on the copied sample.
+//!
 //! ARDA uses Random Forests both as its default estimator ("lightly
 //! auto-optimized Random Forest", §7) and as one of the two RIFS ranking
 //! models (§6.2); the importances exposed here drive those rankings.
 
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+use crate::tree::{DecisionTree, MaxFeatures, RankTable, TreeConfig};
 use crate::{Dataset, MlError, Result, Task};
 use arda_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -74,41 +80,14 @@ impl RandomForest {
                 y.len()
             )));
         }
-        let max_features = cfg.max_features.unwrap_or(match task {
-            Task::Classification { .. } => MaxFeatures::Sqrt,
-            Task::Regression => MaxFeatures::Third,
-        });
-
-        let n = x.rows();
-        // Pre-draw bootstrap indices and seeds so results are independent of
-        // thread scheduling.
-        let mut master = StdRng::seed_from_u64(cfg.seed);
-        let jobs: Vec<(u64, Vec<usize>)> = (0..cfg.n_trees)
-            .map(|_| {
-                let seed: u64 = master.gen();
-                let rows: Vec<usize> = if cfg.bootstrap {
-                    let mut r = StdRng::seed_from_u64(seed ^ 0xB00157);
-                    (0..n).map(|_| r.gen_range(0..n)).collect()
-                } else {
-                    (0..n).collect()
-                };
-                (seed, rows)
-            })
-            .collect();
-
-        let fit_one = |seed: u64, rows: &[usize]| -> Result<DecisionTree> {
-            let xs = x
-                .select_rows(rows)
-                .map_err(|e| MlError::ShapeMismatch(e.to_string()))?;
-            let ys: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
-            let tree_cfg = TreeConfig {
-                max_depth: cfg.max_depth,
-                min_samples_split: cfg.min_samples_split,
-                min_samples_leaf: cfg.min_samples_leaf,
-                max_features,
-                seed,
-            };
-            DecisionTree::fit_xy(&xs, &ys, task, &tree_cfg)
+        let (max_features, jobs) = plan(x.rows(), task, cfg);
+        let table = RankTable::new(x);
+        let tree_cfg = |seed: u64| TreeConfig {
+            max_depth: cfg.max_depth,
+            min_samples_split: cfg.min_samples_split,
+            min_samples_leaf: cfg.min_samples_leaf,
+            max_features,
+            seed,
         };
 
         // Every tree is fully determined by its pre-drawn (seed, rows) job,
@@ -116,9 +95,9 @@ impl RandomForest {
         // size; each tree fit plans with its split of the ambient budget, so
         // nesting a fit under RIFS rounds or the τ-sweep cannot
         // oversubscribe.
-        let trees: Vec<DecisionTree> = arda_par::par_map(&jobs, |_, (s, rows)| fit_one(*s, rows))
-            .into_iter()
-            .collect::<Result<_>>()?;
+        let trees = arda_par::par_map(&jobs, |_, (seed, rows)| {
+            DecisionTree::fit_rows(&table, y, rows, task, &tree_cfg(*seed))
+        });
 
         // Mean impurity decrease, normalised to sum to 1 (when non-zero).
         let mut importances = vec![0.0; x.cols()];
@@ -197,6 +176,35 @@ impl RandomForest {
     pub fn task(&self) -> Task {
         self.task
     }
+}
+
+/// The feature-subsampling rule and each tree's pre-drawn `(seed, rows)`
+/// job, drawn from `cfg.seed` alone so results are independent of thread
+/// scheduling. `rows` lists the bootstrap's training rows, repeats
+/// included (every row once without bootstrap).
+pub(crate) fn plan(
+    n: usize,
+    task: Task,
+    cfg: &ForestConfig,
+) -> (MaxFeatures, Vec<(u64, Vec<usize>)>) {
+    let max_features = cfg.max_features.unwrap_or(match task {
+        Task::Classification { .. } => MaxFeatures::Sqrt,
+        Task::Regression => MaxFeatures::Third,
+    });
+    let mut master = StdRng::seed_from_u64(cfg.seed);
+    let jobs = (0..cfg.n_trees)
+        .map(|_| {
+            let seed: u64 = master.gen();
+            let rows: Vec<usize> = if cfg.bootstrap {
+                let mut r = StdRng::seed_from_u64(seed ^ 0xB00157);
+                (0..n).map(|_| r.gen_range(0..n)).collect()
+            } else {
+                (0..n).collect()
+            };
+            (seed, rows)
+        })
+        .collect();
+    (max_features, jobs)
 }
 
 #[cfg(test)]
@@ -316,5 +324,34 @@ mod tests {
         )
         .unwrap();
         assert!(rf.predict(&Matrix::zeros(1, 7)).is_err());
+    }
+
+    #[test]
+    fn trees_match_the_oracle_at_any_budget() {
+        use crate::tree::oracle;
+        for task in oracle::TASKS {
+            let (x, y) = oracle::tricky_data(200, task, 31);
+            for (bootstrap, min_samples_leaf) in [(true, 1), (true, 3), (false, 1)] {
+                let cfg = ForestConfig {
+                    n_trees: 6,
+                    max_depth: 10,
+                    min_samples_leaf,
+                    bootstrap,
+                    seed: 32,
+                    ..Default::default()
+                };
+                let want = oracle::fit_forest(&x, &y, task, &cfg);
+                for width in [1, 8] {
+                    let budget = Budget::isolated(width);
+                    let rf = budget.install(|| RandomForest::fit_xy(&x, &y, task, &cfg).unwrap());
+                    assert_eq!(budget.total_spawns() > 0, width > 1, "width={width}");
+                    assert_eq!(rf.trees.len(), want.len());
+                    for (i, (got, want)) in rf.trees.iter().zip(&want).enumerate() {
+                        let ctx = format!("{task:?} bootstrap={bootstrap} leaf={min_samples_leaf} width={width} tree {i}");
+                        oracle::assert_same_tree(got, want, &ctx);
+                    }
+                }
+            }
+        }
     }
 }

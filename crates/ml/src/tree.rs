@@ -1,11 +1,39 @@
 //! CART decision trees for classification (Gini) and regression (variance
 //! reduction), with random feature subsampling for forests.
+//!
+//! # Split search on ranks
+//!
+//! A fit starts by building one [`RankTable`]. For each feature it holds
+//! each row's dense rank under [`f64::total_cmp`] (a column-major `u32`
+//! table) and the feature's distinct values in rank order, so a row's value
+//! is `sorted[rank]` and the distinct count is `sorted.len()`. A tree
+//! trains on row *positions* into that table; a forest's bootstrap repeats
+//! positions instead of copying rows. Ordering a node never compares floats:
+//!
+//! * the node caches its table rows and targets once, by *slot* (its
+//!   positions in ascending order);
+//! * a candidate feature whose ranks are all equal in the node is skipped
+//!   before any sort;
+//! * when the feature has at most as many distinct values as the node has
+//!   rows, the node is counting-sorted by rank in O(rows + distinct);
+//! * otherwise the `rank << 32 | slot` keys are sorted with
+//!   `sort_unstable` (they are unique, so the result is deterministic).
+//!
+//! **Ties.** Both orderings visit equal ranks in slot order, i.e. in
+//! ascending position. That is exactly the sequence a stable
+//! `sort_by(total_cmp)` of the node's `(value, target)` pairs produces, so
+//! the split scan sees the same pairs in the same order: sums, gains,
+//! thresholds and importances come out the same bit for bit as sorting the
+//! values at every node. Which ordering runs depends only on the input.
 
 use crate::{Dataset, MlError, Result, Task};
 use arda_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+#[cfg(test)]
+pub(crate) mod oracle;
 
 /// How many candidate features each split considers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,15 +110,172 @@ pub struct DecisionTree {
     importances: Vec<f64>,
 }
 
+/// Every feature of a training matrix, ranked once per fit and shared by
+/// all trees of a forest.
+pub(crate) struct RankTable {
+    /// Training rows.
+    n: usize,
+    /// `ranks[f * n + r]`: dense rank of `x[r, f]` in column `f` under
+    /// `total_cmp` (equal ranks ⇔ bit-identical values).
+    ranks: Vec<u32>,
+    /// Each feature's distinct values in rank order, concatenated; feature
+    /// `f` owns `sorted[starts[f]..starts[f + 1]]`.
+    sorted: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+/// One feature's view of a [`RankTable`].
+#[derive(Clone, Copy)]
+struct RankedColumn<'a> {
+    /// Rank of each table row.
+    ranks: &'a [u32],
+    /// Distinct values by rank: `x[r, f]` is `sorted[ranks[r]]`.
+    sorted: &'a [f64],
+}
+
+impl RankedColumn<'_> {
+    fn value(&self, row: usize) -> f64 {
+        self.sorted[self.ranks[row] as usize]
+    }
+}
+
+impl RankTable {
+    pub(crate) fn new(x: &Matrix) -> Self {
+        let (n, d) = (x.rows(), x.cols());
+        let columns = x.transpose();
+        let mut ranks = vec![0u32; n * d];
+        let mut sorted = Vec::new();
+        let mut starts = vec![0];
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        for f in 0..d {
+            let (col, col_ranks) = (columns.row(f), &mut ranks[f * n..][..n]);
+            order.clear();
+            order.extend(0..n);
+            order.sort_unstable_by(|&a, &b| col[a].total_cmp(&col[b]));
+            for (w, &r) in order.iter().enumerate() {
+                if w == 0 || col[r].total_cmp(&col[order[w - 1]]).is_ne() {
+                    sorted.push(col[r]);
+                }
+                col_ranks[r] = (sorted.len() - 1 - starts[f]) as u32;
+            }
+            starts.push(sorted.len());
+        }
+        RankTable {
+            n,
+            ranks,
+            sorted,
+            starts,
+        }
+    }
+
+    fn n_features(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn column(&self, f: usize) -> RankedColumn<'_> {
+        RankedColumn {
+            ranks: &self.ranks[f * self.n..][..self.n],
+            sorted: &self.sorted[self.starts[f]..self.starts[f + 1]],
+        }
+    }
+}
+
+/// Orders one node for one feature: the node's `(value, target)` pairs by
+/// rank, ties in slot order (see the module docs).
+#[derive(Default)]
+struct NodeOrder {
+    /// Counting-sort bucket cursors, one per distinct value.
+    buckets: Vec<usize>,
+    /// `rank << 32 | slot` sort keys.
+    keys: Vec<u64>,
+    /// The ordered pairs the split scan reads.
+    pairs: Vec<(f64, f64)>,
+}
+
+impl NodeOrder {
+    /// Fill `pairs` for the node whose table rows and targets are
+    /// `node_rows`/`node_y` (non-empty). Returns `false` for a feature
+    /// that is constant in the node and so has no split.
+    fn fill(&mut self, col: RankedColumn<'_>, node_rows: &[usize], node_y: &[f64]) -> bool {
+        let m = node_rows.len();
+        let first = node_rows[0];
+        self.pairs.clear();
+        if node_rows.iter().all(|&r| col.ranks[r] == col.ranks[first]) {
+            // NaN never equals itself, so the scan still visits it.
+            if !col.value(first).is_nan() {
+                return false;
+            }
+            let pairs = node_rows
+                .iter()
+                .zip(node_y)
+                .map(|(&r, &y)| (col.value(r), y));
+            self.pairs.extend(pairs);
+        } else if col.sorted.len() <= m {
+            self.buckets.clear();
+            self.buckets.resize(col.sorted.len(), 0);
+            for &r in node_rows {
+                self.buckets[col.ranks[r] as usize] += 1;
+            }
+            let mut start = 0;
+            for b in self.buckets.iter_mut() {
+                let count = *b;
+                *b = start;
+                start += count;
+            }
+            self.pairs.resize(m, (0.0, 0.0));
+            for (&r, &y) in node_rows.iter().zip(node_y) {
+                let rank = col.ranks[r] as usize;
+                let cursor = &mut self.buckets[rank];
+                self.pairs[*cursor] = (col.sorted[rank], y);
+                *cursor += 1;
+            }
+        } else {
+            self.keys.clear();
+            let keys = node_rows
+                .iter()
+                .enumerate()
+                .map(|(slot, &r)| (col.ranks[r] as u64) << 32 | slot as u64);
+            self.keys.extend(keys);
+            self.keys.sort_unstable();
+            let pairs = self
+                .keys
+                .iter()
+                .map(|&k| (col.sorted[(k >> 32) as usize], node_y[k as u32 as usize]));
+            self.pairs.extend(pairs);
+        }
+        true
+    }
+}
+
+/// Buffers every node of one fit reuses, so growing a tree allocates
+/// nothing per node or per candidate split.
+#[derive(Default)]
+struct Scratch {
+    /// The current node's table rows and targets, by slot.
+    node_rows: Vec<usize>,
+    node_y: Vec<f64>,
+    /// Candidate features of the current node.
+    features: Vec<usize>,
+    order: NodeOrder,
+    /// Class counts of the whole node, and left of the scan cursor.
+    total: Vec<usize>,
+    left: Vec<usize>,
+    /// Right-child positions while a node is partitioned.
+    spill: Vec<usize>,
+}
+
 struct Builder<'a> {
-    x: &'a Matrix,
+    table: &'a RankTable,
     y: &'a [f64],
+    /// Table row of each position: a forest's bootstrap sample, or every
+    /// row once for a plain tree.
+    rows: &'a [usize],
     task: Task,
     cfg: &'a TreeConfig,
     rng: StdRng,
     nodes: Vec<Node>,
     importances: Vec<f64>,
-    n_total: usize,
+    scratch: Scratch,
 }
 
 impl DecisionTree {
@@ -111,24 +296,38 @@ impl DecisionTree {
                 y.len()
             )));
         }
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        Ok(Self::fit_rows(&RankTable::new(x), y, &rows, task, cfg))
+    }
+
+    /// Fit on the sample whose position `p` is table row `rows[p]`; `y` is
+    /// indexed by table row. `rows` must be non-empty and in bounds.
+    pub(crate) fn fit_rows(
+        table: &RankTable,
+        y: &[f64],
+        rows: &[usize],
+        task: Task,
+        cfg: &TreeConfig,
+    ) -> Self {
         let mut b = Builder {
-            x,
+            table,
             y,
+            rows,
             task,
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
             nodes: Vec::new(),
-            importances: vec![0.0; x.cols()],
-            n_total: x.rows(),
+            importances: vec![0.0; table.n_features()],
+            scratch: Scratch::default(),
         };
-        let mut indices: Vec<usize> = (0..x.rows()).collect();
-        b.build(&mut indices, 0);
-        Ok(DecisionTree {
+        let mut positions: Vec<usize> = (0..rows.len()).collect();
+        b.build(&mut positions, 0);
+        DecisionTree {
             nodes: b.nodes,
             task,
-            n_features: x.cols(),
+            n_features: table.n_features(),
             importances: b.importances,
-        })
+        }
     }
 
     /// Predict a single row.
@@ -181,34 +380,65 @@ impl DecisionTree {
     }
 }
 
+/// Gini impurity of class counts summing to `tot`.
+fn gini(counts: impl Iterator<Item = usize>, tot: f64) -> f64 {
+    1.0 - counts.map(|c| (c as f64 / tot).powi(2)).sum::<f64>()
+}
+
+/// Fill `counts` with the class histogram of `ys`.
+fn class_counts(counts: &mut Vec<usize>, n_classes: usize, ys: &[f64]) {
+    counts.clear();
+    counts.resize(n_classes, 0);
+    for &y in ys {
+        counts[y as usize] += 1;
+    }
+}
+
 impl Builder<'_> {
-    /// Recursively build the subtree over `indices`; returns node id.
-    fn build(&mut self, indices: &mut [usize], depth: usize) -> usize {
-        let node_impurity = self.impurity(indices);
-        let should_split = indices.len() >= self.cfg.min_samples_split
+    /// Recursively build the subtree over `positions` (ascending, and
+    /// reordered in place into left then right); returns node id.
+    fn build(&mut self, positions: &mut [usize], depth: usize) -> usize {
+        let s = &mut self.scratch;
+        s.node_rows.clear();
+        s.node_rows.extend(positions.iter().map(|&p| self.rows[p]));
+        s.node_y.clear();
+        s.node_y.extend(s.node_rows.iter().map(|&r| self.y[r]));
+
+        let node_impurity = self.impurity();
+        let should_split = positions.len() >= self.cfg.min_samples_split
             && depth < self.cfg.max_depth
             && node_impurity > 1e-12;
 
         if should_split {
-            if let Some((feature, threshold, gain)) = self.best_split(indices, node_impurity) {
-                // Partition in place.
-                let mut left: Vec<usize> = Vec::new();
-                let mut right: Vec<usize> = Vec::new();
-                for &i in indices.iter() {
-                    if self.x.get(i, feature) <= threshold {
-                        left.push(i);
-                    } else {
-                        right.push(i);
-                    }
-                }
-                if left.len() >= self.cfg.min_samples_leaf
-                    && right.len() >= self.cfg.min_samples_leaf
+            if let Some((feature, threshold, gain)) = self.best_split(node_impurity) {
+                let (rows, col) = (self.rows, self.table.column(feature));
+                let goes_left = |p: usize| col.value(rows[p]) <= threshold;
+                let n_left = positions.iter().filter(|&&p| goes_left(p)).count();
+                if n_left >= self.cfg.min_samples_leaf
+                    && positions.len() - n_left >= self.cfg.min_samples_leaf
                 {
-                    self.importances[feature] += gain * indices.len() as f64 / self.n_total as f64;
+                    // Stable partition, so both children stay ascending.
+                    let spill = &mut self.scratch.spill;
+                    spill.clear();
+                    let mut w = 0;
+                    for i in 0..positions.len() {
+                        let p = positions[i];
+                        if goes_left(p) {
+                            positions[w] = p;
+                            w += 1;
+                        } else {
+                            spill.push(p);
+                        }
+                    }
+                    positions[n_left..].copy_from_slice(spill);
+
+                    self.importances[feature] +=
+                        gain * positions.len() as f64 / self.rows.len() as f64;
                     let id = self.nodes.len();
                     self.nodes.push(Node::Leaf { prediction: 0.0 }); // placeholder
-                    let l = self.build(&mut left, depth + 1);
-                    let r = self.build(&mut right, depth + 1);
+                    let (left, right) = positions.split_at_mut(n_left);
+                    let l = self.build(left, depth + 1);
+                    let r = self.build(right, depth + 1);
                     self.nodes[id] = Node::Split {
                         feature,
                         threshold,
@@ -220,23 +450,21 @@ impl Builder<'_> {
             }
         }
 
-        let prediction = self.leaf_value(indices);
+        // No child was built, so the scratch still holds this node.
+        let prediction = self.leaf_value();
         let id = self.nodes.len();
         self.nodes.push(Node::Leaf { prediction });
         id
     }
 
-    fn leaf_value(&self, indices: &[usize]) -> f64 {
+    /// Prediction of the cached node: mean target or majority class.
+    fn leaf_value(&mut self) -> f64 {
+        let s = &mut self.scratch;
         match self.task {
-            Task::Regression => {
-                indices.iter().map(|&i| self.y[i]).sum::<f64>() / indices.len().max(1) as f64
-            }
+            Task::Regression => s.node_y.iter().sum::<f64>() / s.node_y.len().max(1) as f64,
             Task::Classification { n_classes } => {
-                let mut counts = vec![0usize; n_classes];
-                for &i in indices {
-                    counts[self.y[i] as usize] += 1;
-                }
-                counts
+                class_counts(&mut s.total, n_classes, &s.node_y);
+                s.total
                     .iter()
                     .enumerate()
                     .max_by_key(|(_, &c)| c)
@@ -246,65 +474,60 @@ impl Builder<'_> {
         }
     }
 
-    fn impurity(&self, indices: &[usize]) -> f64 {
+    /// Impurity of the cached node: target variance or Gini.
+    fn impurity(&mut self) -> f64 {
+        let s = &mut self.scratch;
+        let n = s.node_y.len() as f64;
+        if n == 0.0 {
+            return 0.0;
+        }
         match self.task {
             Task::Regression => {
-                let n = indices.len() as f64;
-                if n == 0.0 {
-                    return 0.0;
-                }
-                let mean = indices.iter().map(|&i| self.y[i]).sum::<f64>() / n;
-                indices
-                    .iter()
-                    .map(|&i| (self.y[i] - mean).powi(2))
-                    .sum::<f64>()
-                    / n
+                let mean = s.node_y.iter().sum::<f64>() / n;
+                s.node_y.iter().map(|&y| (y - mean).powi(2)).sum::<f64>() / n
             }
             Task::Classification { n_classes } => {
-                let n = indices.len() as f64;
-                if n == 0.0 {
-                    return 0.0;
-                }
-                let mut counts = vec![0usize; n_classes];
-                for &i in indices {
-                    counts[self.y[i] as usize] += 1;
-                }
-                1.0 - counts.iter().map(|&c| (c as f64 / n).powi(2)).sum::<f64>()
+                class_counts(&mut s.total, n_classes, &s.node_y);
+                gini(s.total.iter().copied(), n)
             }
         }
     }
 
-    /// Best (feature, threshold, impurity decrease) over a random feature
-    /// subset, or `None` when no valid split exists.
-    fn best_split(&mut self, indices: &[usize], parent_impurity: f64) -> Option<(usize, f64, f64)> {
-        let d = self.x.cols();
+    /// Best (feature, threshold, impurity decrease) for the cached node
+    /// over a random feature subset, or `None` when no valid split exists.
+    fn best_split(&mut self, parent_impurity: f64) -> Option<(usize, f64, f64)> {
+        let d = self.table.n_features();
         if d == 0 {
             return None;
         }
         let k = self.cfg.max_features.resolve(d);
-        let mut features: Vec<usize> = (0..d).collect();
+        let s = &mut self.scratch;
+        s.features.clear();
+        s.features.extend(0..d);
         if k < d {
-            features.shuffle(&mut self.rng);
-            features.truncate(k);
+            s.features.shuffle(&mut self.rng);
+            s.features.truncate(k);
         }
 
-        let n = indices.len() as f64;
+        let n = s.node_rows.len() as f64;
         let mut best: Option<(usize, f64, f64)> = None;
-        // (value, y) pairs reused across features.
-        let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(indices.len());
 
-        for &f in &features {
-            pairs.clear();
-            pairs.extend(indices.iter().map(|&i| (self.x.get(i, f), self.y[i])));
-            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for &f in &s.features {
+            if !s.order.fill(self.table.column(f), &s.node_rows, &s.node_y) {
+                continue;
+            }
+            let pairs = &s.order.pairs;
             if pairs[0].0 == pairs[pairs.len() - 1].0 {
                 continue; // constant feature in this node
             }
 
             match self.task {
                 Task::Regression => {
-                    let total_sum: f64 = pairs.iter().map(|p| p.1).sum();
-                    let total_sq: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
+                    // Two sequential folds in one pass, from `-0.0` like
+                    // `Iterator::sum`.
+                    let (total_sum, total_sq) = pairs
+                        .iter()
+                        .fold((-0.0, -0.0), |(s, q), p| (s + p.1, q + p.1 * p.1));
                     let mut left_sum = 0.0;
                     let mut left_sq = 0.0;
                     for split in 1..pairs.len() {
@@ -335,11 +558,14 @@ impl Builder<'_> {
                     }
                 }
                 Task::Classification { n_classes } => {
-                    let mut total = vec![0usize; n_classes];
+                    let (total, left) = (&mut s.total, &mut s.left);
+                    total.clear();
+                    total.resize(n_classes, 0);
                     for p in pairs.iter() {
                         total[p.1 as usize] += 1;
                     }
-                    let mut left = vec![0usize; n_classes];
+                    left.clear();
+                    left.resize(n_classes, 0);
                     for split in 1..pairs.len() {
                         let (v_prev, y_prev) = pairs[split - 1];
                         left[y_prev as usize] += 1;
@@ -354,16 +580,9 @@ impl Builder<'_> {
                         }
                         let nl = split as f64;
                         let nr = n - nl;
-                        let gini = |counts: &[usize], tot: f64| -> f64 {
-                            1.0 - counts
-                                .iter()
-                                .map(|&c| (c as f64 / tot).powi(2))
-                                .sum::<f64>()
-                        };
-                        let gini_l = gini(&left, nl);
-                        let right: Vec<usize> =
-                            total.iter().zip(&left).map(|(t, l)| t - l).collect();
-                        let gini_r = gini(&right, nr);
+                        let gini_l = gini(left.iter().copied(), nl);
+                        let right = total.iter().zip(left.iter()).map(|(t, l)| t - l);
+                        let gini_r = gini(right, nr);
                         let gain = parent_impurity - (nl / n) * gini_l - (nr / n) * gini_r;
                         if best.is_none_or(|b| gain > b.2) && gain >= -1e-12 {
                             best = Some((f, (v_prev + v_cur) / 2.0, gain.max(0.0)));
@@ -379,6 +598,7 @@ impl Builder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn xor_dataset() -> Dataset {
         // XOR needs depth ≥ 2: not linearly separable.
@@ -520,5 +740,52 @@ mod tests {
         let t1 = DecisionTree::fit(&d, &cfg).unwrap();
         let t2 = DecisionTree::fit(&d, &cfg).unwrap();
         assert_eq!(t1.predict(&d.x).unwrap(), t2.predict(&d.x).unwrap());
+    }
+
+    #[test]
+    fn rank_ordering_grows_the_oracle_trees() {
+        let features = [
+            MaxFeatures::All,
+            MaxFeatures::Sqrt,
+            MaxFeatures::Third,
+            MaxFeatures::Exact(2),
+        ];
+        for (ti, task) in oracle::TASKS.into_iter().enumerate() {
+            for n in [1, 2, 9, 60, 300] {
+                let (x, y) = oracle::tricky_data(n, task, 10 * n as u64 + ti as u64);
+                for (fi, max_features) in features.into_iter().enumerate() {
+                    for min_samples_leaf in [1, 3] {
+                        let cfg = TreeConfig {
+                            min_samples_leaf,
+                            max_features,
+                            seed: (n * 7 + fi) as u64,
+                            ..Default::default()
+                        };
+                        let ctx =
+                            format!("{task:?} n={n} {max_features:?} leaf={min_samples_leaf}");
+                        let got = DecisionTree::fit_xy(&x, &y, task, &cfg).unwrap();
+                        oracle::assert_same_tree(&got, &oracle::fit_tree(&x, &y, task, &cfg), &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_positions_match_a_copied_sample() {
+        for task in oracle::TASKS {
+            let (x, y) = oracle::tricky_data(120, task, 77);
+            let mut rng = StdRng::seed_from_u64(78);
+            let rows: Vec<usize> = (0..150).map(|_| rng.gen_range(0..40)).collect();
+            let cfg = TreeConfig {
+                max_features: MaxFeatures::Third,
+                seed: 79,
+                ..Default::default()
+            };
+            let got = DecisionTree::fit_rows(&RankTable::new(&x), &y, &rows, task, &cfg);
+            let ys: Vec<f64> = rows.iter().map(|&r| y[r]).collect();
+            let want = oracle::fit_tree(&x.select_rows(&rows).unwrap(), &ys, task, &cfg);
+            oracle::assert_same_tree(&got, &want, &format!("{task:?}"));
+        }
     }
 }
