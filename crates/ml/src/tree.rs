@@ -380,6 +380,20 @@ impl DecisionTree {
     }
 }
 
+/// Threshold between adjacent distinct values `v_prev < v_cur`: their
+/// midpoint, or `v_prev` when the midpoint rounds up to `v_cur` (adjacent
+/// floats) or overflows (near `f64::MAX`), as scikit-learn does. Either
+/// way `x <= threshold` sends `v_prev` left and `v_cur` right, which is the
+/// partition the scan scored.
+pub(crate) fn split_threshold(v_prev: f64, v_cur: f64) -> f64 {
+    let mid = (v_prev + v_cur) / 2.0;
+    if mid == v_cur || !mid.is_finite() {
+        v_prev
+    } else {
+        mid
+    }
+}
+
 /// Gini impurity of class counts summing to `tot`.
 fn gini(counts: impl Iterator<Item = usize>, tot: f64) -> f64 {
     1.0 - counts.map(|c| (c as f64 / tot).powi(2)).sum::<f64>()
@@ -553,7 +567,7 @@ impl Builder<'_> {
                         // Zero-gain splits are allowed on impure nodes (XOR
                         // needs them); ties keep the first candidate.
                         if best.is_none_or(|b| gain > b.2) && gain >= -1e-12 {
-                            best = Some((f, (v_prev + v_cur) / 2.0, gain.max(0.0)));
+                            best = Some((f, split_threshold(v_prev, v_cur), gain.max(0.0)));
                         }
                     }
                 }
@@ -585,7 +599,7 @@ impl Builder<'_> {
                         let gini_r = gini(right, nr);
                         let gain = parent_impurity - (nl / n) * gini_l - (nr / n) * gini_r;
                         if best.is_none_or(|b| gain > b.2) && gain >= -1e-12 {
-                            best = Some((f, (v_prev + v_cur) / 2.0, gain.max(0.0)));
+                            best = Some((f, split_threshold(v_prev, v_cur), gain.max(0.0)));
                         }
                     }
                 }
@@ -787,5 +801,31 @@ mod tests {
             let want = oracle::fit_tree(&x.select_rows(&rows).unwrap(), &ys, task, &cfg);
             oracle::assert_same_tree(&got, &want, &format!("{task:?}"));
         }
+    }
+
+    /// Each case's midpoint is not strictly between the two values (it
+    /// rounds up to the larger one, or overflows), so a midpoint threshold
+    /// would send both rows left and drop the split.
+    fn assert_threshold_separates(x: [f64; 2]) {
+        let m = Matrix::from_rows(&[vec![x[0]], vec![x[1]]]).unwrap();
+        for task in [Task::Regression, Task::Classification { n_classes: 2 }] {
+            let tree = DecisionTree::fit_xy(&m, &[0.0, 1.0], task, &TreeConfig::default()).unwrap();
+            assert_eq!(tree.n_nodes(), 3, "{task:?} {x:?}");
+            assert_eq!(tree.predict(&m).unwrap(), vec![0.0, 1.0], "{task:?} {x:?}");
+        }
+    }
+
+    #[test]
+    fn threshold_separates_adjacent_floats() {
+        let one_up = 1.0 + f64::EPSILON;
+        assert_threshold_separates([one_up, 1.0 + 2.0 * f64::EPSILON]);
+        assert_eq!(split_threshold(one_up, 1.0 + 2.0 * f64::EPSILON), one_up);
+    }
+
+    #[test]
+    fn threshold_separates_values_near_f64_max() {
+        assert_threshold_separates([0.75 * f64::MAX, f64::MAX]);
+        assert_eq!(split_threshold(f64::MAX / 2.0, f64::MAX), f64::MAX / 2.0);
+        assert_eq!(split_threshold(1.0, 3.0), 2.0);
     }
 }

@@ -2,7 +2,7 @@
 //! pairs with a stable `total_cmp` sort, fed by copied bootstrap matrices.
 //! The rank-table builder must grow the same trees bit for bit.
 
-use super::{DecisionTree, MaxFeatures, Node, TreeConfig};
+use super::{split_threshold, DecisionTree, MaxFeatures, Node, TreeConfig};
 use crate::forest::ForestConfig;
 use crate::Task;
 use arda_linalg::Matrix;
@@ -291,7 +291,7 @@ impl Builder<'_> {
                         let var_r = right_sq / nr - (right_sum / nr).powi(2);
                         let gain = parent_impurity - (nl / n) * var_l - (nr / n) * var_r;
                         if best.is_none_or(|b| gain > b.2) && gain >= -1e-12 {
-                            best = Some((f, (v_prev + v_cur) / 2.0, gain.max(0.0)));
+                            best = Some((f, split_threshold(v_prev, v_cur), gain.max(0.0)));
                         }
                     }
                 }
@@ -327,7 +327,7 @@ impl Builder<'_> {
                         let gini_r = gini(&right, nr);
                         let gain = parent_impurity - (nl / n) * gini_l - (nr / n) * gini_r;
                         if best.is_none_or(|b| gain > b.2) && gain >= -1e-12 {
-                            best = Some((f, (v_prev + v_cur) / 2.0, gain.max(0.0)));
+                            best = Some((f, split_threshold(v_prev, v_cur), gain.max(0.0)));
                         }
                     }
                 }
