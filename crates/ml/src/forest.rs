@@ -331,11 +331,17 @@ mod tests {
         use crate::tree::oracle;
         for task in oracle::TASKS {
             let (x, y) = oracle::tricky_data(200, task, 31);
-            for (bootstrap, min_samples_leaf) in [(true, 1), (true, 3), (false, 1)] {
+            let variants = [
+                (true, 1, None),
+                (true, 3, Some(MaxFeatures::Exact(4))),
+                (false, 1, Some(MaxFeatures::All)),
+            ];
+            for (bootstrap, min_samples_leaf, max_features) in variants {
                 let cfg = ForestConfig {
                     n_trees: 6,
                     max_depth: 10,
                     min_samples_leaf,
+                    max_features,
                     bootstrap,
                     seed: 32,
                     ..Default::default()

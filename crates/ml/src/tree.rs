@@ -142,6 +142,7 @@ impl RankedColumn<'_> {
 impl RankTable {
     pub(crate) fn new(x: &Matrix) -> Self {
         let (n, d) = (x.rows(), x.cols());
+        assert!(u32::try_from(n).is_ok(), "ranks and slots are u32");
         let columns = x.transpose();
         let mut ranks = vec![0u32; n * d];
         let mut sorted = Vec::new();
@@ -301,7 +302,8 @@ impl DecisionTree {
     }
 
     /// Fit on the sample whose position `p` is table row `rows[p]`; `y` is
-    /// indexed by table row. `rows` must be non-empty and in bounds.
+    /// indexed by table row. `rows` must be non-empty and in bounds, with
+    /// fewer than 2³² entries (slots are packed into 32 bits).
     pub(crate) fn fit_rows(
         table: &RankTable,
         y: &[f64],
@@ -320,6 +322,7 @@ impl DecisionTree {
             importances: vec![0.0; table.n_features()],
             scratch: Scratch::default(),
         };
+        assert!(u32::try_from(rows.len()).is_ok(), "slots are u32");
         let mut positions: Vec<usize> = (0..rows.len()).collect();
         b.build(&mut positions, 0);
         DecisionTree {
