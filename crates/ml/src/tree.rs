@@ -202,7 +202,8 @@ impl NodeOrder {
         let first = node_rows[0];
         self.pairs.clear();
         if node_rows.iter().all(|&r| col.ranks[r] == col.ranks[first]) {
-            // NaN never equals itself, so the scan still visits it.
+            // Constant NaN is still scanned: NaN != NaN, so the scan's own
+            // constant check and tie skips never fire on it.
             if !col.value(first).is_nan() {
                 return false;
             }
@@ -388,7 +389,7 @@ impl DecisionTree {
 /// floats) or overflows (near `f64::MAX`), as scikit-learn does. Either
 /// way `x <= threshold` sends `v_prev` left and `v_cur` right, which is the
 /// partition the scan scored.
-pub(crate) fn split_threshold(v_prev: f64, v_cur: f64) -> f64 {
+fn split_threshold(v_prev: f64, v_cur: f64) -> f64 {
     let mid = (v_prev + v_cur) / 2.0;
     if mid == v_cur || !mid.is_finite() {
         v_prev
@@ -428,27 +429,26 @@ impl Builder<'_> {
 
         if should_split {
             if let Some((feature, threshold, gain)) = self.best_split(node_impurity) {
+                // Stable partition, so both children stay ascending. A
+                // rejected split leaves `positions` permuted, which nothing
+                // reads: the leaf below uses the cached node.
                 let (rows, col) = (self.rows, self.table.column(feature));
-                let goes_left = |p: usize| col.value(rows[p]) <= threshold;
-                let n_left = positions.iter().filter(|&&p| goes_left(p)).count();
+                let spill = &mut self.scratch.spill;
+                spill.clear();
+                let mut n_left = 0;
+                for i in 0..positions.len() {
+                    let p = positions[i];
+                    if col.value(rows[p]) <= threshold {
+                        positions[n_left] = p;
+                        n_left += 1;
+                    } else {
+                        spill.push(p);
+                    }
+                }
+                positions[n_left..].copy_from_slice(spill);
                 if n_left >= self.cfg.min_samples_leaf
                     && positions.len() - n_left >= self.cfg.min_samples_leaf
                 {
-                    // Stable partition, so both children stay ascending.
-                    let spill = &mut self.scratch.spill;
-                    spill.clear();
-                    let mut w = 0;
-                    for i in 0..positions.len() {
-                        let p = positions[i];
-                        if goes_left(p) {
-                            positions[w] = p;
-                            w += 1;
-                        } else {
-                            spill.push(p);
-                        }
-                    }
-                    positions[n_left..].copy_from_slice(spill);
-
                     self.importances[feature] +=
                         gain * positions.len() as f64 / self.rows.len() as f64;
                     let id = self.nodes.len();
