@@ -138,7 +138,7 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
         discover_joins(&scenario.base, &repo, &DiscoveryConfig::default()).expect("discover");
     let mut joined = scenario.base.clone();
     for c in &candidates {
-        let foreign = repo.get(c.table_index).expect("table");
+        let foreign = repo.table(c.table_index).expect("table");
         let kind = match c.kind {
             arda_discovery::KeyKind::Soft => {
                 JoinKind::SoftTimeResampled(arda_join::SoftMethod::TwoWayNearest)
@@ -167,11 +167,7 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
 /// classification, `(R², MAE)` for regression.
 pub fn evaluate_subset(data: &Dataset, selected: &[usize], seed: u64) -> (f64, f64) {
     let sub = data.select_features(selected).expect("subset");
-    let (train, test) = if data.task.is_classification() {
-        arda_ml::stratified_split(&data.y, 0.25, seed)
-    } else {
-        arda_ml::train_test_split(data.n_samples(), 0.25, seed)
-    };
+    let (train, test) = data.holdout_split(seed);
     let kind = ModelKind::RandomForest {
         n_trees: 48,
         max_depth: 12,

@@ -65,11 +65,7 @@ fn model_zoo(classification: bool) -> Vec<ModelKind> {
 /// Search the zoo within `budget`; always evaluates at least one model.
 pub fn automl_search(data: &Dataset, budget: Duration, seed: u64) -> Result<AutomlReport> {
     let start = Instant::now();
-    let (train, holdout) = if data.task.is_classification() {
-        arda_ml::stratified_split(&data.y, 0.25, seed)
-    } else {
-        arda_ml::train_test_split(data.n_samples(), 0.25, seed)
-    };
+    let (train, holdout) = data.holdout_split(seed);
 
     let mut best: Option<(f64, ModelKind)> = None;
     let mut evaluated = 0usize;

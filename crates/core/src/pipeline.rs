@@ -133,7 +133,11 @@ impl Arda {
     ) -> Result<AugmentationReport> {
         let start = Instant::now();
         let cfg = &self.config;
-        base.column(target)?;
+        if base.column(target)?.distinct().len() < 2 {
+            return Err(ArdaError::Invalid(format!(
+                "target `{target}` has fewer than two distinct non-null values"
+            )));
+        }
 
         // ---- Coreset construction -------------------------------------
         let labels: Option<Vec<f64>> = {
@@ -165,9 +169,8 @@ impl Arda {
             .map(|c| c.name().to_string())
             .collect();
 
-        // ---- Tuple-Ratio prefilter (optional) --------------------------
-        // Bounds-check against the manifest without touching tables — on a
-        // sharded repository this must not force a load.
+        // Bounds-check candidates against the manifest without touching
+        // tables — on a sharded repository this must not force a load.
         for c in candidates {
             if c.table_index >= repo.len() {
                 return Err(ArdaError::Invalid(format!(
@@ -176,6 +179,14 @@ impl Arda {
                 )));
             }
         }
+
+        // ---- Base-only reference score ---------------------------------
+        // `best_estimate` also rejects a coreset whose holdout split is too
+        // small, before any join work starts.
+        let base_ds = featurize(&kept, target, cfg.force_classification, &cfg.featurize)?;
+        let (base_score, _) = best_estimate(&base_ds, cfg.seed)?;
+
+        // ---- Tuple-Ratio prefilter (optional) --------------------------
         let mut active: Vec<CandidateJoin> = Vec::with_capacity(candidates.len());
         let mut tr_eliminated = 0usize;
         if let Some(tau) = cfg.tr_threshold {
@@ -211,10 +222,6 @@ impl Arda {
         } else {
             active.extend(candidates.iter().cloned());
         }
-
-        // ---- Base-only reference score ---------------------------------
-        let base_ds = featurize(&kept, target, cfg.force_classification, &cfg.featurize)?;
-        let (base_score, _) = best_estimate(&base_ds, cfg.seed)?;
 
         // ---- Join plan + batched execution ------------------------------
         let batches = plan_batches(&active, repo, cfg.join_plan, kept.n_rows());
@@ -362,11 +369,15 @@ fn best_estimate(data: &Dataset, seed: u64) -> Result<(f64, ModelKind)> {
     if data.task.is_classification() {
         estimators.push(ModelKind::RbfSvm { c: 1.0 });
     }
-    let (train, holdout) = if data.task.is_classification() {
-        arda_ml::stratified_split(&data.y, 0.25, seed)
-    } else {
-        arda_ml::train_test_split(data.n_samples(), 0.25, seed)
-    };
+    let (train, holdout) = data.holdout_split(seed);
+    if train.len() < 2 || holdout.len() < 2 {
+        return Err(ArdaError::Invalid(format!(
+            "{} rows split into {} train / {} holdout; each side needs at least 2",
+            data.n_samples(),
+            train.len(),
+            holdout.len()
+        )));
+    }
     let mut best: Option<(f64, ModelKind)> = None;
     for kind in estimators {
         let score = holdout_score(data, &kind, &train, &holdout, seed)?;

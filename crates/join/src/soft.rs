@@ -1,7 +1,7 @@
 //! Soft-key joins: nearest-neighbour and two-way nearest-neighbour with
 //! λ-interpolation (ARDA §4 "Key Matches").
 //!
-//! Both joins build one [`SoftKeyIndex`] over the (pre-aggregated) foreign
+//! Both joins build one `SoftKeyIndex` over the (pre-aggregated) foreign
 //! key and reuse it across every base row; the per-row binary-search
 //! matching — the hot loop for large bases — runs in parallel row bands
 //! with deterministic output.

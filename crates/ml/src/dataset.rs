@@ -1,5 +1,6 @@
 //! Numeric datasets: a feature matrix, a target vector and a task type.
 
+use crate::split::{stratified_split, train_test_split};
 use crate::{MlError, Result};
 use arda_linalg::Matrix;
 
@@ -71,6 +72,17 @@ impl Dataset {
             feature_names,
             task,
         })
+    }
+
+    /// The evaluation protocol's train/holdout split: label-stratified for
+    /// classification, shuffled for regression, with 25% of the rows held
+    /// out. Every holdout score of the pipeline is measured on it.
+    pub fn holdout_split(&self, seed: u64) -> (Vec<usize>, Vec<usize>) {
+        if self.task.is_classification() {
+            stratified_split(&self.y, 0.25, seed)
+        } else {
+            train_test_split(self.n_samples(), 0.25, seed)
+        }
     }
 
     /// Number of samples.

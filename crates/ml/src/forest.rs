@@ -1,7 +1,7 @@
 //! Random forests: bootstrap-bagged CART trees fitted in parallel, with
 //! impurity-based feature importances.
 //!
-//! A fit ranks the training matrix once into a [`RankTable`] that every
+//! A fit ranks the training matrix once into a `RankTable` that every
 //! tree shares. A tree's bootstrap sample is a list of row *positions* into
 //! that table, repeats included, not a copied matrix: position `p` trains
 //! on table row `rows[p]`, and positions keep the order the bootstrap drew

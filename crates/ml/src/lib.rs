@@ -9,7 +9,7 @@
 //! Relief, mutual information and F-tests. This crate supplies every
 //! learning primitive those components need:
 //!
-//! * [`Dataset`] + [`featurize`] — numeric feature matrices from relational
+//! * [`Dataset`] + [`featurize()`] — numeric feature matrices from relational
 //!   tables (categoricals binarised, as in §3.1).
 //! * [`DecisionTree`] / [`RandomForest`] — CART with Gini/variance splits,
 //!   bootstrap bagging, parallel fitting and impurity-based importances.

@@ -3,7 +3,7 @@
 //!
 //! # Split search on ranks
 //!
-//! A fit starts by building one [`RankTable`]. For each feature it holds
+//! A fit starts by building one `RankTable`. For each feature it holds
 //! each row's dense rank under [`f64::total_cmp`] (a column-major `u32`
 //! table) and the feature's distinct values in rank order, so a row's value
 //! is `sorted[rank]` and the distinct count is `sorted.len()`. A tree

@@ -31,7 +31,7 @@
 //!   drained produces chunk-for-chunk the same work decomposition (and
 //!   bit-identical output) as one that got every permit.
 //!
-//! [`Budget::split(n)`] derives the width a stage should hand each of its
+//! [`Budget::split`]`(n)` derives the width a stage should hand each of its
 //! `n` concurrent children (`max(1, width / n)`); the children share the
 //! parent's pool, so splitting never mints new permits. The primitives do
 //! this automatically: a worker executing the body of [`par_map`] sees an

@@ -78,14 +78,10 @@ pub struct SelectionContext {
 }
 
 impl SelectionContext {
-    /// Standard context: stratified (classification) or shuffled 75/25 split
-    /// with the paper's random-forest estimator.
+    /// Standard context: the dataset's [`Dataset::holdout_split`] with the
+    /// paper's random-forest estimator.
     pub fn standard(data: &Dataset, seed: u64) -> Self {
-        let (train, holdout) = if data.task.is_classification() {
-            arda_ml::stratified_split(&data.y, 0.25, seed)
-        } else {
-            arda_ml::train_test_split(data.n_samples(), 0.25, seed)
-        };
+        let (train, holdout) = data.holdout_split(seed);
         SelectionContext {
             train,
             holdout,

@@ -10,7 +10,7 @@ use arda_ml::{Dataset, ForestConfig, Lasso, LinearSvm, LogisticRegression, Rando
 
 /// The ranking models of the paper's grid (§7: "Methods such as Random
 /// Forest, Sparse Regression, Mutual Information, Logistic Regression,
-/// Lasso, Relief, and Linear SVM return ranking[s]").
+/// Lasso, Relief, and Linear SVM return ranking\[s\]").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankingMethod {
     /// Random-forest impurity importances.

@@ -42,7 +42,7 @@ pub struct L21Config {
     /// Norm smoothing ε.
     pub eps: f64,
     /// Re-estimate labels inside the loop (the "modified objective from
-    /// [56]" the paper uses for corrupted classification labels): after each
+    /// \[56\]" the paper uses for corrupted classification labels): after each
     /// W update, blend Y towards the model's own consistent labelling.
     pub robust_labels: bool,
     /// Blend factor for robust labels.

@@ -661,10 +661,10 @@ pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
     read_csv_str_with(name, text, &CsvReadOptions::default())
 }
 
-/// Read a table from a CSV file with explicit options; the table is named
-/// after the file stem. The file is streamed twice (infer, then build) so
-/// raw text, dynamic cells and columns are never all resident at once.
-pub fn read_csv_with(path: impl AsRef<Path>, opts: &CsvReadOptions) -> Result<Table> {
+/// Read a table from a CSV file; the table is named after the file stem.
+/// The file is streamed twice (infer, then build) so raw text, dynamic
+/// cells and columns are never all resident at once.
+pub fn read_csv(path: impl AsRef<Path>) -> Result<Table> {
     let path = path.as_ref();
     let name = path
         .file_stem()
@@ -674,19 +674,14 @@ pub fn read_csv_with(path: impl AsRef<Path>, opts: &CsvReadOptions) -> Result<Ta
     ingest(
         &name,
         || std::fs::File::open(path).map_err(|e| TableError::Csv(e.to_string())),
-        opts,
+        &CsvReadOptions::default(),
     )
-}
-
-/// Read a table from a CSV file (default streaming options).
-pub fn read_csv(path: impl AsRef<Path>) -> Result<Table> {
-    read_csv_with(path, &CsvReadOptions::default())
 }
 
 /// Read only the header record of a CSV file: the column names, in order.
 /// This is the manifest-scan primitive behind directory-sharded
 /// repositories — it reads at most a few chunks, never the whole file.
-pub fn read_csv_header(path: impl AsRef<Path>) -> Result<Vec<String>> {
+pub(crate) fn read_csv_header(path: impl AsRef<Path>) -> Result<Vec<String>> {
     let file = std::fs::File::open(path.as_ref()).map_err(|e| TableError::Csv(e.to_string()))?;
     let mut stream = BlockStream::new(file, CsvReadOptions::default().chunk_size);
     let Some(first) = stream.next_block()? else {

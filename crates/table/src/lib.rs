@@ -23,6 +23,12 @@
 //!   [`DataType`] bit-exactly — including `Timestamp`, which CSV cannot
 //!   express — with budget-parallel per-column encode/decode and a cheap
 //!   header-only scan (see the [`store`] module docs for the byte layout).
+//! * [`Repository`] — the data repository ARDA mines: resident tables or
+//!   a directory of `.csv` / `.arda` shards indexed by a header-only
+//!   manifest scan, loaded lazily behind an LRU cache, with a persistent
+//!   `_catalog.arda` that makes a warm re-index free (see the
+//!   [`repository`] module docs for the shard formats and the catalog's
+//!   invalidation rules).
 //!
 //! The engine is deliberately small: ARDA needs LEFT-join-friendly row
 //! addressing, group-by aggregation and cheap columnar access, not a full
@@ -33,24 +39,24 @@ mod csv;
 mod display;
 mod error;
 mod groupby;
+pub mod repository;
 mod schema;
 pub mod store;
 mod table;
 mod value;
 
 pub use column::{Column, ColumnData};
-pub use csv::{
-    read_csv, read_csv_header, read_csv_str, read_csv_str_with, read_csv_with, write_csv,
-    CsvReadOptions,
-};
+pub use csv::{read_csv, read_csv_str, read_csv_str_with, write_csv, CsvReadOptions};
 pub use error::TableError;
 pub use groupby::{AggExpr, Aggregation, GroupBy};
+pub use repository::Repository;
 pub use schema::{DataType, Field, Schema};
-pub use store::{
-    read_arda, read_arda_bytes, read_arda_header, write_arda, write_arda_file, ShardHeader,
-};
+pub use store::{read_arda_bytes, write_arda};
 pub use table::Table;
 pub use value::{Key, Value};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TableError>;
+
+#[cfg(test)]
+mod tests;

@@ -174,7 +174,7 @@ pub fn write_arda(table: &Table, mut out: impl Write) -> Result<()> {
 }
 
 /// [`write_arda`] into a file at `path`.
-pub fn write_arda_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
+pub(crate) fn write_arda_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
     let path = path.as_ref();
     let file = std::fs::File::create(path)
         .map_err(|e| err(format!("cannot create {}: {e}", path.display())))?;
@@ -192,7 +192,7 @@ pub fn write_arda_file(table: &Table, path: impl AsRef<Path>) -> Result<()> {
 /// touching any payload bytes. This is the manifest/catalog primitive —
 /// on a file it reads only the header region.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardHeader {
+pub(crate) struct ShardHeader {
     /// Column names and dtypes, in column order.
     pub schema: Schema,
     /// Number of rows in every column.
@@ -302,7 +302,7 @@ fn parse_header<R: Read>(reader: R, source_size: u64) -> Result<ShardHeader> {
 
 /// Read only a shard file's header: schema and row count. Never reads
 /// payload bytes, so it is cheap even on multi-gigabyte shards.
-pub fn read_arda_header(path: impl AsRef<Path>) -> Result<ShardHeader> {
+pub(crate) fn read_arda_header(path: impl AsRef<Path>) -> Result<ShardHeader> {
     let path = path.as_ref();
     let file = std::fs::File::open(path)
         .map_err(|e| err(format!("cannot open {}: {e}", path.display())))?;
@@ -462,7 +462,7 @@ pub fn read_arda_bytes(name: &str, bytes: &[u8]) -> Result<Table> {
 
 /// Read a shard file; the table is named after the file stem, exactly
 /// like [`crate::read_csv`].
-pub fn read_arda(path: impl AsRef<Path>) -> Result<Table> {
+pub(crate) fn read_arda(path: impl AsRef<Path>) -> Result<Table> {
     let path = path.as_ref();
     let name = path
         .file_stem()

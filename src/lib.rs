@@ -33,13 +33,13 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`table`] | columnar tables, CSV, group-by (`arda-table`) |
+//! | [`table`] | columnar tables, CSV, group-by, `.arda` shards, the lazy sharded [`Repository`](table::Repository) and its catalog (`arda-table`) |
 //! | [`linalg`] | dense matrix, solvers, MVN sampling, OSNAP sketches |
 //! | [`ml`] | trees, forests, linear models, SVMs, metrics, splits |
 //! | [`join`] | hard/soft joins, time resampling, imputation |
 //! | [`coreset`] | uniform / stratified / sketch coresets |
 //! | [`select`] | RIFS + all baseline feature selectors |
-//! | [`discovery`] | join-discovery simulator (Aurum/Auctus stand-in) |
+//! | [`discovery`] | join-discovery simulator (Aurum/Auctus stand-in): mines a repository for ranked candidate joins, stores nothing |
 //! | [`synth`] | scenario generators with planted ground truth |
 //! | [`core`] | the end-to-end pipeline, join plans, AutoML-lite |
 
@@ -57,14 +57,14 @@ pub use arda_table as table;
 pub mod prelude {
     pub use arda_core::{automl_search, Arda, ArdaConfig, AugmentationReport, JoinPlan};
     pub use arda_coreset::{CoresetMethod, CoresetSpec};
-    pub use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
+    pub use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind};
     pub use arda_join::{execute_join, JoinKind, JoinSpec, SoftMethod};
     pub use arda_ml::{featurize, Dataset, FeaturizeOptions, ModelKind, Task};
     pub use arda_select::{
         rank_features, run_selector, RankingMethod, RifsConfig, SelectionContext, SelectorKind,
     };
     pub use arda_synth::{Scenario, ScenarioConfig};
-    pub use arda_table::{Column, DataType, Field, Schema, Table, Value};
+    pub use arda_table::{Column, DataType, Field, Repository, Schema, Table, Value};
 }
 
 #[cfg(test)]

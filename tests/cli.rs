@@ -191,3 +191,85 @@ fn cli_rejects_unknown_selector() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown selector"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Degenerate inputs are rejected before any model is fitted, with a
+/// specific message: by the library as `ArdaError::Invalid`, and by the
+/// CLI with exit code 1 and the message on stderr.
+#[test]
+fn degenerate_inputs_are_rejected_by_library_and_cli() {
+    use arda::core::ArdaError;
+    use arda::prelude::*;
+
+    let dir = std::env::temp_dir().join(format!("arda_cli_degenerate_{}", std::process::id()));
+    let repo_dir = dir.join("repo");
+    std::fs::create_dir_all(&repo_dir).unwrap();
+    let mut ext_csv = String::from("key,boost\n");
+    for i in 0..40 {
+        ext_csv.push_str(&format!("{i},{}\n", i % 7));
+    }
+    write(&repo_dir.join("ext.csv"), &ext_csv);
+    let repo = Repository::from_dir(&repo_dir).unwrap();
+
+    let base_csv = |n: usize, y: &dyn Fn(usize) -> String| -> String {
+        let mut csv = String::from("key,y\n");
+        for i in 0..n {
+            csv.push_str(&format!("{i},{}\n", y(i)));
+        }
+        csv
+    };
+    let few_values = "fewer than two distinct non-null values";
+    let small_split = "each side needs at least 2";
+    let cases: Vec<(&str, String, &str)> = vec![
+        (
+            "constant regression target",
+            base_csv(40, &|_| "1.5".into()),
+            few_values,
+        ),
+        (
+            "all-null target",
+            base_csv(40, &|_| String::new()),
+            few_values,
+        ),
+        (
+            "single-class target",
+            base_csv(40, &|_| "yes".into()),
+            few_values,
+        ),
+        ("one-row base", base_csv(1, &|i| i.to_string()), few_values),
+        ("two-row base", base_csv(2, &|i| i.to_string()), small_split),
+        (
+            "three-row base",
+            base_csv(3, &|i| format!("{i}.5")),
+            small_split,
+        ),
+    ];
+
+    for (case, csv, expected) in cases {
+        let base = arda::table::read_csv_str("base", &csv).unwrap();
+        match Arda::new(ArdaConfig::default()).run(&base, &repo, "y") {
+            Err(ArdaError::Invalid(msg)) => {
+                assert!(msg.contains(expected), "{case}: library said `{msg}`")
+            }
+            Err(e) => panic!("{case}: expected an invalid-input error, got `{e}`"),
+            Ok(r) => panic!("{case}: accepted, scores {}", r.augmented_score),
+        }
+
+        let base_path = dir.join("base.csv");
+        write(&base_path, &csv);
+        let output = Command::new(env!("CARGO_BIN_EXE_arda-cli"))
+            .args([
+                "--base",
+                base_path.to_str().unwrap(),
+                "--target",
+                "y",
+                "--repo",
+                repo_dir.to_str().unwrap(),
+            ])
+            .output()
+            .expect("run arda-cli");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{case}: stderr {stderr}");
+        assert!(stderr.contains(expected), "{case}: CLI said {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
