@@ -296,6 +296,146 @@ mod tests {
         assert!(s > 0.9, "score {s}");
     }
 
+    /// FNV-1a over the bit patterns of `values`.
+    fn bits_digest(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// Fixed training rows, labels and held-out rows for `task`: three
+    /// features, a noisy linear signal on the first two, and labels cut
+    /// from that signal for classification.
+    fn pin_data(task: Task) -> (Matrix, Vec<f64>, Matrix) {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut draw = |n: usize| {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                .collect();
+            let y: Vec<f64> = rows
+                .iter()
+                .map(|r| {
+                    let s = 1.5 * r[0] - 0.7 * r[1] + rng.gen_range(-2.0..2.0);
+                    match task.n_classes() {
+                        1 => s,
+                        2 => f64::from(u8::from(s > 0.0)),
+                        _ => f64::from(u8::from(s > -1.0) + u8::from(s > 1.0)),
+                    }
+                })
+                .collect();
+            (Matrix::from_rows(&rows).unwrap(), y)
+        };
+        let (x, y) = draw(45);
+        let (test, _) = draw(12);
+        (x, y, test)
+    }
+
+    /// Every model's output, pinned bit for bit on regression, binary and
+    /// 3-class data: a digest of the held-out predictions' `to_bits`, then
+    /// a digest of the coefficients the linear rankings read, or the RBF
+    /// SVM's support count. A change that moves any of them changes the
+    /// numerics and must re-pin them in its own diff.
+    #[test]
+    fn outputs_are_pinned_bit_for_bit() {
+        let kinds = [
+            ModelKind::RandomForest {
+                n_trees: 6,
+                max_depth: 5,
+            },
+            ModelKind::DecisionTree { max_depth: 4 },
+            ModelKind::Ridge { lambda: 0.1 },
+            ModelKind::Lasso { alpha: 0.05 },
+            ModelKind::Logistic { lambda: 1e-3 },
+            ModelKind::LinearSvm { lambda: 0.01 },
+            ModelKind::RbfSvm { c: 1.0 },
+        ];
+        let tasks = [
+            ("regression", Task::Regression),
+            ("binary", Task::Classification { n_classes: 2 }),
+            ("3-class", Task::Classification { n_classes: 3 }),
+        ];
+        let mut got = Vec::new();
+        for (name, task) in tasks {
+            let (x, y, test) = pin_data(task);
+            for kind in kinds.iter().filter(|k| k.supports(task)) {
+                let model = kind.fit(&x, &y, task, 7).unwrap();
+                let mut pins = vec![bits_digest(&model.predict(&test).unwrap())];
+                match &model {
+                    Model::Ridge(m) => pins.push(bits_digest(m.coefficients())),
+                    Model::Lasso(m) => pins.push(bits_digest(m.coefficients())),
+                    Model::Logistic(m) => pins.push(bits_digest(&m.coefficient_magnitudes())),
+                    Model::LinearSvm(m) => pins.push(bits_digest(&m.coefficient_magnitudes())),
+                    Model::RbfSvm(m) => pins.push(m.n_support() as u64),
+                    Model::RandomForest(_) | Model::DecisionTree(_) => {}
+                }
+                got.push((format!("{kind:?} on {name}"), pins));
+            }
+        }
+        let want: Vec<(String, Vec<u64>)> = [
+            // (model on task, [predictions digest, coefficients digest or support count])
+            (
+                "RandomForest { n_trees: 6, max_depth: 5 } on regression",
+                &[0xb291d1ff33b949fa][..],
+            ),
+            (
+                "DecisionTree { max_depth: 4 } on regression",
+                &[0x37c3fe6dfde7761b][..],
+            ),
+            (
+                "Ridge { lambda: 0.1 } on regression",
+                &[0x72e0686d9084292a, 0xd18a86cee8140c0b][..],
+            ),
+            (
+                "Lasso { alpha: 0.05 } on regression",
+                &[0xef7f5c8e39bce866, 0x6b2f85f177202aab][..],
+            ),
+            (
+                "RandomForest { n_trees: 6, max_depth: 5 } on binary",
+                &[0xb0e1d1d553e237d8][..],
+            ),
+            (
+                "DecisionTree { max_depth: 4 } on binary",
+                &[0xffd18d84ea264a18][..],
+            ),
+            (
+                "Logistic { lambda: 0.001 } on binary",
+                &[0xafd220d552fb8ae5, 0x6c2a912a4fb69677][..],
+            ),
+            (
+                "LinearSvm { lambda: 0.01 } on binary",
+                &[0xc3e5d2a9c0700bd8, 0x963d0ac4714017f3][..],
+            ),
+            ("RbfSvm { c: 1.0 } on binary", &[0x0317ae317fcc2798, 28][..]),
+            (
+                "RandomForest { n_trees: 6, max_depth: 5 } on 3-class",
+                &[0x74fd7cd97ac89865][..],
+            ),
+            (
+                "DecisionTree { max_depth: 4 } on 3-class",
+                &[0xc4e1dafcd94cfc45][..],
+            ),
+            (
+                "Logistic { lambda: 0.001 } on 3-class",
+                &[0xb3cd1a247fc22265, 0x0d988cbbfbbf886d][..],
+            ),
+            (
+                "LinearSvm { lambda: 0.01 } on 3-class",
+                &[0x83207ffb816cd425, 0xc5fe1b3a272f6ec1][..],
+            ),
+            (
+                "RbfSvm { c: 1.0 } on 3-class",
+                &[0xc132781d71fa7745, 27][..],
+            ),
+        ]
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_vec()))
+        .collect();
+        assert_eq!(got, want, "re-pin from: {got:#x?}");
+    }
+
     #[test]
     fn score_for_task_dispatch() {
         let cls = Task::Classification { n_classes: 2 };
