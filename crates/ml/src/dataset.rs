@@ -10,7 +10,7 @@ use arda_linalg::Matrix;
 pub enum Task {
     /// Real-valued target; scored by error metrics (MAE/RMSE).
     Regression,
-    /// Integer class labels `0..n_classes`; scored by accuracy/F1.
+    /// Integer class labels `0..n_classes`; scored by accuracy.
     Classification {
         /// Number of distinct classes.
         n_classes: usize,

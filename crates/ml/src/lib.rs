@@ -16,10 +16,17 @@
 //! * [`linear`] — ridge, lasso (coordinate descent), logistic regression and
 //!   Pegasos linear SVM.
 //! * [`svm`] — RBF-kernel SVM via SMO (one-vs-rest for multiclass).
-//! * [`metrics`] — accuracy, macro-F1, MAE, RMSE, R².
+//! * [`metrics`] — accuracy, MAE, RMSE, R².
 //! * [`split`] — train/test and stratified splits, k-fold cross validation.
 //! * [`Model`] — a uniform fit/predict interface over all of the above, used
 //!   by feature-selection wrappers and the AutoML-lite comparator.
+//!
+//! Every model has one shape: a constructor that takes the training rows
+//! and the hyper-parameters and returns the fitted model
+//! ([`RandomForest::fit_xy`], [`Ridge::fit`], [`RbfSvm::fit`], ...), then
+//! `predict`. There is no un-fitted state. The five non-tree models share
+//! one private scaling rule (standardise at fit, replay at predict) and one
+//! one-vs-rest rule for their classifier heads.
 
 // Numeric kernels below index several arrays with one loop variable;
 // iterator rewrites would obscure the math.
@@ -27,6 +34,7 @@
 
 pub mod dataset;
 pub mod featurize;
+mod fitting;
 pub mod forest;
 pub mod knn;
 pub mod linear;
@@ -43,7 +51,7 @@ pub use knn::nearest_neighbors;
 pub use linear::{Lasso, LinearSvm, LogisticRegression, Ridge};
 pub use model::{score_for_task, Model, ModelKind};
 pub use split::{kfold_indices, stratified_split, train_test_split};
-pub use svm::{RbfSvm, SvmConfig};
+pub use svm::RbfSvm;
 pub use tree::{DecisionTree, MaxFeatures, TreeConfig};
 
 /// Error type for ML operations.
@@ -51,8 +59,6 @@ pub use tree::{DecisionTree, MaxFeatures, TreeConfig};
 pub enum MlError {
     /// Input shapes disagree (rows vs labels, train vs test width, ...).
     ShapeMismatch(String),
-    /// The model was used before `fit`.
-    NotFitted,
     /// Invalid configuration or data (e.g. empty training set).
     Invalid(String),
 }
@@ -61,7 +67,6 @@ impl std::fmt::Display for MlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MlError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
-            MlError::NotFitted => write!(f, "model not fitted"),
             MlError::Invalid(msg) => write!(f, "invalid: {msg}"),
         }
     }

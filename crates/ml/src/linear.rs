@@ -3,62 +3,82 @@
 //!
 //! These provide both estimators and — through their coefficient magnitudes —
 //! the linear feature rankers of ARDA's baseline grid (Lasso, Logistic
-//! Regression, Linear SVC in Tables 1/6).
+//! Regression, Linear SVC in Tables 1/6). Each model is built by its `fit`,
+//! which returns the fitted model; all four share one fitted shape, a set of
+//! linear heads over standardised features.
 
+use crate::fitting::{one_vs_rest_predict, one_vs_rest_targets, Standardizer};
 use crate::{MlError, Result};
-use arda_linalg::stats::{apply_standardization, standardize_columns};
 use arda_linalg::{cholesky_solve, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn check_fit_shapes(x: &Matrix, y: &[f64]) -> Result<()> {
-    if x.rows() == 0 {
-        return Err(MlError::Invalid("empty training set".into()));
+/// Lasso coordinate-descent sweeps.
+const LASSO_MAX_SWEEPS: usize = 300;
+/// Lasso stops once no coefficient moves by this much in a sweep.
+const LASSO_TOL: f64 = 1e-6;
+/// Logistic-regression gradient steps.
+const LOGISTIC_STEPS: usize = 200;
+/// Logistic-regression learning rate.
+const LOGISTIC_LR: f64 = 0.5;
+/// Pegasos epochs (each draws `n` rows).
+const PEGASOS_EPOCHS: usize = 30;
+
+/// `intercept + Σ xᵢ·wᵢ`.
+fn linear_score(intercept: f64, weights: &[f64], row: &[f64]) -> f64 {
+    intercept + row.iter().zip(weights).map(|(a, b)| a * b).sum::<f64>()
+}
+
+/// Fitted linear heads over standardised features: one head for the two
+/// regressors and binary classifiers, one per class otherwise.
+#[derive(Debug, Clone)]
+struct LinearHeads {
+    scaler: Standardizer,
+    weights: Vec<Vec<f64>>,
+    intercepts: Vec<f64>,
+}
+
+impl LinearHeads {
+    /// The single head's score for each row of `x`.
+    fn regress(&self, x: &Matrix) -> Result<Vec<f64>> {
+        let xs = self.scaler.apply(x)?;
+        Ok((0..xs.rows())
+            .map(|r| linear_score(self.intercepts[0], &self.weights[0], xs.row(r)))
+            .collect())
     }
-    if x.rows() != y.len() {
-        return Err(MlError::ShapeMismatch(format!(
-            "{} rows vs {} labels",
-            x.rows(),
-            y.len()
-        )));
+
+    /// One-vs-rest class ids for each row of `x`.
+    fn classify(&self, x: &Matrix) -> Result<Vec<f64>> {
+        let xs = self.scaler.apply(x)?;
+        Ok(one_vs_rest_predict(&xs, self.weights.len(), |h, row| {
+            linear_score(self.intercepts[h], &self.weights[h], row)
+        }))
     }
-    Ok(())
+
+    /// Per-feature L2 norm of the coefficients across heads.
+    fn coefficient_magnitudes(&self) -> Vec<f64> {
+        (0..self.weights[0].len())
+            .map(|j| self.weights.iter().map(|w| w[j] * w[j]).sum::<f64>().sqrt())
+            .collect()
+    }
 }
 
 /// Ridge regression `min ‖Xw − y‖² + λ‖w‖²`, solved exactly via Cholesky on
 /// the regularised normal equations.
 #[derive(Debug, Clone)]
-pub struct Ridge {
-    /// L2 penalty λ.
-    pub lambda: f64,
-    weights: Vec<f64>,
-    intercept: f64,
-    scaling: Vec<(f64, f64)>,
-}
+pub struct Ridge(LinearHeads);
 
 impl Ridge {
-    /// New un-fitted model.
-    pub fn new(lambda: f64) -> Self {
-        Ridge {
-            lambda,
-            weights: Vec::new(),
-            intercept: 0.0,
-            scaling: Vec::new(),
-        }
-    }
-
-    /// Fit on `x`, `y`.
-    pub fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        check_fit_shapes(x, y)?;
-        let mut xs = x.clone();
-        self.scaling = standardize_columns(&mut xs);
+    /// Fit on `x`, `y` with L2 penalty `lambda`.
+    pub fn fit(x: &Matrix, y: &[f64], lambda: f64) -> Result<Self> {
+        let (scaler, xs) = Standardizer::fit(x, y)?;
         let y_mean = y.iter().sum::<f64>() / y.len() as f64;
         let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
         let mut gram = xs.gram();
         let d = gram.rows();
         for i in 0..d {
-            let v = gram.get(i, i) + self.lambda.max(1e-9);
+            let v = gram.get(i, i) + lambda.max(1e-9);
             gram.set(i, i, v);
         }
         // Xᵀy.
@@ -70,78 +90,36 @@ impl Ridge {
                 *acc += v * yv;
             }
         }
-        self.weights = cholesky_solve(&gram, &rhs).map_err(|e| MlError::Invalid(e.to_string()))?;
-        self.intercept = y_mean;
-        Ok(())
+        let w = cholesky_solve(&gram, &rhs).map_err(|e| MlError::Invalid(e.to_string()))?;
+        Ok(Ridge(LinearHeads {
+            scaler,
+            weights: vec![w],
+            intercepts: vec![y_mean],
+        }))
     }
 
     /// Predict rows of `x`.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.weights.is_empty() && x.cols() != 0 {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.scaling.len() {
-            return Err(MlError::ShapeMismatch(format!(
-                "predict: {} columns vs trained {}",
-                x.cols(),
-                self.scaling.len()
-            )));
-        }
-        let mut xs = x.clone();
-        apply_standardization(&mut xs, &self.scaling);
-        Ok((0..xs.rows())
-            .map(|r| {
-                self.intercept
-                    + xs.row(r)
-                        .iter()
-                        .zip(&self.weights)
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>()
-            })
-            .collect())
+        self.0.regress(x)
     }
 
     /// Standardised coefficients (importance magnitudes).
     pub fn coefficients(&self) -> &[f64] {
-        &self.weights
+        &self.0.weights[0]
     }
 }
 
 /// Lasso `min (1/2n)‖Xw − y‖² + α‖w‖₁` via cyclic coordinate descent on
 /// standardised features.
 #[derive(Debug, Clone)]
-pub struct Lasso {
-    /// L1 penalty α.
-    pub alpha: f64,
-    /// Maximum coordinate-descent sweeps.
-    pub max_iter: usize,
-    /// Convergence tolerance on the max coefficient change.
-    pub tol: f64,
-    weights: Vec<f64>,
-    intercept: f64,
-    scaling: Vec<(f64, f64)>,
-}
+pub struct Lasso(LinearHeads);
 
 impl Lasso {
-    /// New un-fitted model.
-    pub fn new(alpha: f64) -> Self {
-        Lasso {
-            alpha,
-            max_iter: 300,
-            tol: 1e-6,
-            weights: Vec::new(),
-            intercept: 0.0,
-            scaling: Vec::new(),
-        }
-    }
-
-    /// Fit on `x`, `y`.
-    pub fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<()> {
-        check_fit_shapes(x, y)?;
-        let n = x.rows();
-        let d = x.cols();
-        let mut xs = x.clone();
-        self.scaling = standardize_columns(&mut xs);
+    /// Fit on `x`, `y` with L1 penalty `alpha`.
+    pub fn fit(x: &Matrix, y: &[f64], alpha: f64) -> Result<Self> {
+        let (scaler, xs) = Standardizer::fit(x, y)?;
+        let n = xs.rows();
+        let d = xs.cols();
         let y_mean = y.iter().sum::<f64>() / n as f64;
         let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
@@ -153,7 +131,7 @@ impl Lasso {
             .collect();
 
         let mut w = vec![0.0; d];
-        let mut residual = yc.clone();
+        let mut residual = yc;
         let soft = |z: f64, g: f64| -> f64 {
             if z > g {
                 z - g
@@ -163,7 +141,7 @@ impl Lasso {
                 0.0
             }
         };
-        for _ in 0..self.max_iter {
+        for _ in 0..LASSO_MAX_SWEEPS {
             let mut max_delta: f64 = 0.0;
             for j in 0..d {
                 if col_sq[j] <= 1e-12 {
@@ -176,7 +154,7 @@ impl Lasso {
                     rho += xi * ri;
                 }
                 rho = rho / n as f64 + col_sq[j] * old;
-                let new = soft(rho, self.alpha) / col_sq[j];
+                let new = soft(rho, alpha) / col_sq[j];
                 if new != old {
                     let delta = new - old;
                     for (ri, xi) in residual.iter_mut().zip(&cols[j]) {
@@ -186,119 +164,50 @@ impl Lasso {
                     max_delta = max_delta.max(delta.abs());
                 }
             }
-            if max_delta < self.tol {
+            if max_delta < LASSO_TOL {
                 break;
             }
         }
-        self.weights = w;
-        self.intercept = y_mean;
-        Ok(())
+        Ok(Lasso(LinearHeads {
+            scaler,
+            weights: vec![w],
+            intercepts: vec![y_mean],
+        }))
     }
 
     /// Predict rows of `x`.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.scaling.is_empty() && x.cols() != 0 {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.scaling.len() {
-            return Err(MlError::ShapeMismatch("predict width".into()));
-        }
-        let mut xs = x.clone();
-        apply_standardization(&mut xs, &self.scaling);
-        Ok((0..xs.rows())
-            .map(|r| {
-                self.intercept
-                    + xs.row(r)
-                        .iter()
-                        .zip(&self.weights)
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>()
-            })
-            .collect())
+        self.0.regress(x)
     }
 
     /// Sparse standardised coefficients.
     pub fn coefficients(&self) -> &[f64] {
-        &self.weights
+        &self.0.weights[0]
     }
 }
 
 /// One-vs-rest L2-regularised logistic regression trained with gradient
 /// descent on standardised features.
 #[derive(Debug, Clone)]
-pub struct LogisticRegression {
-    /// L2 penalty.
-    pub lambda: f64,
-    /// Gradient steps.
-    pub max_iter: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// Number of classes (fixed at fit time).
-    n_classes: usize,
-    /// Per-class weight vectors (one-vs-rest).
-    weights: Vec<Vec<f64>>,
-    intercepts: Vec<f64>,
-    scaling: Vec<(f64, f64)>,
-}
+pub struct LogisticRegression(LinearHeads);
 
 impl LogisticRegression {
-    /// New un-fitted model.
-    pub fn new(lambda: f64) -> Self {
-        LogisticRegression {
-            lambda,
-            max_iter: 200,
-            lr: 0.5,
-            n_classes: 0,
-            weights: Vec::new(),
-            intercepts: Vec::new(),
-            scaling: Vec::new(),
-        }
-    }
-
-    /// Fit with class labels `0..n_classes` encoded in `y`.
-    pub fn fit(&mut self, x: &Matrix, y: &[f64], n_classes: usize) -> Result<()> {
-        check_fit_shapes(x, y)?;
-        if n_classes < 2 {
-            return Err(MlError::Invalid(
-                "logistic regression needs ≥2 classes".into(),
-            ));
-        }
-        let n = x.rows();
-        let d = x.cols();
-        let mut xs = x.clone();
-        self.scaling = standardize_columns(&mut xs);
-        self.n_classes = n_classes;
-        self.weights.clear();
-        self.intercepts.clear();
-
-        // Binary case trains one head; multiclass trains one per class.
-        let heads = if n_classes == 2 { 1 } else { n_classes };
-        for cls in 0..heads {
-            // Binary mode trains a single label-1-vs-0 head; multiclass
-            // trains class-`cls`-vs-rest heads.
-            let targets: Vec<f64> = y
-                .iter()
-                .map(|&v| {
-                    let positive = if n_classes == 2 {
-                        v >= 1.0
-                    } else {
-                        (v as usize) == cls
-                    };
-                    if positive {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
+    /// Fit with class labels `0..n_classes` encoded in `y` and L2 penalty
+    /// `lambda`.
+    pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, lambda: f64) -> Result<Self> {
+        let (scaler, xs) = Standardizer::fit(x, y)?;
+        let n = xs.rows();
+        let d = xs.cols();
+        let mut weights = Vec::new();
+        let mut intercepts = Vec::new();
+        for targets in one_vs_rest_targets(y, n_classes, 0.0)? {
             let mut w = vec![0.0; d];
             let mut b = 0.0;
-            for _ in 0..self.max_iter {
+            for _ in 0..LOGISTIC_STEPS {
                 let mut grad_w = vec![0.0; d];
                 let mut grad_b = 0.0;
                 for r in 0..n {
-                    let z: f64 = b + xs.row(r).iter().zip(&w).map(|(a, c)| a * c).sum::<f64>();
-                    let p = 1.0 / (1.0 + (-z).exp());
+                    let p = 1.0 / (1.0 + (-linear_score(b, &w, xs.row(r))).exp());
                     let err = p - targets[r];
                     for (g, v) in grad_w.iter_mut().zip(xs.row(r)) {
                         *g += err * v;
@@ -307,143 +216,58 @@ impl LogisticRegression {
                 }
                 let inv_n = 1.0 / n as f64;
                 for (wj, gj) in w.iter_mut().zip(&grad_w) {
-                    *wj -= self.lr * (gj * inv_n + self.lambda * *wj);
+                    *wj -= LOGISTIC_LR * (gj * inv_n + lambda * *wj);
                 }
-                b -= self.lr * grad_b * inv_n;
+                b -= LOGISTIC_LR * grad_b * inv_n;
             }
-            self.weights.push(w);
-            self.intercepts.push(b);
+            weights.push(w);
+            intercepts.push(b);
         }
-        Ok(())
+        Ok(LogisticRegression(LinearHeads {
+            scaler,
+            weights,
+            intercepts,
+        }))
     }
 
     /// Predicted class ids.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.weights.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.scaling.len() {
-            return Err(MlError::ShapeMismatch("predict width".into()));
-        }
-        let mut xs = x.clone();
-        apply_standardization(&mut xs, &self.scaling);
-        let mut out = Vec::with_capacity(xs.rows());
-        for r in 0..xs.rows() {
-            if self.n_classes == 2 {
-                let z: f64 = self.intercepts[0]
-                    + xs.row(r)
-                        .iter()
-                        .zip(&self.weights[0])
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>();
-                out.push(if z >= 0.0 { 1.0 } else { 0.0 });
-            } else {
-                let best = (0..self.weights.len())
-                    .map(|c| {
-                        self.intercepts[c]
-                            + xs.row(r)
-                                .iter()
-                                .zip(&self.weights[c])
-                                .map(|(a, b)| a * b)
-                                .sum::<f64>()
-                    })
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(c, _)| c as f64)
-                    .unwrap_or(0.0);
-                out.push(best);
-            }
-        }
-        Ok(out)
+        self.0.classify(x)
     }
 
     /// Per-feature importance: L2 norm of the coefficient across heads.
     pub fn coefficient_magnitudes(&self) -> Vec<f64> {
-        if self.weights.is_empty() {
-            return Vec::new();
-        }
-        let d = self.weights[0].len();
-        (0..d)
-            .map(|j| self.weights.iter().map(|w| w[j] * w[j]).sum::<f64>().sqrt())
-            .collect()
+        self.0.coefficient_magnitudes()
     }
 }
 
 /// Linear SVM via the Pegasos stochastic sub-gradient solver (binary, hinge
 /// loss, L2 regularisation); one-vs-rest for multiclass.
 #[derive(Debug, Clone)]
-pub struct LinearSvm {
-    /// Regularisation λ.
-    pub lambda: f64,
-    /// SGD epochs.
-    pub epochs: usize,
-    /// RNG seed.
-    pub seed: u64,
-    n_classes: usize,
-    weights: Vec<Vec<f64>>,
-    intercepts: Vec<f64>,
-    scaling: Vec<(f64, f64)>,
-}
+pub struct LinearSvm(LinearHeads);
 
 impl LinearSvm {
-    /// New un-fitted model.
-    pub fn new(lambda: f64) -> Self {
-        LinearSvm {
-            lambda,
-            epochs: 30,
-            seed: 0,
-            n_classes: 0,
-            weights: Vec::new(),
-            intercepts: Vec::new(),
-            scaling: Vec::new(),
-        }
-    }
-
-    /// Fit with class labels `0..n_classes`.
-    pub fn fit(&mut self, x: &Matrix, y: &[f64], n_classes: usize) -> Result<()> {
-        check_fit_shapes(x, y)?;
-        if n_classes < 2 {
-            return Err(MlError::Invalid("svm needs ≥2 classes".into()));
-        }
-        let n = x.rows();
-        let d = x.cols();
-        let mut xs = x.clone();
-        self.scaling = standardize_columns(&mut xs);
-        self.n_classes = n_classes;
-        self.weights.clear();
-        self.intercepts.clear();
-
-        let heads = if n_classes == 2 { 1 } else { n_classes };
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for cls in 0..heads {
-            // ±1 targets: positive = this class (or label 1 in binary mode).
-            let targets: Vec<f64> = y
-                .iter()
-                .map(|&v| {
-                    let positive = if n_classes == 2 {
-                        v >= 1.0
-                    } else {
-                        (v as usize) == cls
-                    };
-                    if positive {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                })
-                .collect();
+    /// Fit with class labels `0..n_classes`, regularisation `lambda` and
+    /// the RNG `seed` that draws the SGD rows.
+    pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, lambda: f64, seed: u64) -> Result<Self> {
+        let (scaler, xs) = Standardizer::fit(x, y)?;
+        let n = xs.rows();
+        let d = xs.cols();
+        let mut weights = Vec::new();
+        let mut intercepts = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for targets in one_vs_rest_targets(y, n_classes, -1.0)? {
             let mut w = vec![0.0; d];
             let mut b = 0.0;
             let mut t = 0usize;
-            for _ in 0..self.epochs {
+            for _ in 0..PEGASOS_EPOCHS {
                 for _ in 0..n {
                     t += 1;
                     let i = rng.gen_range(0..n);
-                    let eta = 1.0 / (self.lambda * t as f64);
-                    let margin: f64 = targets[i]
-                        * (b + xs.row(i).iter().zip(&w).map(|(a, c)| a * c).sum::<f64>());
+                    let eta = 1.0 / (lambda * t as f64);
+                    let margin = targets[i] * linear_score(b, &w, xs.row(i));
                     for wj in w.iter_mut() {
-                        *wj *= 1.0 - eta * self.lambda;
+                        *wj *= 1.0 - eta * lambda;
                     }
                     if margin < 1.0 {
                         for (wj, v) in w.iter_mut().zip(xs.row(i)) {
@@ -453,61 +277,24 @@ impl LinearSvm {
                     }
                 }
             }
-            self.weights.push(w);
-            self.intercepts.push(b);
+            weights.push(w);
+            intercepts.push(b);
         }
-        Ok(())
+        Ok(LinearSvm(LinearHeads {
+            scaler,
+            weights,
+            intercepts,
+        }))
     }
 
     /// Predicted class ids.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.weights.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.scaling.len() {
-            return Err(MlError::ShapeMismatch("predict width".into()));
-        }
-        let mut xs = x.clone();
-        apply_standardization(&mut xs, &self.scaling);
-        let mut out = Vec::with_capacity(xs.rows());
-        for r in 0..xs.rows() {
-            if self.n_classes == 2 {
-                let z: f64 = self.intercepts[0]
-                    + xs.row(r)
-                        .iter()
-                        .zip(&self.weights[0])
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>();
-                out.push(if z >= 0.0 { 1.0 } else { 0.0 });
-            } else {
-                let best = (0..self.weights.len())
-                    .map(|c| {
-                        self.intercepts[c]
-                            + xs.row(r)
-                                .iter()
-                                .zip(&self.weights[c])
-                                .map(|(a, b)| a * b)
-                                .sum::<f64>()
-                    })
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(c, _)| c as f64)
-                    .unwrap_or(0.0);
-                out.push(best);
-            }
-        }
-        Ok(out)
+        self.0.classify(x)
     }
 
     /// Per-feature importance: L2 norm of coefficients across heads.
     pub fn coefficient_magnitudes(&self) -> Vec<f64> {
-        if self.weights.is_empty() {
-            return Vec::new();
-        }
-        let d = self.weights[0].len();
-        (0..d)
-            .map(|j| self.weights.iter().map(|w| w[j] * w[j]).sum::<f64>().sqrt())
-            .collect()
+        self.0.coefficient_magnitudes()
     }
 }
 
@@ -540,8 +327,7 @@ mod tests {
     #[test]
     fn ridge_recovers_linear_function() {
         let (x, y) = linear_data(100, 0);
-        let mut m = Ridge::new(1e-6);
-        m.fit(&x, &y).unwrap();
+        let m = Ridge::fit(&x, &y, 1e-6).unwrap();
         let preds = m.predict(&x).unwrap();
         for (p, t) in preds.iter().zip(&y) {
             assert!((p - t).abs() < 1e-6, "{p} vs {t}");
@@ -551,10 +337,8 @@ mod tests {
     #[test]
     fn ridge_shrinks_with_large_lambda() {
         let (x, y) = linear_data(100, 1);
-        let mut weak = Ridge::new(1e-6);
-        weak.fit(&x, &y).unwrap();
-        let mut strong = Ridge::new(1e6);
-        strong.fit(&x, &y).unwrap();
+        let weak = Ridge::fit(&x, &y, 1e-6).unwrap();
+        let strong = Ridge::fit(&x, &y, 1e6).unwrap();
         let norm = |w: &[f64]| w.iter().map(|v| v * v).sum::<f64>();
         assert!(norm(strong.coefficients()) < norm(weak.coefficients()) * 1e-3);
     }
@@ -573,8 +357,7 @@ mod tests {
             .collect();
         let y: Vec<f64> = rows.iter().map(|r| 5.0 * r[0]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        let mut m = Lasso::new(0.5);
-        m.fit(&x, &y).unwrap();
+        let m = Lasso::fit(&x, &y, 0.5).unwrap();
         let w = m.coefficients();
         assert!(w[0].abs() > 1.0, "signal kept: {w:?}");
         assert!(
@@ -586,8 +369,7 @@ mod tests {
     #[test]
     fn lasso_predicts_reasonably() {
         let (x, y) = linear_data(150, 3);
-        let mut m = Lasso::new(0.01);
-        m.fit(&x, &y).unwrap();
+        let m = Lasso::fit(&x, &y, 0.01).unwrap();
         let preds = m.predict(&x).unwrap();
         let mse: f64 = preds
             .iter()
@@ -601,8 +383,7 @@ mod tests {
     #[test]
     fn logistic_separates_blobs() {
         let (x, y) = binary_data(100, 4);
-        let mut m = LogisticRegression::new(1e-4);
-        m.fit(&x, &y, 2).unwrap();
+        let m = LogisticRegression::fit(&x, &y, 2, 1e-4).unwrap();
         let preds = m.predict(&x).unwrap();
         let acc = preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64;
         assert!(acc > 0.95, "acc {acc}");
@@ -624,8 +405,7 @@ mod tests {
             y.push(cls as f64);
         }
         let x = Matrix::from_rows(&rows).unwrap();
-        let mut m = LogisticRegression::new(1e-4);
-        m.fit(&x, &y, 3).unwrap();
+        let m = LogisticRegression::fit(&x, &y, 3, 1e-4).unwrap();
         let preds = m.predict(&x).unwrap();
         let acc = preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64;
         assert!(acc > 0.9, "acc {acc}");
@@ -634,39 +414,20 @@ mod tests {
     #[test]
     fn linear_svm_separates_blobs() {
         let (x, y) = binary_data(120, 5);
-        let mut m = LinearSvm::new(0.01);
-        m.fit(&x, &y, 2).unwrap();
+        let m = LinearSvm::fit(&x, &y, 2, 0.01, 0).unwrap();
         let preds = m.predict(&x).unwrap();
         let acc = preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64;
         assert!(acc > 0.95, "acc {acc}");
     }
 
     #[test]
-    fn not_fitted_errors() {
-        let x = Matrix::zeros(1, 2);
-        assert!(matches!(
-            Ridge::new(1.0).predict(&x),
-            Err(MlError::NotFitted)
-        ));
-        assert!(matches!(
-            LogisticRegression::new(1.0).predict(&x),
-            Err(MlError::NotFitted)
-        ));
-        assert!(matches!(
-            LinearSvm::new(1.0).predict(&x),
-            Err(MlError::NotFitted)
-        ));
-    }
-
-    #[test]
     fn shape_errors() {
         let x = Matrix::zeros(3, 2);
         let y = vec![0.0, 1.0];
-        assert!(Ridge::new(1.0).fit(&x, &y).is_err());
-        assert!(LogisticRegression::new(1.0).fit(&x, &[0.0; 3], 1).is_err());
+        assert!(Ridge::fit(&x, &y, 1.0).is_err());
+        assert!(LogisticRegression::fit(&x, &[0.0; 3], 1, 1.0).is_err());
         let (xt, yt) = binary_data(20, 6);
-        let mut m = LinearSvm::new(0.1);
-        m.fit(&xt, &yt, 2).unwrap();
+        let m = LinearSvm::fit(&xt, &yt, 2, 0.1, 0).unwrap();
         assert!(m.predict(&Matrix::zeros(1, 5)).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Evaluation metrics: accuracy, macro-F1, MAE, RMSE, R².
+//! Evaluation metrics: accuracy, MAE, RMSE, R².
 //!
 //! The paper reports accuracy for classification tasks and scaled Mean
 //! Absolute Error for regression tasks (Table 1); all metric shapes used by
@@ -12,49 +12,6 @@ pub fn accuracy(pred: &[f64], truth: &[f64]) -> f64 {
     }
     let hits = pred.iter().zip(truth).filter(|(p, t)| p == t).count();
     hits as f64 / pred.len() as f64
-}
-
-/// Macro-averaged F1 over the classes present in `truth`.
-pub fn macro_f1(pred: &[f64], truth: &[f64], n_classes: usize) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "macro_f1: length mismatch");
-    if pred.is_empty() || n_classes == 0 {
-        return 0.0;
-    }
-    let mut f1_sum = 0.0;
-    let mut present = 0usize;
-    for c in 0..n_classes {
-        let c = c as f64;
-        let tp = pred
-            .iter()
-            .zip(truth)
-            .filter(|(p, t)| **p == c && **t == c)
-            .count() as f64;
-        let fp = pred
-            .iter()
-            .zip(truth)
-            .filter(|(p, t)| **p == c && **t != c)
-            .count() as f64;
-        let fn_ = pred
-            .iter()
-            .zip(truth)
-            .filter(|(p, t)| **p != c && **t == c)
-            .count() as f64;
-        if tp + fn_ == 0.0 {
-            continue; // class absent from truth
-        }
-        present += 1;
-        if tp == 0.0 {
-            continue; // F1 = 0 for this class
-        }
-        let precision = tp / (tp + fp);
-        let recall = tp / (tp + fn_);
-        f1_sum += 2.0 * precision * recall / (precision + recall);
-    }
-    if present == 0 {
-        0.0
-    } else {
-        f1_sum / present as f64
-    }
 }
 
 /// Mean absolute error.
@@ -114,28 +71,6 @@ mod tests {
     fn accuracy_counts_matches() {
         assert_eq!(accuracy(&[1.0, 0.0, 1.0], &[1.0, 1.0, 1.0]), 2.0 / 3.0);
         assert_eq!(accuracy(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn f1_perfect_is_one() {
-        let y = vec![0.0, 1.0, 1.0, 0.0];
-        assert!((macro_f1(&y, &y, 2) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f1_handles_missing_class_in_truth() {
-        // Class 2 never appears in truth → skipped, not a divide-by-zero.
-        let pred = vec![0.0, 1.0];
-        let truth = vec![0.0, 1.0];
-        let f = macro_f1(&pred, &truth, 3);
-        assert!((f - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f1_zero_when_class_never_predicted() {
-        let pred = vec![0.0, 0.0];
-        let truth = vec![1.0, 1.0];
-        assert_eq!(macro_f1(&pred, &truth, 2), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::forest::{ForestConfig, RandomForest};
 use crate::linear::{Lasso, LinearSvm, LogisticRegression, Ridge};
-use crate::svm::{RbfSvm, SvmConfig};
+use crate::svm::RbfSvm;
 use crate::tree::{DecisionTree, TreeConfig};
 use crate::{metrics, Dataset, MlError, Result, Task};
 use arda_linalg::Matrix;
@@ -55,14 +55,6 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// The paper's default estimator: a lightly tuned random forest.
-    pub fn default_forest() -> Self {
-        ModelKind::RandomForest {
-            n_trees: 64,
-            max_depth: 12,
-        }
-    }
-
     /// True when this model kind can be fitted for `task`.
     pub fn supports(&self, task: Task) -> bool {
         match self {
@@ -99,36 +91,28 @@ impl ModelKind {
                 };
                 Ok(Model::DecisionTree(DecisionTree::fit_xy(x, y, task, &cfg)?))
             }
-            ModelKind::Ridge { lambda } => {
-                let mut m = Ridge::new(lambda);
-                m.fit(x, y)?;
-                Ok(Model::Ridge(m))
-            }
-            ModelKind::Lasso { alpha } => {
-                let mut m = Lasso::new(alpha);
-                m.fit(x, y)?;
-                Ok(Model::Lasso(m))
-            }
-            ModelKind::Logistic { lambda } => {
-                let mut m = LogisticRegression::new(lambda);
-                m.fit(x, y, task.n_classes())?;
-                Ok(Model::Logistic(m))
-            }
-            ModelKind::LinearSvm { lambda } => {
-                let mut m = LinearSvm::new(lambda);
-                m.seed = seed;
-                m.fit(x, y, task.n_classes())?;
-                Ok(Model::LinearSvm(m))
-            }
-            ModelKind::RbfSvm { c } => {
-                let mut m = RbfSvm::new(SvmConfig {
-                    c,
-                    seed,
-                    ..Default::default()
-                });
-                m.fit(x, y, task.n_classes())?;
-                Ok(Model::RbfSvm(Box::new(m)))
-            }
+            ModelKind::Ridge { lambda } => Ok(Model::Ridge(Ridge::fit(x, y, lambda)?)),
+            ModelKind::Lasso { alpha } => Ok(Model::Lasso(Lasso::fit(x, y, alpha)?)),
+            ModelKind::Logistic { lambda } => Ok(Model::Logistic(LogisticRegression::fit(
+                x,
+                y,
+                task.n_classes(),
+                lambda,
+            )?)),
+            ModelKind::LinearSvm { lambda } => Ok(Model::LinearSvm(LinearSvm::fit(
+                x,
+                y,
+                task.n_classes(),
+                lambda,
+                seed,
+            )?)),
+            ModelKind::RbfSvm { c } => Ok(Model::RbfSvm(Box::new(RbfSvm::fit(
+                x,
+                y,
+                task.n_classes(),
+                c,
+                seed,
+            )?))),
         }
     }
 }
@@ -227,8 +211,12 @@ mod tests {
     #[test]
     fn supports_matrix() {
         let cls = Task::Classification { n_classes: 2 };
-        assert!(ModelKind::default_forest().supports(cls));
-        assert!(ModelKind::default_forest().supports(Task::Regression));
+        let forest = ModelKind::RandomForest {
+            n_trees: 64,
+            max_depth: 12,
+        };
+        assert!(forest.supports(cls));
+        assert!(forest.supports(Task::Regression));
         assert!(!ModelKind::Ridge { lambda: 1.0 }.supports(cls));
         assert!(!ModelKind::Logistic { lambda: 1.0 }.supports(Task::Regression));
         assert!(ModelKind::RbfSvm { c: 1.0 }.supports(cls));

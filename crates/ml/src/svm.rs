@@ -3,42 +3,27 @@
 //! The paper's final estimator for classification tasks is "SVM with RBF
 //! kernel" alongside the random forest, with the better score reported (§7).
 //! This is a from-scratch binary SMO (Platt-style, simplified working-set
-//! selection) lifted to multiclass with one-vs-rest.
+//! selection) lifted to multiclass with one-vs-rest. [`RbfSvm::fit`] builds
+//! the kernel matrix once and shares it across the heads; scaling and the
+//! one-vs-rest rules are the ones the linear models use.
 
-use crate::{MlError, Result};
-use arda_linalg::stats::{apply_standardization, standardize_columns};
+use crate::fitting::{one_vs_rest_predict, one_vs_rest_targets, Standardizer};
+use crate::Result;
 use arda_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// SVM hyper-parameters.
-#[derive(Debug, Clone)]
-pub struct SvmConfig {
-    /// Box constraint C.
-    pub c: f64,
-    /// RBF width γ (`None` → 1/d heuristic).
-    pub gamma: Option<f64>,
-    /// KKT tolerance.
-    pub tol: f64,
-    /// Maximum passes without α changes before stopping.
-    pub max_passes: usize,
-    /// Hard cap on SMO iterations.
-    pub max_iter: usize,
-    /// RNG seed (partner selection).
-    pub seed: u64,
-}
+/// KKT tolerance.
+const TOL: f64 = 1e-3;
+/// Passes without an α change before a head stops.
+const MAX_PASSES: usize = 3;
+/// Hard cap on SMO passes per head.
+const MAX_ITER: usize = 2000;
 
-impl Default for SvmConfig {
-    fn default() -> Self {
-        SvmConfig {
-            c: 1.0,
-            gamma: None,
-            tol: 1e-3,
-            max_passes: 3,
-            max_iter: 2000,
-            seed: 0,
-        }
-    }
+/// `exp(−γ‖a − b‖²)`.
+fn rbf(gamma: f64, a: &[f64], b: &[f64]) -> f64 {
+    let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    (-gamma * d2).exp()
 }
 
 /// Binary SMO state for one one-vs-rest head.
@@ -53,173 +38,38 @@ struct BinaryHead {
 /// RBF-kernel SVM (binary or one-vs-rest multiclass).
 #[derive(Debug, Clone)]
 pub struct RbfSvm {
-    cfg: SvmConfig,
+    /// RBF width γ = 1/d.
     gamma: f64,
-    n_classes: usize,
+    scaler: Standardizer,
     train_x: Matrix,
     heads: Vec<BinaryHead>,
-    scaling: Vec<(f64, f64)>,
 }
 
 impl RbfSvm {
-    /// Create an un-fitted SVM.
-    pub fn new(cfg: SvmConfig) -> Self {
-        RbfSvm {
-            cfg,
-            gamma: 0.0,
-            n_classes: 0,
-            train_x: Matrix::zeros(0, 0),
-            heads: Vec::new(),
-            scaling: Vec::new(),
-        }
-    }
+    /// Fit with labels `0..n_classes`, box constraint `c` and the RNG
+    /// `seed` that picks SMO partners (each head restarts it).
+    pub fn fit(x: &Matrix, y: &[f64], n_classes: usize, c: f64, seed: u64) -> Result<Self> {
+        let (scaler, xs) = Standardizer::fit(x, y)?;
+        let targets = one_vs_rest_targets(y, n_classes, -1.0)?;
+        let gamma = 1.0 / xs.cols().max(1) as f64;
 
-    fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-        (-self.gamma * d2).exp()
-    }
-
-    /// Fit with labels `0..n_classes`.
-    pub fn fit(&mut self, x: &Matrix, y: &[f64], n_classes: usize) -> Result<()> {
-        if x.rows() == 0 {
-            return Err(MlError::Invalid("empty training set".into()));
-        }
-        if x.rows() != y.len() {
-            return Err(MlError::ShapeMismatch(format!(
-                "{} rows vs {} labels",
-                x.rows(),
-                y.len()
-            )));
-        }
-        if n_classes < 2 {
-            return Err(MlError::Invalid("svm needs ≥2 classes".into()));
-        }
-        let mut xs = x.clone();
-        self.scaling = standardize_columns(&mut xs);
-        self.gamma = self.cfg.gamma.unwrap_or(1.0 / xs.cols().max(1) as f64);
-        self.n_classes = n_classes;
-        self.train_x = xs;
-        self.heads.clear();
-
-        let heads = if n_classes == 2 { 1 } else { n_classes };
-        for cls in 0..heads {
-            let targets: Vec<f64> = y
-                .iter()
-                .map(|&v| {
-                    let positive = if n_classes == 2 {
-                        v >= 1.0
-                    } else {
-                        (v as usize) == cls
-                    };
-                    if positive {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                })
-                .collect();
-            let head = self.smo(&targets)?;
-            self.heads.push(head);
-        }
-        Ok(())
-    }
-
-    /// Simplified SMO on ±1 targets over `self.train_x`.
-    fn smo(&self, t: &[f64]) -> Result<BinaryHead> {
-        let n = t.len();
-        let x = &self.train_x;
-        let c = self.cfg.c;
-        let tol = self.cfg.tol;
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-
-        // Precompute the kernel matrix (training sets here are coreset-sized).
+        // The kernel matrix depends only on X, so every head shares it
+        // (training sets here are coreset-sized).
+        let n = xs.rows();
         let mut k = Matrix::zeros(n, n);
         for i in 0..n {
             for j in i..n {
-                let v = self.kernel(x.row(i), x.row(j));
+                let v = rbf(gamma, xs.row(i), xs.row(j));
                 k.set(i, j, v);
                 k.set(j, i, v);
             }
         }
-
-        let mut alphas = vec![0.0; n];
-        let mut b = 0.0;
-        let f = |alphas: &[f64], b: f64, k: &Matrix, t: &[f64], i: usize| -> f64 {
-            let mut s = b;
-            for j in 0..alphas.len() {
-                if alphas[j] > 0.0 {
-                    s += alphas[j] * t[j] * k.get(j, i);
-                }
-            }
-            s
-        };
-
-        let mut passes = 0usize;
-        let mut iters = 0usize;
-        while passes < self.cfg.max_passes && iters < self.cfg.max_iter {
-            iters += 1;
-            let mut changed = 0usize;
-            for i in 0..n {
-                let ei = f(&alphas, b, &k, t, i) - t[i];
-                if (t[i] * ei < -tol && alphas[i] < c) || (t[i] * ei > tol && alphas[i] > 0.0) {
-                    // Random partner j ≠ i.
-                    let mut j = rng.gen_range(0..n - 1);
-                    if j >= i {
-                        j += 1;
-                    }
-                    let ej = f(&alphas, b, &k, t, j) - t[j];
-                    let (ai_old, aj_old) = (alphas[i], alphas[j]);
-                    let (lo, hi) = if t[i] != t[j] {
-                        ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
-                    } else {
-                        ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
-                    };
-                    if (hi - lo).abs() < 1e-12 {
-                        continue;
-                    }
-                    let eta = 2.0 * k.get(i, j) - k.get(i, i) - k.get(j, j);
-                    if eta >= 0.0 {
-                        continue;
-                    }
-                    let mut aj = aj_old - t[j] * (ei - ej) / eta;
-                    aj = aj.clamp(lo, hi);
-                    if (aj - aj_old).abs() < 1e-7 {
-                        continue;
-                    }
-                    let ai = ai_old + t[i] * t[j] * (aj_old - aj);
-                    alphas[i] = ai;
-                    alphas[j] = aj;
-                    let b1 = b
-                        - ei
-                        - t[i] * (ai - ai_old) * k.get(i, i)
-                        - t[j] * (aj - aj_old) * k.get(i, j);
-                    let b2 = b
-                        - ej
-                        - t[i] * (ai - ai_old) * k.get(i, j)
-                        - t[j] * (aj - aj_old) * k.get(j, j);
-                    b = if ai > 0.0 && ai < c {
-                        b1
-                    } else if aj > 0.0 && aj < c {
-                        b2
-                    } else {
-                        (b1 + b2) / 2.0
-                    };
-                    changed += 1;
-                }
-            }
-            if changed == 0 {
-                passes += 1;
-            } else {
-                passes = 0;
-            }
-        }
-
-        let support_rows: Vec<usize> = (0..n).filter(|&i| alphas[i] > 1e-9).collect();
-        Ok(BinaryHead {
-            alphas: support_rows.iter().map(|&i| alphas[i]).collect(),
-            bias: b,
-            targets: support_rows.iter().map(|&i| t[i]).collect(),
-            support_rows,
+        let heads = targets.iter().map(|t| smo(&k, t, c, seed)).collect();
+        Ok(RbfSvm {
+            gamma,
+            scaler,
+            train_x: xs,
+            heads,
         })
     }
 
@@ -231,44 +81,107 @@ impl RbfSvm {
             .zip(&head.alphas)
             .zip(&head.targets)
         {
-            s += a * t * self.kernel(self.train_x.row(sv), row);
+            s += a * t * rbf(self.gamma, self.train_x.row(sv), row);
         }
         s
     }
 
     /// Predicted class ids.
     pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        if self.heads.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.scaling.len() {
-            return Err(MlError::ShapeMismatch("predict width".into()));
-        }
-        let mut xs = x.clone();
-        apply_standardization(&mut xs, &self.scaling);
-        let mut out = Vec::with_capacity(xs.rows());
-        for r in 0..xs.rows() {
-            if self.n_classes == 2 {
-                let z = self.decision(&self.heads[0], xs.row(r));
-                out.push(if z >= 0.0 { 1.0 } else { 0.0 });
-            } else {
-                let best = self
-                    .heads
-                    .iter()
-                    .map(|h| self.decision(h, xs.row(r)))
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(c, _)| c as f64)
-                    .unwrap_or(0.0);
-                out.push(best);
-            }
-        }
-        Ok(out)
+        let xs = self.scaler.apply(x)?;
+        Ok(one_vs_rest_predict(&xs, self.heads.len(), |h, row| {
+            self.decision(&self.heads[h], row)
+        }))
     }
 
     /// Number of support vectors in the first head (diagnostics).
     pub fn n_support(&self) -> usize {
         self.heads.first().map_or(0, |h| h.support_rows.len())
+    }
+}
+
+/// Simplified SMO on ±1 targets `t` over the kernel matrix `k`.
+fn smo(k: &Matrix, t: &[f64], c: f64, seed: u64) -> BinaryHead {
+    let n = t.len();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut alphas = vec![0.0; n];
+    let mut b = 0.0;
+    let f = |alphas: &[f64], b: f64, i: usize| -> f64 {
+        let mut s = b;
+        for j in 0..alphas.len() {
+            if alphas[j] > 0.0 {
+                s += alphas[j] * t[j] * k.get(j, i);
+            }
+        }
+        s
+    };
+
+    let mut passes = 0usize;
+    let mut iters = 0usize;
+    while passes < MAX_PASSES && iters < MAX_ITER {
+        iters += 1;
+        let mut changed = 0usize;
+        for i in 0..n {
+            let ei = f(&alphas, b, i) - t[i];
+            if (t[i] * ei < -TOL && alphas[i] < c) || (t[i] * ei > TOL && alphas[i] > 0.0) {
+                // Random partner j ≠ i.
+                let mut j = rng.gen_range(0..n - 1);
+                if j >= i {
+                    j += 1;
+                }
+                let ej = f(&alphas, b, j) - t[j];
+                let (ai_old, aj_old) = (alphas[i], alphas[j]);
+                let (lo, hi) = if t[i] != t[j] {
+                    ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
+                } else {
+                    ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
+                };
+                if (hi - lo).abs() < 1e-12 {
+                    continue;
+                }
+                let eta = 2.0 * k.get(i, j) - k.get(i, i) - k.get(j, j);
+                if eta >= 0.0 {
+                    continue;
+                }
+                let mut aj = aj_old - t[j] * (ei - ej) / eta;
+                aj = aj.clamp(lo, hi);
+                if (aj - aj_old).abs() < 1e-7 {
+                    continue;
+                }
+                let ai = ai_old + t[i] * t[j] * (aj_old - aj);
+                alphas[i] = ai;
+                alphas[j] = aj;
+                let b1 = b
+                    - ei
+                    - t[i] * (ai - ai_old) * k.get(i, i)
+                    - t[j] * (aj - aj_old) * k.get(i, j);
+                let b2 = b
+                    - ej
+                    - t[i] * (ai - ai_old) * k.get(i, j)
+                    - t[j] * (aj - aj_old) * k.get(j, j);
+                b = if ai > 0.0 && ai < c {
+                    b1
+                } else if aj > 0.0 && aj < c {
+                    b2
+                } else {
+                    (b1 + b2) / 2.0
+                };
+                changed += 1;
+            }
+        }
+        if changed == 0 {
+            passes += 1;
+        } else {
+            passes = 0;
+        }
+    }
+
+    let support_rows: Vec<usize> = (0..n).filter(|&i| alphas[i] > 1e-9).collect();
+    BinaryHead {
+        alphas: support_rows.iter().map(|&i| alphas[i]).collect(),
+        bias: b,
+        targets: support_rows.iter().map(|&i| t[i]).collect(),
+        support_rows,
     }
 }
 
@@ -299,11 +212,7 @@ mod tests {
     #[test]
     fn separates_rings() {
         let (x, y) = ring_data(150, 0);
-        let mut svm = RbfSvm::new(SvmConfig {
-            c: 5.0,
-            ..Default::default()
-        });
-        svm.fit(&x, &y, 2).unwrap();
+        let svm = RbfSvm::fit(&x, &y, 2, 5.0, 0).unwrap();
         let preds = svm.predict(&x).unwrap();
         let acc = preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64;
         assert!(acc > 0.95, "acc {acc}");
@@ -324,8 +233,7 @@ mod tests {
             y.push(cls as f64);
         }
         let x = Matrix::from_rows(&rows).unwrap();
-        let mut svm = RbfSvm::new(SvmConfig::default());
-        svm.fit(&x, &y, 3).unwrap();
+        let svm = RbfSvm::fit(&x, &y, 3, 1.0, 0).unwrap();
         let preds = svm.predict(&x).unwrap();
         let acc = preds.iter().zip(&y).filter(|(p, t)| p == t).count() as f64 / y.len() as f64;
         assert!(acc > 0.9, "acc {acc}");
@@ -333,29 +241,18 @@ mod tests {
 
     #[test]
     fn error_paths() {
-        let mut svm = RbfSvm::new(SvmConfig::default());
-        assert!(matches!(
-            svm.predict(&Matrix::zeros(1, 1)),
-            Err(MlError::NotFitted)
-        ));
-        assert!(svm.fit(&Matrix::zeros(0, 1), &[], 2).is_err());
-        assert!(svm.fit(&Matrix::zeros(2, 1), &[0.0, 1.0], 1).is_err());
-        assert!(svm.fit(&Matrix::zeros(2, 1), &[0.0], 2).is_err());
+        assert!(RbfSvm::fit(&Matrix::zeros(0, 1), &[], 2, 1.0, 0).is_err());
+        assert!(RbfSvm::fit(&Matrix::zeros(2, 1), &[0.0, 1.0], 1, 1.0, 0).is_err());
+        assert!(RbfSvm::fit(&Matrix::zeros(2, 1), &[0.0], 2, 1.0, 0).is_err());
+        let svm = RbfSvm::fit(&Matrix::zeros(2, 1), &[0.0, 1.0], 2, 1.0, 0).unwrap();
+        assert!(svm.predict(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let (x, y) = ring_data(80, 3);
-        let mut a = RbfSvm::new(SvmConfig {
-            seed: 1,
-            ..Default::default()
-        });
-        a.fit(&x, &y, 2).unwrap();
-        let mut b = RbfSvm::new(SvmConfig {
-            seed: 1,
-            ..Default::default()
-        });
-        b.fit(&x, &y, 2).unwrap();
+        let a = RbfSvm::fit(&x, &y, 2, 1.0, 1).unwrap();
+        let b = RbfSvm::fit(&x, &y, 2, 1.0, 1).unwrap();
         assert_eq!(a.predict(&x).unwrap(), b.predict(&x).unwrap());
     }
 }

@@ -107,20 +107,14 @@ pub fn rank_features(data: &Dataset, method: RankingMethod, seed: u64) -> Result
         RankingMethod::MutualInfo => crate::mutual_info::mutual_info_scores(x, y, data.task, 10),
         RankingMethod::FTest => crate::ftest::f_scores(x, y, data.task),
         RankingMethod::Lasso => {
-            let mut m = Lasso::new(0.05);
-            m.fit(x, y)?;
+            let m = Lasso::fit(x, y, 0.05)?;
             m.coefficients().iter().map(|c| c.abs()).collect()
         }
         RankingMethod::LogisticRegression => {
-            let mut m = LogisticRegression::new(1e-3);
-            m.fit(x, y, data.task.n_classes())?;
-            m.coefficient_magnitudes()
+            LogisticRegression::fit(x, y, data.task.n_classes(), 1e-3)?.coefficient_magnitudes()
         }
         RankingMethod::LinearSvc => {
-            let mut m = LinearSvm::new(0.01);
-            m.seed = seed;
-            m.fit(x, y, data.task.n_classes())?;
-            m.coefficient_magnitudes()
+            LinearSvm::fit(x, y, data.task.n_classes(), 0.01, seed)?.coefficient_magnitudes()
         }
         RankingMethod::Relief => {
             let cfg = ReliefConfig {
