@@ -24,12 +24,11 @@
 
 pub mod timing;
 
-use arda_core::{Arda, ArdaConfig};
+use arda_core::{join_kind_for, Arda, ArdaConfig};
 use arda_discovery::{discover_joins, DiscoveryConfig, Repository};
 use arda_join::impute::impute;
-use arda_join::{execute_join, JoinKind, JoinSpec};
-use arda_ml::model::holdout_score;
-use arda_ml::{featurize, metrics, Dataset, FeaturizeOptions, ModelKind};
+use arda_join::{execute_join, JoinSpec, SoftMethod};
+use arda_ml::{featurize, metrics, score_for_task, Dataset, FeaturizeOptions, ModelKind};
 use arda_select::{RifsConfig, SelectorKind};
 use arda_synth::{pickup, poverty, school, taxi, Scenario, ScenarioConfig};
 
@@ -53,15 +52,14 @@ pub fn bench_scale() -> Scale {
 /// The five real-world scenarios of §7.1 at the requested scale, in the
 /// paper's column order: pickup, poverty, school (L), school (S), taxi.
 pub fn real_world_scenarios(scale: Scale) -> Vec<Scenario> {
-    let (rows, k) = match scale {
-        Scale::Quick => (260, 1.0),
-        Scale::Full => (500, 1.0),
+    let rows = match scale {
+        Scale::Quick => 260,
+        Scale::Full => 500,
     };
     let decoys = |paper: usize| match scale {
         Scale::Quick => ((paper as f64 * 0.4) as usize).max(3),
         Scale::Full => paper,
     };
-    let _ = k;
     vec![
         pickup(&ScenarioConfig {
             n_rows: rows,
@@ -139,16 +137,10 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
     let mut joined = scenario.base.clone();
     for c in &candidates {
         let foreign = repo.table(c.table_index).expect("table");
-        let kind = match c.kind {
-            arda_discovery::KeyKind::Soft => {
-                JoinKind::SoftTimeResampled(arda_join::SoftMethod::TwoWayNearest)
-            }
-            arda_discovery::KeyKind::Hard => JoinKind::Hard,
-        };
         let spec = JoinSpec {
             base_keys: vec![c.base_key.clone()],
             foreign_keys: vec![c.foreign_key.clone()],
-            kind,
+            kind: join_kind_for(&joined, c, SoftMethod::TwoWayNearest),
         };
         joined = execute_join(&joined, &foreign, &spec, seed).expect("join");
     }
@@ -172,11 +164,11 @@ pub fn evaluate_subset(data: &Dataset, selected: &[usize], seed: u64) -> (f64, f
         n_trees: 48,
         max_depth: 12,
     };
-    let score = holdout_score(&sub, &kind, &train, &test, seed).expect("score");
     let tr = sub.select_rows(&train).expect("rows");
     let te = sub.select_rows(&test).expect("rows");
     let model = kind.fit(&tr.x, &tr.y, sub.task, seed).expect("fit");
     let pred = model.predict(&te.x).expect("predict");
+    let score = score_for_task(sub.task, &pred, &te.y);
     let err = if data.task.is_classification() {
         1.0 - metrics::accuracy(&pred, &te.y)
     } else {

@@ -28,7 +28,7 @@ pub mod pipeline;
 pub mod plan;
 
 pub use automl::{automl_search, AutomlReport};
-pub use pipeline::{Arda, ArdaConfig, AugmentationReport, SelectedColumn};
+pub use pipeline::{join_kind_for, Arda, ArdaConfig, AugmentationReport, SelectedColumn};
 pub use plan::{plan_batches, JoinPlan};
 
 use arda_join::JoinError;

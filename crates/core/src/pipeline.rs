@@ -344,9 +344,9 @@ impl Arda {
 }
 
 /// Pick the join algorithm for a candidate: soft keys use the configured
-/// soft method with time resampling; hard timestamp keys get resampling too
-/// (a no-op when granularities already agree).
-fn join_kind_for(base: &Table, cand: &CandidateJoin, soft: SoftMethod) -> JoinKind {
+/// soft method with time resampling; hard keys on a Timestamp base column
+/// get resampling too (a no-op when granularities already agree).
+pub fn join_kind_for(base: &Table, cand: &CandidateJoin, soft: SoftMethod) -> JoinKind {
     let base_is_ts = base
         .column(&cand.base_key)
         .map(|c| c.dtype() == DataType::Timestamp)
@@ -514,6 +514,39 @@ mod tests {
         let pct = report.improvement_pct();
         let manual = (report.augmented_score - report.base_score) / report.base_score.abs() * 100.0;
         assert!((pct - manual).abs() < 1e-9);
+    }
+
+    #[test]
+    fn join_kind_covers_each_key_arm() {
+        let base = Table::new(
+            "base",
+            vec![
+                arda_table::Column::from_timestamps("t", vec![1, 2]),
+                arda_table::Column::from_i64("id", vec![1, 2]),
+            ],
+        )
+        .unwrap();
+        let cand = |base_key: &str, kind| CandidateJoin {
+            table_index: 0,
+            table_name: "f".into(),
+            base_key: base_key.into(),
+            foreign_key: "k".into(),
+            kind,
+            score: 1.0,
+        };
+        let soft = SoftMethod::TwoWayNearest;
+        assert_eq!(
+            join_kind_for(&base, &cand("id", KeyKind::Soft), soft),
+            JoinKind::SoftTimeResampled(soft)
+        );
+        assert_eq!(
+            join_kind_for(&base, &cand("t", KeyKind::Hard), soft),
+            JoinKind::HardTimeResampled
+        );
+        assert_eq!(
+            join_kind_for(&base, &cand("id", KeyKind::Hard), soft),
+            JoinKind::Hard
+        );
     }
 
     #[test]

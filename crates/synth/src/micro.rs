@@ -162,7 +162,7 @@ pub fn append_noise_columns(data: &MicroDataset, factor: usize, seed: u64) -> Mi
                 Column::from_f64(
                     &name,
                     (0..n)
-                        .map(|_| mu + sigma * arda_linalg_normal(&mut rng))
+                        .map(|_| mu + sigma * arda_linalg::standard_normal(&mut rng))
                         .collect(),
                 )
             }
@@ -183,13 +183,6 @@ pub fn append_noise_columns(data: &MicroDataset, factor: usize, seed: u64) -> Mi
         target: data.target.clone(),
         informative: data.informative.clone(),
     }
-}
-
-/// Local Box–Muller (avoids a dependency edge from synth to linalg).
-fn arda_linalg_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
