@@ -73,12 +73,7 @@ fn bench_groupby(out: &mut Vec<Measurement>) {
         "groupby_aggregate_5k_rows_200_groups",
         WINDOW_SECS,
         || {
-            black_box(
-                GroupBy::new(&t, &["k"])
-                    .unwrap()
-                    .aggregate_default()
-                    .unwrap(),
-            );
+            black_box(GroupBy::new(&t, &["k"]).unwrap().aggregate().unwrap());
         },
     ));
 }

@@ -185,24 +185,12 @@ pub fn selector_grid(
     scale: Scale,
     include_slow: bool,
 ) -> Vec<(String, SelectorKind)> {
-    use arda_select::RankingMethod as R;
     let mut grid: Vec<(String, SelectorKind)> = vec![
         ("RIFS".into(), SelectorKind::Rifs(bench_rifs(scale))),
         ("all features".into(), SelectorKind::AllFeatures),
     ];
-    for m in [
-        R::SparseRegression,
-        R::RandomForest,
-        R::FTest,
-        R::Lasso,
-        R::MutualInfo,
-        R::Relief,
-        R::LinearSvc,
-        R::LogisticRegression,
-    ] {
-        if m.supports(task) {
-            grid.push((m.name().to_string(), SelectorKind::Ranking(m)));
-        }
+    for m in arda_select::RankingMethod::all_for(task) {
+        grid.push((m.name().to_string(), SelectorKind::Ranking(m)));
     }
     if include_slow {
         grid.push(("forward selection".into(), SelectorKind::ForwardSelection));

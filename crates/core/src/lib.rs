@@ -8,8 +8,8 @@
 //!
 //! 1. **Join discovery** — [`arda_discovery::discover_joins`] (or caller-
 //!    provided candidates) yields scored, ranked candidate joins.
-//! 2. **Coreset construction** — sample base rows (uniform / stratified /
-//!    post-join sketch; [`arda_coreset`]).
+//! 2. **Coreset construction** — sample base rows (uniform or stratified;
+//!    [`arda_coreset`]).
 //! 3. **Join plan** — group candidates into batches: one table at a time,
 //!    *budget* batches (default: as many features as coreset rows), or full
 //!    materialization ([`plan`]).

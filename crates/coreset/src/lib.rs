@@ -8,14 +8,14 @@
 //! * **Uniform sampling** ([`uniform_indices`]) — cheap, data-oblivious.
 //! * **Stratified sampling** ([`stratified_indices`]) — proportional per
 //!   class, so no label is overlooked.
-//! * **Sketching** ([`sketch_xy`]) — an OSNAP subspace embedding applied
-//!   *after* the join (sketching takes linear combinations of rows, so it
-//!   cannot run before joins without corrupting key columns; §3.1). For
-//!   classification the rows of each label are sketched independently,
-//!   "analogous to stratified sampling".
+//! * **Sketching** ([`sketch_xy`] only) — an OSNAP subspace embedding
+//!   applied to a featurized matrix *after* the join (sketching takes
+//!   linear combinations of rows, so it cannot run before joins without
+//!   corrupting key columns; §3.1). For classification the rows of each
+//!   label are sketched independently, "analogous to stratified sampling".
 //!
-//! [`CoresetSpec`] bundles a method + size; [`row_coreset`] applies the
-//! sampling methods to any row count.
+//! [`CoresetSpec`] bundles a sampling method + size; [`row_coreset`]
+//! applies it to any row count.
 
 use arda_linalg::{Matrix, Osnap};
 use rand::rngs::StdRng;
@@ -23,7 +23,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-/// Which coreset construction to use.
+/// Which row-sampling coreset to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoresetMethod {
     /// Uniform row sampling without replacement (the ARDA default).
@@ -31,8 +31,6 @@ pub enum CoresetMethod {
     /// Label-stratified sampling (classification) with proportional
     /// allocation; falls back to uniform when no labels are given.
     Stratified,
-    /// OSNAP sketch applied to the featurized matrix after joining.
-    Sketch,
 }
 
 /// A coreset request: method plus target size (`None` → auto heuristic).
@@ -150,14 +148,12 @@ pub fn stratified_indices(labels: &[f64], size: usize, seed: u64) -> Vec<usize> 
     out
 }
 
-/// Dispatch the row-sampling methods of a [`CoresetSpec`]. `labels` enables
-/// stratification; sketching is not a row sampler — use [`sketch_xy`].
+/// Dispatch the row-sampling method of a [`CoresetSpec`]. `labels` enables
+/// stratification.
 pub fn row_coreset(n: usize, labels: Option<&[f64]>, spec: &CoresetSpec) -> Vec<usize> {
     let size = spec.resolve_size(n);
     match (spec.method, labels) {
         (CoresetMethod::Stratified, Some(y)) => stratified_indices(y, size, spec.seed),
-        // Sketch is a post-join construction; as a *row* coreset it
-        // degrades to uniform (documented behaviour).
         _ => uniform_indices(n, size, spec.seed),
     }
 }
@@ -283,13 +279,6 @@ mod tests {
             seed: 0,
         };
         assert_eq!(row_coreset(50, None, &spec_u).len(), 10);
-        // Sketch as row sampler degrades to uniform.
-        let spec_s = CoresetSpec {
-            method: CoresetMethod::Sketch,
-            size: Some(10),
-            seed: 0,
-        };
-        assert_eq!(row_coreset(50, None, &spec_s).len(), 10);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn pre_aggregate(foreign: &Table, keys: &[&str]) -> Result<Table> {
     if !duplicated {
         return Ok(foreign.clone());
     }
-    Ok(GroupBy::new(foreign, keys)?.aggregate_default()?)
+    Ok(GroupBy::new(foreign, keys)?.aggregate()?)
 }
 
 /// LEFT join `base` with `foreign` on exact key equality.

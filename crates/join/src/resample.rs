@@ -83,7 +83,7 @@ pub fn resample_to_granularity(
             replaced.add_column(c.clone())?;
         }
     }
-    Ok(GroupBy::new(&replaced, &[foreign_key])?.aggregate_default()?)
+    Ok(GroupBy::new(&replaced, &[foreign_key])?.aggregate()?)
 }
 
 /// Detect both granularities and resample `foreign` to the base's

@@ -14,13 +14,9 @@ pub struct JoinStats {
     pub matched_rows: usize,
     /// Total base rows.
     pub base_rows: usize,
-    /// Distinct non-null keys in the base column.
-    pub base_distinct: usize,
     /// Distinct non-null keys in the foreign column (the foreign-key domain
     /// size `nR` of the Tuple-Ratio rule).
     pub foreign_distinct: usize,
-    /// Distinct keys appearing on both sides.
-    pub shared_distinct: usize,
 }
 
 impl JoinStats {
@@ -30,26 +26,6 @@ impl JoinStats {
             0.0
         } else {
             self.matched_rows as f64 / self.base_rows as f64
-        }
-    }
-
-    /// Jaccard similarity of the distinct key sets.
-    pub fn jaccard(&self) -> f64 {
-        let union = self.base_distinct + self.foreign_distinct - self.shared_distinct;
-        if union == 0 {
-            0.0
-        } else {
-            self.shared_distinct as f64 / union as f64
-        }
-    }
-
-    /// Tuple ratio `nS / nR` from Kumar et al.: base training examples over
-    /// the foreign-key domain size. Infinite when the domain is empty.
-    pub fn tuple_ratio(&self) -> f64 {
-        if self.foreign_distinct == 0 {
-            f64::INFINITY
-        } else {
-            self.base_rows as f64 / self.foreign_distinct as f64
         }
     }
 }
@@ -64,15 +40,11 @@ pub fn join_stats(
     let bkeys = base.keys(base_keys)?;
     let fkeys = foreign.keys(foreign_keys)?;
     let fset: HashSet<&Key> = fkeys.iter().flatten().collect();
-    let bset: HashSet<&Key> = bkeys.iter().flatten().collect();
     let matched_rows = bkeys.iter().flatten().filter(|k| fset.contains(k)).count();
-    let shared_distinct = bset.iter().filter(|k| fset.contains(*k)).count();
     Ok(JoinStats {
         matched_rows,
         base_rows: base.n_rows(),
-        base_distinct: bset.len(),
         foreign_distinct: fset.len(),
-        shared_distinct,
     })
 }
 
@@ -93,12 +65,8 @@ mod tests {
         let s = join_stats(&b, &f, &["k"], &["k"]).unwrap();
         assert_eq!(s.matched_rows, 3); // rows with k ∈ {1,1,2}
         assert_eq!(s.base_rows, 4);
-        assert_eq!(s.base_distinct, 3);
         assert_eq!(s.foreign_distinct, 3); // {1,2,9}
-        assert_eq!(s.shared_distinct, 2); // {1,2}
         assert!((s.intersection_score() - 0.75).abs() < 1e-12);
-        assert!((s.jaccard() - 0.5).abs() < 1e-12); // 2 / (3+3-2)
-        assert!((s.tuple_ratio() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -107,8 +75,8 @@ mod tests {
         let f = Table::new("f", vec![Column::from_i64("k", vec![])]).unwrap();
         let s = join_stats(&b, &f, &["k"], &["k"]).unwrap();
         assert_eq!(s.intersection_score(), 0.0);
-        assert_eq!(s.jaccard(), 0.0);
-        assert!(s.tuple_ratio().is_infinite());
+        // An empty domain makes the Tuple-Ratio `nS / nR` infinite.
+        assert_eq!(s.foreign_distinct, 0);
     }
 
     #[test]
@@ -117,7 +85,6 @@ mod tests {
         let f = Table::new("f", vec![Column::from_i64_opt("k", vec![Some(1), None])]).unwrap();
         let s = join_stats(&b, &f, &["k"], &["k"]).unwrap();
         assert_eq!(s.matched_rows, 1);
-        assert_eq!(s.base_distinct, 1);
         assert_eq!(s.foreign_distinct, 1);
     }
 
@@ -141,6 +108,6 @@ mod tests {
         .unwrap();
         let s = join_stats(&b, &f, &["a", "b"], &["a", "b"]).unwrap();
         assert_eq!(s.matched_rows, 1);
-        assert_eq!(s.shared_distinct, 1);
+        assert_eq!(s.foreign_distinct, 1);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`Matrix`] — row-major dense matrix with multiplication, transpose and
 //!   slicing helpers.
-//! * [`cholesky_solve`] / [`lu_solve`] — SPD and general linear solves used
-//!   by ridge regression and the ℓ2,1 IRLS solver.
+//! * [`cholesky_solve`] — SPD linear solves used by ridge regression and
+//!   the ℓ2,1 IRLS solver.
 //! * [`stats`] — column means/variances, covariance and Pearson correlation.
 //! * [`random`] — Box–Muller normals and the *moment-matched multivariate
 //!   normal sampler* of ARDA's Algorithm 2 (`N(µ, Σ)` with µ, Σ the empirical
@@ -30,14 +30,14 @@ pub mod stats;
 pub use matrix::Matrix;
 pub use random::{standard_normal, MomentMatchedSampler};
 pub use sketch::{CountSketch, Osnap};
-pub use solve::{cholesky_decompose, cholesky_solve, cholesky_solve_multi, lu_solve};
+pub use solve::{cholesky_decompose, cholesky_solve, cholesky_solve_multi};
 
 /// Error type for linear-algebra failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
     /// Matrix dimensions incompatible with the requested operation.
     DimensionMismatch { context: String },
-    /// Matrix not positive definite (Cholesky) or singular (LU).
+    /// Matrix not (numerically) positive definite.
     NotSolvable(String),
 }
 

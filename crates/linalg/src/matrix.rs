@@ -427,11 +427,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Euclidean norms of each row.
     pub fn row_norms(&self) -> Vec<f64> {
         (0..self.rows)
@@ -611,7 +606,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0], vec![0.0, 0.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(a.row_norms(), vec![5.0, 0.0]);
     }
 

@@ -1,5 +1,4 @@
-//! Linear solvers: Cholesky for SPD systems (ridge / IRLS normal equations)
-//! and LU with partial pivoting for general square systems.
+//! Linear solvers: Cholesky for SPD systems (ridge / IRLS normal equations).
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -90,66 +89,6 @@ fn cholesky_back_substitute(l: &Matrix, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Solve `A x = b` for general square `A` via LU with partial pivoting.
-pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::DimensionMismatch {
-            context: "lu_solve: non-square".into(),
-        });
-    }
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            context: format!("lu_solve: rhs len {} vs {n}", b.len()),
-        });
-    }
-    let mut lu = a.clone();
-    let mut rhs = b.to_vec();
-    let mut perm: Vec<usize> = (0..n).collect();
-
-    for col in 0..n {
-        // Partial pivot.
-        let (pivot_row, pivot_val) = (col..n)
-            .map(|r| (r, lu.get(r, col).abs()))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("non-empty range");
-        if pivot_val < 1e-12 {
-            return Err(LinalgError::NotSolvable(format!(
-                "lu: singular at column {col}"
-            )));
-        }
-        if pivot_row != col {
-            for c in 0..n {
-                let tmp = lu.get(col, c);
-                lu.set(col, c, lu.get(pivot_row, c));
-                lu.set(pivot_row, c, tmp);
-            }
-            rhs.swap(col, pivot_row);
-            perm.swap(col, pivot_row);
-        }
-        for r in col + 1..n {
-            let factor = lu.get(r, col) / lu.get(col, col);
-            lu.set(r, col, factor);
-            for c in col + 1..n {
-                let v = lu.get(r, c) - factor * lu.get(col, c);
-                lu.set(r, c, v);
-            }
-            rhs[r] -= factor * rhs[col];
-        }
-    }
-
-    // Back substitution on U.
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut sum = rhs[i];
-        for k in i + 1..n {
-            sum -= lu.get(i, k) * x[k];
-        }
-        x[i] = sum / lu.get(i, i);
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,41 +142,6 @@ mod tests {
         for i in 0..3 {
             assert!((x.get(i, 0) - x0[i]).abs() < 1e-12);
             assert!((x.get(i, 1) - x1[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn lu_solves_general_system() {
-        let a = Matrix::from_rows(&[
-            vec![0.0, 2.0, 1.0],
-            vec![1.0, -2.0, -3.0],
-            vec![-1.0, 1.0, 2.0],
-        ])
-        .unwrap();
-        let b = vec![-8.0, 0.0, 3.0];
-        let x = lu_solve(&a, &b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (l, r) in ax.iter().zip(&b) {
-            assert!((l - r).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn lu_rejects_singular() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert!(lu_solve(&a, &[1.0, 2.0]).is_err());
-        assert!(lu_solve(&Matrix::zeros(2, 3), &[1.0, 2.0]).is_err());
-        assert!(lu_solve(&Matrix::identity(2), &[1.0]).is_err());
-    }
-
-    #[test]
-    fn lu_agrees_with_cholesky_on_spd() {
-        let a = spd3();
-        let b = vec![0.5, -1.0, 2.0];
-        let x1 = cholesky_solve(&a, &b).unwrap();
-        let x2 = lu_solve(&a, &b).unwrap();
-        for (l, r) in x1.iter().zip(&x2) {
-            assert!((l - r).abs() < 1e-9);
         }
     }
 }

@@ -135,23 +135,6 @@ impl Dataset {
         all_names.extend(names);
         Dataset::new(x, self.y.clone(), all_names, self.task)
     }
-
-    /// Class counts for classification datasets (empty for regression).
-    pub fn class_counts(&self) -> Vec<usize> {
-        match self.task {
-            Task::Regression => Vec::new(),
-            Task::Classification { n_classes } => {
-                let mut counts = vec![0usize; n_classes];
-                for &y in &self.y {
-                    let c = y as usize;
-                    if c < n_classes {
-                        counts[c] += 1;
-                    }
-                }
-                counts
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +196,8 @@ mod tests {
     #[test]
     fn class_counts() {
         let d = toy();
-        assert_eq!(d.class_counts(), vec![1, 2]);
+        assert_eq!(d.task.n_classes(), 2);
+        assert!(d.task.is_classification());
         let r = Dataset::new(
             Matrix::zeros(2, 1),
             vec![0.5, 0.7],
@@ -221,7 +205,6 @@ mod tests {
             Task::Regression,
         )
         .unwrap();
-        assert!(r.class_counts().is_empty());
         assert_eq!(r.task.n_classes(), 1);
         assert!(!r.task.is_classification());
     }

@@ -17,7 +17,7 @@
 //!   Pegasos linear SVM.
 //! * [`svm`] — RBF-kernel SVM via SMO (one-vs-rest for multiclass).
 //! * [`metrics`] — accuracy, MAE, RMSE, R².
-//! * [`split`] — train/test and stratified splits, k-fold cross validation.
+//! * [`split`] — train/test and stratified splits.
 //! * [`Model`] — a uniform fit/predict interface over all of the above, used
 //!   by feature-selection wrappers and the AutoML-lite comparator.
 //!
@@ -50,7 +50,7 @@ pub use forest::{ForestConfig, RandomForest};
 pub use knn::nearest_neighbors;
 pub use linear::{Lasso, LinearSvm, LogisticRegression, Ridge};
 pub use model::{score_for_task, Model, ModelKind};
-pub use split::{kfold_indices, stratified_split, train_test_split};
+pub use split::{stratified_split, train_test_split};
 pub use svm::RbfSvm;
 pub use tree::{DecisionTree, MaxFeatures, TreeConfig};
 

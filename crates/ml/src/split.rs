@@ -1,4 +1,4 @@
-//! Train/test splitting and k-fold cross-validation index generation.
+//! Train/test splitting.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -49,30 +49,6 @@ pub fn stratified_split(labels: &[f64], test_fraction: f64, seed: u64) -> (Vec<u
     train.sort_unstable();
     test.sort_unstable();
     (train, test)
-}
-
-/// `k` (train, validation) index pairs covering `0..n` exactly once as
-/// validation.
-pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let k = k.max(2).min(n.max(2));
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(&mut StdRng::seed_from_u64(seed));
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, v) in idx.into_iter().enumerate() {
-        folds[i % k].push(v);
-    }
-    (0..k)
-        .map(|f| {
-            let val = folds[f].clone();
-            let train: Vec<usize> = folds
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != f)
-                .flat_map(|(_, v)| v.iter().copied())
-                .collect();
-            (train, val)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -128,24 +104,5 @@ mod tests {
         let (train, test) = stratified_split(&labels, 0.5, 0);
         assert!(train.contains(&3), "singleton class stays in train");
         assert!(!test.contains(&3));
-    }
-
-    #[test]
-    fn kfold_covers_all_rows_once() {
-        let folds = kfold_indices(10, 3, 0);
-        assert_eq!(folds.len(), 3);
-        let mut seen = Vec::new();
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 10);
-            seen.extend_from_slice(val);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn kfold_clamps_k() {
-        let folds = kfold_indices(4, 100, 0);
-        assert_eq!(folds.len(), 4);
     }
 }

@@ -261,17 +261,6 @@ impl Column {
         }
     }
 
-    /// Checked row access.
-    pub fn try_get(&self, i: usize) -> Result<Value> {
-        if i >= self.len() {
-            return Err(TableError::RowOutOfBounds {
-                index: i,
-                len: self.len(),
-            });
-        }
-        Ok(self.get(i))
-    }
-
     /// Numeric view of row `i` (`None` for nulls and non-numeric values).
     pub fn get_f64(&self, i: usize) -> Option<f64> {
         match &self.data {
@@ -510,16 +499,6 @@ mod tests {
         assert!(c.get(2).is_null());
         let err = Column::from_values("v", DataType::Int, vec![Value::Str("x".into())]);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let c = Column::from_i64("a", vec![1]);
-        assert!(c.try_get(0).is_ok());
-        assert!(matches!(
-            c.try_get(5),
-            Err(TableError::RowOutOfBounds { .. })
-        ));
     }
 
     #[test]

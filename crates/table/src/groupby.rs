@@ -1,94 +1,19 @@
-//! Group-by aggregation.
+//! ARDA's group-by pre-aggregation.
 //!
 //! ARDA pre-aggregates foreign tables on their join keys to turn one-to-many
 //! and many-to-many joins into one-to-one / many-to-one joins (§4 "Join
 //! Cardinality"), and resamples time-series tables to a coarser granularity
-//! (§4 "Time-Resampling"). Both reduce to the group-by implemented here.
+//! (§4 "Time-Resampling"). Both aggregate one way: numeric columns take
+//! the group mean, other columns the group mode.
 
-use crate::{Column, ColumnData, DataType, Key, Result, Table, TableError, Value};
+use crate::{Column, ColumnData, Key, Result, Table, Value};
 use std::collections::HashMap;
 
 /// Cells (rows × aggregated columns) below which aggregation stays
 /// sequential.
 const PAR_MIN_AGG_CELLS: usize = 1 << 14;
 
-/// Aggregation functions applicable to a grouped column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Aggregation {
-    /// Arithmetic mean of non-null numeric values.
-    Mean,
-    /// Sum of non-null numeric values.
-    Sum,
-    /// Minimum non-null value.
-    Min,
-    /// Maximum non-null value.
-    Max,
-    /// Number of non-null values.
-    Count,
-    /// Median of non-null numeric values.
-    Median,
-    /// Most frequent non-null value (ties broken by first appearance) —
-    /// used for categorical columns when resampling.
-    Mode,
-    /// First non-null value in the group.
-    First,
-}
-
-impl Aggregation {
-    /// Default aggregation for a column dtype (mean for numeric, mode for
-    /// strings), mirroring ARDA's resampling defaults.
-    pub fn default_for(dtype: DataType) -> Aggregation {
-        if dtype.is_numeric() {
-            Aggregation::Mean
-        } else {
-            Aggregation::Mode
-        }
-    }
-}
-
-/// One aggregation request: `column` → `agg`, optionally renamed via `alias`.
-#[derive(Debug, Clone)]
-pub struct AggExpr {
-    /// Source column name.
-    pub column: String,
-    /// Aggregation to apply.
-    pub agg: Aggregation,
-    /// Output column name; defaults to the source name (deduplicated with an
-    /// aggregation suffix when several expressions target one column).
-    pub alias: Option<String>,
-}
-
-impl AggExpr {
-    /// Convenience constructor.
-    pub fn new(column: impl Into<String>, agg: Aggregation) -> Self {
-        AggExpr {
-            column: column.into(),
-            agg,
-            alias: None,
-        }
-    }
-
-    /// Set the output column name.
-    pub fn with_alias(mut self, alias: impl Into<String>) -> Self {
-        self.alias = Some(alias.into());
-        self
-    }
-}
-
-fn agg_suffix(agg: Aggregation) -> &'static str {
-    match agg {
-        Aggregation::Mean => "mean",
-        Aggregation::Sum => "sum",
-        Aggregation::Min => "min",
-        Aggregation::Max => "max",
-        Aggregation::Count => "count",
-        Aggregation::Median => "median",
-        Aggregation::Mode => "mode",
-        Aggregation::First => "first",
-    }
-}
-
-/// Lazily built group-by operation over a table.
+/// Group-by on key columns of a table, aggregated by ARDA's mean/mode rule.
 pub struct GroupBy<'a> {
     table: &'a Table,
     key_columns: Vec<String>,
@@ -129,47 +54,32 @@ impl<'a> GroupBy<'a> {
         Ok((order, rows))
     }
 
-    /// Apply aggregations, producing one output row per group. The key
-    /// columns are carried through using their first-row values.
-    pub fn aggregate(&self, exprs: &[AggExpr]) -> Result<Table> {
+    /// ARDA's pre-aggregation: one output row per group. Key columns
+    /// carry their first-row values; every other column keeps its name and
+    /// takes the group mean of its non-null values if numeric, else the
+    /// group mode (ties broken by first appearance).
+    pub fn aggregate(&self) -> Result<Table> {
         let (_, groups) = self.groups()?;
+        let first_rows: Vec<usize> = groups.iter().map(|g| g[0]).collect();
         let mut out_cols: Vec<Column> = Vec::new();
-
         for key_name in &self.key_columns {
-            let src = self.table.column(key_name)?;
-            let first_rows: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-            out_cols.push(src.take(&first_rows));
+            out_cols.push(self.table.column(key_name)?.take(&first_rows));
         }
 
-        // Output names dedupe sequentially (order-dependent), then each
-        // aggregated column computes independently: the scan over all
+        // Each aggregated column computes independently: the scan over all
         // groups × columns — ARDA's pre-aggregation hot loop for
         // high-cardinality foreign tables — fans out per column on the
         // ambient `arda-par` work budget, with results folded back in
-        // expression order (identical to the sequential loop at any
-        // budget).
-        let mut used: std::collections::HashSet<String> =
-            out_cols.iter().map(|c| c.name().to_string()).collect();
-        let mut jobs: Vec<(&Column, Aggregation, String)> = Vec::with_capacity(exprs.len());
-        for expr in exprs {
-            let src = self.table.column(&expr.column)?;
-            let mut name = expr.alias.clone().unwrap_or_else(|| expr.column.clone());
-            if used.contains(&name) {
-                name = format!("{}_{}", expr.column, agg_suffix(expr.agg));
-            }
-            let mut salt = 2usize;
-            while used.contains(&name) {
-                name = format!("{}_{}_{salt}", expr.column, agg_suffix(expr.agg));
-                salt += 1;
-            }
-            used.insert(name.clone());
-            jobs.push((src, expr.agg, name));
-        }
-        let cells = self.table.n_rows() * jobs.len().max(1);
+        // column order (identical to the sequential loop at any budget).
+        let values: Vec<&Column> = self
+            .table
+            .columns()
+            .iter()
+            .filter(|c| !self.key_columns.iter().any(|k| k == c.name()))
+            .collect();
+        let cells = self.table.n_rows() * values.len().max(1);
         let agg_cols = arda_par::sequential_below(cells, PAR_MIN_AGG_CELLS, || {
-            arda_par::par_map(&jobs, |_, (src, agg, name)| {
-                aggregate_column(src, &groups, *agg, name)
-            })
+            arda_par::par_map(&values, |_, src| aggregate_column(src, &groups))
         });
         for col in agg_cols {
             out_cols.push(col?);
@@ -177,117 +87,21 @@ impl<'a> GroupBy<'a> {
 
         Table::new(self.table.name().to_string(), out_cols)
     }
-
-    /// Aggregate every non-key column with its dtype default (mean/mode).
-    /// This is the ARDA pre-aggregation used before high-cardinality joins.
-    pub fn aggregate_default(&self) -> Result<Table> {
-        let exprs: Vec<AggExpr> = self
-            .table
-            .columns()
-            .iter()
-            .filter(|c| !self.key_columns.iter().any(|k| k == c.name()))
-            .map(|c| AggExpr::new(c.name(), Aggregation::default_for(c.dtype())))
-            .collect();
-        self.aggregate(&exprs)
-    }
 }
 
-fn aggregate_column(
-    src: &Column,
-    groups: &[Vec<usize>],
-    agg: Aggregation,
-    name: &str,
-) -> Result<Column> {
-    match agg {
-        Aggregation::Mean | Aggregation::Sum | Aggregation::Median => {
-            if !src.dtype().is_numeric() {
-                return Err(TableError::TypeMismatch {
-                    column: name.to_string(),
-                    expected: "numeric".into(),
-                    actual: src.dtype().to_string(),
-                });
-            }
-            let mut out = Vec::with_capacity(groups.len());
-            for g in groups {
-                let vals: Vec<f64> = g.iter().filter_map(|&i| src.get_f64(i)).collect();
-                out.push(if vals.is_empty() {
-                    None
-                } else {
-                    Some(match agg {
-                        Aggregation::Sum => vals.iter().sum(),
-                        Aggregation::Mean => vals.iter().sum::<f64>() / vals.len() as f64,
-                        Aggregation::Median => median_of(vals),
-                        _ => unreachable!(),
-                    })
-                });
-            }
-            Ok(Column::new(name, ColumnData::Float(out)))
-        }
-        Aggregation::Count => {
-            let out: Vec<Option<i64>> = groups
-                .iter()
-                .map(|g| Some(g.iter().filter(|&&i| !src.get(i).is_null()).count() as i64))
-                .collect();
-            Ok(Column::new(name, ColumnData::Int(out)))
-        }
-        Aggregation::Min | Aggregation::Max => {
-            let mut out: Vec<Value> = Vec::with_capacity(groups.len());
-            for g in groups {
-                let mut best: Option<Value> = None;
-                for &i in g {
-                    let v = src.get(i);
-                    if v.is_null() {
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = match agg {
-                                Aggregation::Min => v.total_cmp(&b).is_lt(),
-                                _ => v.total_cmp(&b).is_gt(),
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                out.push(best.unwrap_or(Value::Null));
-            }
-            Column::from_values(name, src.dtype(), out)
-        }
-        Aggregation::Mode => {
-            let mut out: Vec<Value> = Vec::with_capacity(groups.len());
-            for g in groups {
-                out.push(mode_of(src, g));
-            }
-            Column::from_values(name, src.dtype(), out)
-        }
-        Aggregation::First => {
-            let mut out: Vec<Value> = Vec::with_capacity(groups.len());
-            for g in groups {
-                out.push(
-                    g.iter()
-                        .map(|&i| src.get(i))
-                        .find(|v| !v.is_null())
-                        .unwrap_or(Value::Null),
-                );
-            }
-            Column::from_values(name, src.dtype(), out)
-        }
+fn aggregate_column(src: &Column, groups: &[Vec<usize>]) -> Result<Column> {
+    if !src.dtype().is_numeric() {
+        let modes = groups.iter().map(|g| mode_of(src, g)).collect();
+        return Column::from_values(src.name(), src.dtype(), modes);
     }
-}
-
-fn median_of(mut vals: Vec<f64>) -> f64 {
-    vals.sort_by(|a, b| a.total_cmp(b));
-    let mid = vals.len() / 2;
-    if vals.len().is_multiple_of(2) {
-        (vals[mid - 1] + vals[mid]) / 2.0
-    } else {
-        vals[mid]
-    }
+    let means = groups
+        .iter()
+        .map(|g| {
+            let vals: Vec<f64> = g.iter().filter_map(|&i| src.get_f64(i)).collect();
+            (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
+        })
+        .collect();
+    Ok(Column::new(src.name(), ColumnData::Float(means)))
 }
 
 fn mode_of(src: &Column, rows: &[usize]) -> Value {
@@ -336,84 +150,35 @@ mod tests {
 
     #[test]
     fn mean_sum_count() {
-        let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        let out = gb
-            .aggregate(&[
-                AggExpr::new("amount", Aggregation::Mean),
-                AggExpr::new("amount", Aggregation::Count),
-            ])
-            .unwrap();
-        // aggregate uses the source column name; second gets renamed on hstack
-        // use positional access here.
-        assert_eq!(out.n_rows(), 2);
-        let mean = out.column_at(1).unwrap();
-        assert_eq!(mean.get_f64(0), Some(30.0));
-        assert_eq!(mean.get_f64(1), Some(30.0));
-        let count = out.column_at(2).unwrap();
-        assert_eq!(count.get(0), Value::Int(3));
-    }
-
-    #[test]
-    fn duplicate_agg_columns_get_suffixed_names() {
-        let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        let out = gb
-            .aggregate(&[
-                AggExpr::new("amount", Aggregation::Mean),
-                AggExpr::new("amount", Aggregation::Sum),
-            ])
-            .unwrap();
-        assert!(out.column("amount").is_ok());
-        assert_eq!(out.column("amount_sum").unwrap().get_f64(0), Some(90.0));
-    }
-
-    #[test]
-    fn alias_renames_output() {
-        let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        let out = gb
-            .aggregate(&[AggExpr::new("amount", Aggregation::Mean).with_alias("avg_amount")])
-            .unwrap();
-        assert!(out.column("avg_amount").is_ok());
-    }
-
-    #[test]
-    fn min_max_median() {
-        let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        let out = gb
-            .aggregate(&[AggExpr::new("amount", Aggregation::Max)])
-            .unwrap();
-        assert_eq!(out.column("amount").unwrap().get_f64(0), Some(50.0));
-        let out = gb
-            .aggregate(&[AggExpr::new("amount", Aggregation::Min)])
-            .unwrap();
-        assert_eq!(out.column("amount").unwrap().get_f64(1), Some(20.0));
-        let out = gb
-            .aggregate(&[AggExpr::new("amount", Aggregation::Median)])
-            .unwrap();
-        assert_eq!(out.column("amount").unwrap().get_f64(0), Some(30.0));
+        // The mean is the sum over the count of non-null values.
+        let t = Table::new(
+            "t",
+            vec![
+                Column::from_i64("k", vec![1, 1, 1, 2]),
+                Column::from_f64_opt("v", vec![Some(10.0), None, Some(30.0), None]),
+            ],
+        )
+        .unwrap();
+        let out = GroupBy::new(&t, &["k"]).unwrap().aggregate().unwrap();
+        assert_eq!(out.column("v").unwrap().get_f64(0), Some(20.0));
+        assert!(out.column("v").unwrap().get(1).is_null());
     }
 
     #[test]
     fn mode_picks_most_frequent() {
         let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        let out = gb
-            .aggregate(&[AggExpr::new("clerk", Aggregation::Mode)])
-            .unwrap();
+        let out = GroupBy::new(&t, &["store"]).unwrap().aggregate().unwrap();
         assert_eq!(out.column("clerk").unwrap().get(0), Value::Str("x".into()));
     }
 
     #[test]
     fn aggregate_default_covers_all_non_key_columns() {
         let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        let out = gb.aggregate_default().unwrap();
+        let out = GroupBy::new(&t, &["store"]).unwrap().aggregate().unwrap();
         assert_eq!(out.n_cols(), 3); // store + amount(mean) + clerk(mode)
         assert_eq!(out.n_rows(), 2);
         assert_eq!(out.column("amount").unwrap().get_f64(0), Some(30.0));
+        assert_eq!(out.column("amount").unwrap().get_f64(1), Some(30.0));
     }
 
     #[test]
@@ -426,12 +191,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let gb = GroupBy::new(&t, &["k"]).unwrap();
-        let out = gb
-            .aggregate(&[AggExpr::new("v", Aggregation::Sum)])
-            .unwrap();
+        let out = GroupBy::new(&t, &["k"]).unwrap().aggregate().unwrap();
         assert_eq!(out.n_rows(), 1);
-        assert_eq!(out.column("v").unwrap().get_f64(0), Some(4.0));
+        assert_eq!(out.column("v").unwrap().get_f64(0), Some(2.0));
     }
 
     #[test]
@@ -445,37 +207,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let gb = GroupBy::new(&t, &["a", "b"]).unwrap();
-        let out = gb
-            .aggregate(&[AggExpr::new("v", Aggregation::Mean)])
-            .unwrap();
+        let out = GroupBy::new(&t, &["a", "b"]).unwrap().aggregate().unwrap();
         assert_eq!(out.n_rows(), 2);
         assert_eq!(out.column("v").unwrap().get_f64(0), Some(2.0));
-    }
-
-    #[test]
-    fn mean_on_string_column_errors() {
-        let t = sample();
-        let gb = GroupBy::new(&t, &["store"]).unwrap();
-        assert!(gb
-            .aggregate(&[AggExpr::new("clerk", Aggregation::Mean)])
-            .is_err());
-    }
-
-    #[test]
-    fn first_skips_nulls() {
-        let t = Table::new(
-            "t",
-            vec![
-                Column::from_i64("k", vec![1, 1]),
-                Column::from_f64_opt("v", vec![None, Some(7.0)]),
-            ],
-        )
-        .unwrap();
-        let gb = GroupBy::new(&t, &["k"]).unwrap();
-        let out = gb
-            .aggregate(&[AggExpr::new("v", Aggregation::First)])
-            .unwrap();
-        assert_eq!(out.column("v").unwrap().get_f64(0), Some(7.0));
     }
 }

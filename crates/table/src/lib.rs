@@ -12,8 +12,10 @@
 //! * [`Column`] — a typed, named column with a null mask (`Vec<Option<T>>`).
 //! * [`Schema`] / [`Field`] — column names and [`DataType`]s.
 //! * [`Table`] — a collection of equal-length columns with relational
-//!   operations: projection, row `take`, filtering, sorting, horizontal
-//!   concatenation and [`GroupBy`] aggregation.
+//!   operations: projection, row `take`, sorting and horizontal
+//!   concatenation.
+//! * [`GroupBy`] — ARDA's pre-aggregation: group on key columns, take the
+//!   mean of numeric columns and the mode of the others.
 //! * Streaming CSV ingestion with type inference: a chunked, quote-aware
 //!   RFC-4180 reader that parses and infers on the ambient [`arda_par`]
 //!   work budget under bounded memory (see the `csv` module docs), plus a
@@ -31,7 +33,7 @@
 //!   invalidation rules).
 //!
 //! The engine is deliberately small: ARDA needs LEFT-join-friendly row
-//! addressing, group-by aggregation and cheap columnar access, not a full
+//! addressing, mean/mode group-by and cheap columnar access, not a full
 //! query engine.
 
 mod column;
@@ -48,7 +50,7 @@ mod value;
 pub use column::{Column, ColumnData};
 pub use csv::{read_csv, read_csv_str, read_csv_str_with, write_csv, CsvReadOptions};
 pub use error::TableError;
-pub use groupby::{AggExpr, Aggregation, GroupBy};
+pub use groupby::GroupBy;
 pub use repository::Repository;
 pub use schema::{DataType, Field, Schema};
 pub use store::{read_arda_bytes, write_arda};

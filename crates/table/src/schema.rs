@@ -122,11 +122,6 @@ impl Schema {
         self.fields.is_empty()
     }
 
-    /// Position of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// Field lookup by name.
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
@@ -158,9 +153,8 @@ mod tests {
             Field::new("b", DataType::Str),
         ])
         .unwrap();
-        assert_eq!(s.index_of("b"), Some(1));
-        assert_eq!(s.index_of("z"), None);
         assert_eq!(s.field("a").unwrap().dtype, DataType::Int);
+        assert!(s.field("z").is_none());
         assert_eq!(s.names(), vec!["a", "b"]);
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());

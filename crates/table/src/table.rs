@@ -1,6 +1,6 @@
 //! The [`Table`]: equal-length named columns with relational operations.
 
-use crate::{Column, DataType, Field, Key, Result, Schema, TableError, Value};
+use crate::{Column, Field, Key, Result, Schema, TableError};
 
 /// An in-memory relational table: an ordered set of equal-length [`Column`]s
 /// plus an optional table name (used to prefix columns after joins).
@@ -49,11 +49,6 @@ impl Table {
         &self.name
     }
 
-    /// Rename the table.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of rows (0 for a zero-column table).
     pub fn n_rows(&self) -> usize {
         self.columns.first().map_or(0, Column::len)
@@ -88,11 +83,6 @@ impl Table {
             .ok_or_else(|| TableError::ColumnNotFound(name.to_string()))
     }
 
-    /// Positional column access.
-    pub fn column_at(&self, idx: usize) -> Option<&Column> {
-        self.columns.get(idx)
-    }
-
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name() == name)
@@ -112,14 +102,6 @@ impl Table {
         }
         self.columns.push(column);
         Ok(())
-    }
-
-    /// Remove a column by name, returning it.
-    pub fn drop_column(&mut self, name: &str) -> Result<Column> {
-        match self.column_index(name) {
-            Some(i) => Ok(self.columns.remove(i)),
-            None => Err(TableError::ColumnNotFound(name.to_string())),
-        }
     }
 
     /// Keep only the named columns, in the given order.
@@ -155,30 +137,13 @@ impl Table {
         Table::new(self.name.clone(), cols)
     }
 
-    /// Keep rows where `predicate(row_index)` is true.
-    pub fn filter(&self, predicate: impl Fn(usize) -> bool) -> Result<Table> {
-        let idx: Vec<usize> = (0..self.n_rows()).filter(|&i| predicate(i)).collect();
-        self.take(&idx)
-    }
-
     /// First `n` rows.
     pub fn head(&self, n: usize) -> Table {
         let idx: Vec<usize> = (0..self.n_rows().min(n)).collect();
         self.take(&idx).expect("head indices in bounds")
     }
 
-    /// Dynamically typed row view.
-    pub fn row(&self, i: usize) -> Result<Vec<Value>> {
-        if i >= self.n_rows() {
-            return Err(TableError::RowOutOfBounds {
-                index: i,
-                len: self.n_rows(),
-            });
-        }
-        Ok(self.columns.iter().map(|c| c.get(i)).collect())
-    }
-
-    /// Row indices sorted ascending by the given column ([`Value::total_cmp`];
+    /// Row indices sorted ascending by the given column ([`crate::Value::total_cmp`];
     /// nulls first). Stable.
     pub fn sort_indices_by(&self, column: &str) -> Result<Vec<usize>> {
         let col = self.column(column)?;
@@ -242,43 +207,6 @@ impl Table {
         Ok(out)
     }
 
-    /// Vertically concatenate tables with identical schemas.
-    pub fn vstack(&self, other: &Table) -> Result<Table> {
-        if self.schema() != other.schema() {
-            return Err(TableError::Invalid(format!(
-                "vstack requires identical schemas ({} vs {})",
-                self.name, other.name
-            )));
-        }
-        let mut cols = Vec::with_capacity(self.n_cols());
-        for (a, b) in self.columns.iter().zip(&other.columns) {
-            let mut c = a.clone();
-            for v in b.iter() {
-                c.push(v)?;
-            }
-            cols.push(c);
-        }
-        Table::new(self.name.clone(), cols)
-    }
-
-    /// Names of columns whose dtype is numeric.
-    pub fn numeric_column_names(&self) -> Vec<&str> {
-        self.columns
-            .iter()
-            .filter(|c| c.dtype().is_numeric())
-            .map(|c| c.name())
-            .collect()
-    }
-
-    /// Names of string (categorical) columns.
-    pub fn string_column_names(&self) -> Vec<&str> {
-        self.columns
-            .iter()
-            .filter(|c| c.dtype() == DataType::Str)
-            .map(|c| c.name())
-            .collect()
-    }
-
     /// Total null count across all columns.
     pub fn null_count(&self) -> usize {
         self.columns.iter().map(Column::null_count).sum()
@@ -288,6 +216,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DataType, Value};
 
     fn sample() -> Table {
         Table::new(
@@ -349,8 +278,6 @@ mod tests {
         let sub = t.take(&[2, 0]).unwrap();
         assert_eq!(sub.n_rows(), 2);
         assert_eq!(sub.column("id").unwrap().get(0), Value::Int(3));
-        let f = t.filter(|i| i != 1).unwrap();
-        assert_eq!(f.n_rows(), 2);
         assert!(t.take(&[9]).is_err());
     }
 
@@ -405,16 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn vstack_same_schema() {
-        let a = sample();
-        let b = sample();
-        let v = a.vstack(&b).unwrap();
-        assert_eq!(v.n_rows(), 6);
-        let c = Table::new("c", vec![Column::from_i64("id", vec![1])]).unwrap();
-        assert!(a.vstack(&c).is_err());
-    }
-
-    #[test]
     fn add_drop_column() {
         let mut t = sample();
         t.add_column(Column::from_bool("flag", vec![true, false, true]))
@@ -426,27 +343,6 @@ mod tests {
         assert!(t
             .add_column(Column::from_bool("short", vec![true]))
             .is_err());
-        let c = t.drop_column("flag").unwrap();
-        assert_eq!(c.name(), "flag");
-        assert!(t.drop_column("flag").is_err());
-    }
-
-    #[test]
-    fn numeric_and_string_names() {
-        let t = sample();
-        assert_eq!(t.numeric_column_names(), vec!["id", "x"]);
-        assert_eq!(t.string_column_names(), vec!["cat"]);
-    }
-
-    #[test]
-    fn row_view() {
-        let t = sample();
-        let r = t.row(1).unwrap();
-        assert_eq!(
-            r,
-            vec![Value::Int(2), Value::Float(1.5), Value::Str("b".into())]
-        );
-        assert!(t.row(10).is_err());
     }
 
     #[test]

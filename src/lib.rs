@@ -33,11 +33,11 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`table`] | columnar tables, CSV, group-by, `.arda` shards, the lazy sharded [`Repository`](table::Repository) and its catalog (`arda-table`) |
-//! | [`linalg`] | dense matrix, solvers, MVN sampling, OSNAP sketches |
+//! | [`table`] | columnar tables, CSV, ARDA's mean/mode group-by, `.arda` shards, the lazy sharded [`Repository`](table::Repository) and its catalog (`arda-table`) |
+//! | [`linalg`] | dense matrix, Cholesky solves, MVN sampling, OSNAP sketches |
 //! | [`ml`] | trees, forests, linear models, SVMs, metrics, splits |
 //! | [`join`] | hard/soft joins, time resampling, imputation |
-//! | [`coreset`] | uniform / stratified / sketch coresets |
+//! | [`coreset`] | uniform / stratified row coresets, post-join OSNAP sketching (`sketch_xy`) |
 //! | [`select`] | RIFS + all baseline feature selectors |
 //! | [`discovery`] | join-discovery simulator (Aurum/Auctus stand-in): mines a repository for ranked candidate joins, stores nothing |
 //! | [`synth`] | scenario generators with planted ground truth |

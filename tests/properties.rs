@@ -156,7 +156,7 @@ fn aggregate_mean_bounded() {
         .unwrap();
         let agg = arda::table::GroupBy::new(&t, &["k"])
             .unwrap()
-            .aggregate_default()
+            .aggregate()
             .unwrap();
         let mut distinct = keys[..n].to_vec();
         distinct.sort_unstable();
