@@ -88,6 +88,23 @@ impl ShardFormat {
             _ => None,
         }
     }
+
+    /// Name the shard a read error came from: the error becomes this
+    /// format's kind with the path in front, so the message carries the
+    /// kind and the path once each.
+    fn error_in(self, path: &Path) -> impl Fn(TableError) -> TableError + '_ {
+        move |e| {
+            let msg = match e {
+                TableError::Csv(m) | TableError::Store(m) => m,
+                other => other.to_string(),
+            };
+            let msg = format!("shard {}: {msg}", path.display());
+            match self {
+                ShardFormat::Csv => TableError::Csv(msg),
+                ShardFormat::Arda => TableError::Store(msg),
+            }
+        }
+    }
 }
 
 /// Manifest entry for one on-disk shard (CSV or binary). The catalog
@@ -375,13 +392,11 @@ impl Repository {
         for ((path, format), &(mtime_ns, size)) in paths.iter().zip(&stats) {
             let (n_cols, dtypes) = match format {
                 ShardFormat::Csv => {
-                    let names = read_csv_header(path)
-                        .map_err(|e| TableError::Csv(format!("shard {}: {e}", path.display())))?;
+                    let names = read_csv_header(path).map_err(format.error_in(path))?;
                     (names.len(), None)
                 }
                 ShardFormat::Arda => {
-                    let header = read_arda_header(path)
-                        .map_err(|e| TableError::Store(format!("shard {}: {e}", path.display())))?;
+                    let header = read_arda_header(path).map_err(format.error_in(path))?;
                     let dtypes = header.schema.fields().iter().map(|f| f.dtype).collect();
                     (header.schema.len(), Some(dtypes))
                 }
@@ -531,12 +546,11 @@ impl Repository {
         // Load outside the lock so distinct shards parse concurrently; a
         // racing duplicate load of the same shard yields an identical
         // table, so first-insert-wins is safe.
-        let loaded = Arc::new(match meta.format {
-            ShardFormat::Csv => read_csv(&meta.path)
-                .map_err(|e| TableError::Csv(format!("shard {}: {e}", meta.path.display())))?,
-            ShardFormat::Arda => read_arda(&meta.path)
-                .map_err(|e| TableError::Store(format!("shard {}: {e}", meta.path.display())))?,
-        });
+        let loaded = match meta.format {
+            ShardFormat::Csv => read_csv(&meta.path),
+            ShardFormat::Arda => read_arda(&meta.path),
+        };
+        let loaded = Arc::new(loaded.map_err(meta.format.error_in(&meta.path))?);
         let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
         let out = Arc::clone(cache.loaded.entry(index).or_insert(loaded));
         cache.touch(index);

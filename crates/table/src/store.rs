@@ -301,20 +301,18 @@ fn parse_header<R: Read>(reader: R, source_size: u64) -> Result<ShardHeader> {
 }
 
 /// Read only a shard file's header: schema and row count. Never reads
-/// payload bytes, so it is cheap even on multi-gigabyte shards.
+/// payload bytes, so it is cheap even on multi-gigabyte shards. Errors do
+/// not name the file; the repository adds the path.
 pub(crate) fn read_arda_header(path: impl AsRef<Path>) -> Result<ShardHeader> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path)
-        .map_err(|e| err(format!("cannot open {}: {e}", path.display())))?;
+    let file = std::fs::File::open(path).map_err(|e| err(format!("cannot open: {e}")))?;
     // The size bound is load-bearing (it caps every directory-claimed
     // allocation), so an unreadable size is an error, not an unbounded
     // parse.
     let size = file
         .metadata()
-        .map_err(|e| err(format!("cannot stat {}: {e}", path.display())))?
+        .map_err(|e| err(format!("cannot stat: {e}")))?
         .len();
     parse_header(std::io::BufReader::new(file), size)
-        .map_err(|e| err(format!("{}: {e}", path.display())))
 }
 
 /// Expected payload byte length for a fixed-width column, with checked
@@ -461,7 +459,8 @@ pub fn read_arda_bytes(name: &str, bytes: &[u8]) -> Result<Table> {
 }
 
 /// Read a shard file; the table is named after the file stem, exactly
-/// like [`crate::read_csv`].
+/// like [`crate::read_csv`]. Errors do not name the file; the repository
+/// adds the path.
 pub(crate) fn read_arda(path: impl AsRef<Path>) -> Result<Table> {
     let path = path.as_ref();
     let name = path
@@ -469,9 +468,8 @@ pub(crate) fn read_arda(path: impl AsRef<Path>) -> Result<Table> {
         .and_then(|s| s.to_str())
         .unwrap_or("table")
         .to_string();
-    let bytes =
-        std::fs::read(path).map_err(|e| err(format!("cannot read {}: {e}", path.display())))?;
-    read_arda_bytes(&name, &bytes).map_err(|e| err(format!("{}: {e}", path.display())))
+    let bytes = std::fs::read(path).map_err(|e| err(format!("cannot read: {e}")))?;
+    read_arda_bytes(&name, &bytes)
 }
 
 #[cfg(test)]

@@ -273,3 +273,175 @@ fn degenerate_inputs_are_rejected_by_library_and_cli() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Repository-side edge cases, through the library and the CLI: a ragged
+/// base or shard and a truncated `.arda` shard are errors that name the
+/// failing file once; a corrupt or garbage `_catalog.arda` is a cold
+/// rescan with unchanged output; an empty directory is a CLI error; a
+/// repository with no joinable table augments nothing.
+#[test]
+fn repository_edge_cases_through_library_and_cli() {
+    use arda::prelude::*;
+
+    let dir = std::env::temp_dir().join(format!("arda_cli_repo_edges_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cli = |base: &PathBuf, repo: &PathBuf, out: &PathBuf| {
+        let output = Command::new(env!("CARGO_BIN_EXE_arda-cli"))
+            .args([
+                "--base",
+                base.to_str().unwrap(),
+                "--target",
+                "y",
+                "--repo",
+                repo.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+                "--selector",
+                "rf",
+            ])
+            .output()
+            .expect("run arda-cli");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.code(), stderr)
+    };
+    let run = |base: &Table, repo: &Repository| {
+        let config = ArdaConfig {
+            selector: SelectorKind::Ranking(RankingMethod::RandomForest),
+            ..Default::default()
+        };
+        Arda::new(config).run(base, repo, "y")
+    };
+
+    let base_path = dir.join("base.csv");
+    let mut base_csv = String::from("key,y\n");
+    let mut ext_csv = String::from("key,boost\n");
+    for i in 0..40 {
+        base_csv.push_str(&format!("{i},{}\n", 2 * (i * 7 % 13) + 1));
+        ext_csv.push_str(&format!("{i},{}\n", i * 7 % 13));
+    }
+    write(&base_path, &base_csv);
+    let base = arda::table::read_csv(&base_path).unwrap();
+    let repo_dir = dir.join("repo");
+    std::fs::create_dir_all(&repo_dir).unwrap();
+    write(&repo_dir.join("ext.csv"), &ext_csv);
+
+    // Ragged base CSV.
+    let ragged_base = dir.join("ragged_base.csv");
+    write(&ragged_base, "key,y\n0,1\n1,2,3\n2,5\n");
+    let err = arda::table::read_csv(&ragged_base).unwrap_err();
+    assert!(err.to_string().starts_with("csv error: "), "library: {err}");
+    let (code, stderr) = cli(&ragged_base, &repo_dir, &dir.join("out.csv"));
+    assert_eq!(code, Some(1), "ragged base: {stderr}");
+    assert!(stderr.contains("csv error"), "ragged base: {stderr}");
+
+    // Ragged CSV shard: the header scan passes, the body load fails.
+    let ragged_dir = dir.join("ragged_repo");
+    std::fs::create_dir_all(&ragged_dir).unwrap();
+    let ragged_shard = ragged_dir.join("r.csv");
+    write(&ragged_shard, "key,v\n0,1\n1,2,3\n2,5\n");
+    let shard = ragged_shard.display().to_string();
+    let err = run(&base, &Repository::from_dir(&ragged_dir).unwrap()).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.starts_with(&format!("table: csv error: shard {shard}: row ")),
+        "library: {msg}"
+    );
+    let (code, stderr) = cli(&base_path, &ragged_dir, &dir.join("out.csv"));
+    assert_eq!(code, Some(1), "ragged shard: {stderr}");
+    assert!(stderr.contains(&msg), "ragged shard: {stderr}");
+    assert_eq!(stderr.matches("csv error").count(), 1, "{stderr}");
+    assert_eq!(stderr.matches(&shard).count(), 1, "{stderr}");
+
+    // Truncated `.arda` shard: the catalog goes stale, the header scan
+    // passes, and the body load names the shard and the error kind once.
+    let bin_dir = dir.join("repo_bin");
+    Repository::from_dir(&repo_dir)
+        .unwrap()
+        .save_dir(&bin_dir)
+        .unwrap();
+    let arda_shard = bin_dir.join("ext.arda");
+    let bytes = std::fs::read(&arda_shard).unwrap();
+    std::fs::write(&arda_shard, &bytes[..bytes.len() - 16]).unwrap();
+    let shard = arda_shard.display().to_string();
+    let err = run(&base, &Repository::from_dir(&bin_dir).unwrap()).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.starts_with(&format!("table: store error: shard {shard}: body is ")),
+        "library: {msg}"
+    );
+    let (code, stderr) = cli(&base_path, &bin_dir, &dir.join("out.csv"));
+    assert_eq!(code, Some(1), "truncated shard: {stderr}");
+    assert!(stderr.contains(&msg), "truncated shard: {stderr}");
+    assert_eq!(stderr.matches("store error").count(), 1, "{stderr}");
+    assert_eq!(stderr.matches(&shard).count(), 1, "{stderr}");
+
+    // Corrupt and garbage catalogs: a cold rescan, same output as a run
+    // without a catalog.
+    let fresh_dir = dir.join("fresh_repo");
+    std::fs::create_dir_all(&fresh_dir).unwrap();
+    write(&fresh_dir.join("ext.csv"), &ext_csv);
+    let catalog = fresh_dir.join("_catalog.arda");
+    let reference_out = dir.join("reference.csv");
+    let reference = run(&base, &Repository::from_dir(&fresh_dir).unwrap()).unwrap();
+    std::fs::remove_file(&catalog).unwrap();
+    let (code, stderr) = cli(&base_path, &fresh_dir, &reference_out);
+    assert_eq!(code, Some(0), "no catalog: {stderr}");
+    assert!(stderr.contains("cold scan"), "no catalog: {stderr}");
+    let good_catalog = std::fs::read(&catalog).unwrap();
+    let corrupt = good_catalog[..good_catalog.len() / 2].to_vec();
+    for (case, bytes) in [("corrupt", corrupt), ("garbage", b"not a catalog".to_vec())] {
+        std::fs::write(&catalog, &bytes).unwrap();
+        let repo = Repository::from_dir(&fresh_dir).unwrap();
+        assert!(!repo.catalog_hit(), "{case} catalog");
+        let report = run(&base, &repo).unwrap();
+        assert_eq!(report.augmented, reference.augmented, "{case} catalog");
+        std::fs::write(&catalog, &bytes).unwrap();
+        let out = dir.join(format!("{case}.csv"));
+        let (code, stderr) = cli(&base_path, &fresh_dir, &out);
+        assert_eq!(code, Some(0), "{case} catalog: {stderr}");
+        assert!(stderr.contains("cold scan"), "{case} catalog: {stderr}");
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            std::fs::read(&reference_out).unwrap(),
+            "{case} catalog"
+        );
+    }
+
+    // Empty repository directory.
+    let empty_dir = dir.join("empty_repo");
+    std::fs::create_dir_all(&empty_dir).unwrap();
+    assert!(Repository::from_dir(&empty_dir).unwrap().is_empty());
+    let (code, stderr) = cli(&base_path, &empty_dir, &dir.join("out.csv"));
+    assert_eq!(code, Some(1), "empty repository: {stderr}");
+    assert!(
+        stderr.contains("no .csv or .arda files"),
+        "empty repository: {stderr}"
+    );
+
+    // No joinable table: zero candidates, zero joins, and the output is
+    // the base coreset.
+    let unjoinable_dir = dir.join("unjoinable_repo");
+    std::fs::create_dir_all(&unjoinable_dir).unwrap();
+    let mut decoy_csv = String::from("code,junk\n");
+    for i in 0..20 {
+        decoy_csv.push_str(&format!("z{i},{i}.5\n"));
+    }
+    write(&unjoinable_dir.join("decoy.csv"), &decoy_csv);
+    let repo = Repository::from_dir(&unjoinable_dir).unwrap();
+    assert!(discover_joins(&base, &repo, &DiscoveryConfig::default())
+        .unwrap()
+        .is_empty());
+    let report = run(&base, &repo).unwrap();
+    assert_eq!(report.joins_executed, 0);
+    let coreset = arda::coreset::row_coreset(base.n_rows(), None, &CoresetSpec::default());
+    let base_coreset = base.take(&coreset).unwrap();
+    assert_eq!(report.augmented, base_coreset);
+    let out = dir.join("unjoinable.csv");
+    let (code, stderr) = cli(&base_path, &unjoinable_dir, &out);
+    assert_eq!(code, Some(0), "no joinable table: {stderr}");
+    let mut expected = Vec::new();
+    arda::table::write_csv(&base_coreset, &mut expected).unwrap();
+    assert_eq!(std::fs::read(&out).unwrap(), expected);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
