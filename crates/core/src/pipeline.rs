@@ -88,7 +88,8 @@ pub struct AugmentationReport {
     pub joins_executed: usize,
     /// Candidates eliminated by the Tuple-Ratio prefilter.
     pub tr_eliminated: usize,
-    /// Total wall-clock seconds.
+    /// Total wall-clock seconds of the call that produced the report
+    /// (discovery included for [`Arda::run`]).
     pub seconds: f64,
 }
 
@@ -117,9 +118,13 @@ impl Arda {
     }
 
     /// Full pipeline: discover candidate joins in `repo`, then augment.
+    /// The report's `seconds` covers discovery too.
     pub fn run(&self, base: &Table, repo: &Repository, target: &str) -> Result<AugmentationReport> {
+        let start = Instant::now();
         let candidates = discover_joins(base, repo, &self.config.discovery)?;
-        self.augment(base, repo, &candidates, target)
+        let mut report = self.augment(base, repo, &candidates, target)?;
+        report.seconds = start.elapsed().as_secs_f64();
+        Ok(report)
     }
 
     /// Augment `base` using a caller-provided (discovery-system) candidate
