@@ -241,8 +241,8 @@ fn bench_pipeline(out: &mut Vec<Measurement>) {
 }
 
 /// Reading one mixed-dtype table (every dtype, nulls, and strings with
-/// commas, quotes and newlines for the quote-aware scanner) with the
-/// streaming CSV reader vs the binary `.arda` decoder.
+/// commas, quotes and newlines for the quote-aware scanner) from memory:
+/// the CSV parser vs the binary `.arda` decoder.
 fn bench_ingest(out: &mut Vec<Measurement>) {
     let rows = 20_000;
     let mut rng = StdRng::seed_from_u64(7);

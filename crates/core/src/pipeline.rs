@@ -197,7 +197,7 @@ impl Arda {
         if let Some(tau) = cfg.tr_threshold {
             // Per-candidate stats are independent, so the prefilter fans
             // out on the work budget; on a sharded repository each worker
-            // streams its candidate's shard in concurrently (instead of a
+            // loads its candidate's shard concurrently (instead of a
             // sequential load-parse-evict walk on the critical path). The
             // fold below runs in candidate order, so `active`, the
             // eliminated count and the earliest error are identical to
@@ -251,7 +251,7 @@ impl Arda {
             let snapshot = &kept;
             let extra_tables: Vec<Result<Table>> = arda_par::par_map(batch, |_, cand| {
                 // On a sharded repository this is where the foreign shard
-                // is streamed in — concurrently per candidate, under the
+                // is loaded — concurrently per candidate, under the
                 // batch's split of the work budget.
                 let foreign = repo.table(cand.table_index)?;
                 let kind = join_kind_for(snapshot, cand, cfg.soft_method);
@@ -380,6 +380,16 @@ fn best_estimate(data: &Dataset, seed: u64) -> Result<(f64, ModelKind)> {
             "{} rows split into {} train / {} holdout; each side needs at least 2",
             data.n_samples(),
             train.len(),
+            holdout.len()
+        )));
+    }
+    // R² is undefined on a constant holdout target (`r2` would score any
+    // exact prediction a perfect 1.0), so a regression holdout needs two
+    // distinct values.
+    let first = data.y[holdout[0]];
+    if !data.task.is_classification() && holdout.iter().all(|&i| data.y[i] == first) {
+        return Err(ArdaError::Invalid(format!(
+            "holdout target is constant: all {} holdout rows equal {first}, so R² is undefined",
             holdout.len()
         )));
     }

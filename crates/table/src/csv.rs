@@ -1,43 +1,40 @@
-//! Streaming CSV ingestion with type inference.
+//! CSV ingestion with type inference.
 //!
 //! ARDA's inputs are *repositories* of heterogeneous tables fed by a
 //! discovery system (§2, Figure 1); CSV is the lingua franca. This module
-//! implements a streaming, budget-parallel RFC-4180 reader plus per-column
-//! type inference with the priority
+//! implements a budget-parallel RFC-4180 reader plus per-column type
+//! inference with the priority
 //! `Timestamp(@tick) → Int → finite Float → Bool → Str`; empty fields
 //! become nulls.
 //!
-//! ## The streaming engine
+//! ## One read, one parse
 //!
-//! The reader never slurps a file into one `String`. Input is consumed in
-//! fixed-size byte chunks ([`CsvReadOptions::chunk_size`]); a *quote-aware*
-//! boundary scanner — quote parity is tracked across chunk boundaries, so a
-//! `"` / `\n` split between two reads cannot confuse it — carves the byte
-//! stream into **blocks** of complete records. Records therefore terminate
-//! only at newlines *outside* quoted fields, which is what makes embedded
-//! `\n` / `\r\n` inside quoted cells parse correctly (RFC 4180 §2.6)
-//! instead of erroring as ragged rows.
+//! [`read_csv`] reads the file into memory once, as an `.arda` shard read
+//! does ([`crate::store`]), and [`read_csv_str`] parses the text in three
+//! steps:
 //!
-//! Parsing runs in **two streaming passes** so memory stays bounded by
-//! `O(budget width × chunk_size)` of raw text (plus the final columns)
-//! rather than `raw text + dynamic cells + columns` all at once:
+//! 1. **Cut** — one quote-aware scan cuts the text into *runs* of whole
+//!    records. Records terminate only at newlines *outside* quoted fields,
+//!    which is what makes embedded `\n` / `\r\n` inside quoted cells parse
+//!    correctly (RFC 4180 §2.6) instead of erroring as ragged rows. Each
+//!    run knows the index of its first record, so ragged-row errors name
+//!    the right row.
+//! 2. **Infer** — runs are fanned out on the ambient [`arda_par`] work
+//!    budget; each worker accumulates per-column [`Inferred`] types for its
+//!    run, folded back *in run order* with the widen-merge [`unify`]
+//!    (`Int ∪ Float → Float`, anything else mixed → `Str`). Ragged rows
+//!    surface the earliest offending row, exactly like a sequential scan.
+//! 3. **Build** — runs are fanned out again, this time materializing
+//!    *typed* columnar builders directly (no intermediate per-cell `String`
+//!    table); partial columns are appended in run order.
 //!
-//! 1. **Infer** — blocks are fanned out on the ambient [`arda_par`] work
-//!    budget; each worker parses its block and accumulates per-column
-//!    [`Inferred`] types, which are folded back *in block order* with the
-//!    deterministic widen-merge [`unify`] (`Int ∪ Float → Float`, anything
-//!    else mixed → `Str`). Ragged rows surface the earliest offending row,
-//!    exactly like a sequential scan.
-//! 2. **Build** — the source is re-opened and blocks are fanned out again,
-//!    this time materializing *typed* columnar builders directly (no
-//!    intermediate per-cell `String` table); partial columns are appended
-//!    in block order.
-//!
-//! Chunk boundaries, block boundaries and the merge order depend only on
-//! `chunk_size` — never on the budget width or how many permits the pool
-//! granted — so the resulting [`Table`] is **bit-identical** at any
-//! `ARDA_THREADS` / budget, and identical to a whole-file parse at any
-//! chunk size. `tests/csv_stream.rs` asserts both properties.
+//! The run count is the budget width; text under 64 KiB (every lake
+//! shard) is one run on the calling thread. The output does not depend on
+//! where the text is cut: [`unify`] is associative and commutative,
+//! columns append in order and the earliest ragged row wins. The resulting
+//! [`Table`] is therefore **bit-identical** at any `ARDA_THREADS` / budget;
+//! `tests/csv_stream.rs` and the unit tests below assert it. A read holds
+//! the file's text while the columns are built.
 //!
 //! ## Semantics
 //!
@@ -66,26 +63,11 @@
 //! and is the right store for anything that must survive persistence.
 
 use crate::{Column, ColumnData, Result, Table, TableError};
-use std::io::Read;
+use std::io::BufRead;
 use std::path::Path;
 
-/// Tuning knobs for the streaming CSV reader.
-#[derive(Debug, Clone)]
-pub struct CsvReadOptions {
-    /// Bytes per streamed chunk. Blocks handed to parallel workers are at
-    /// least this large (they extend to the last complete record found).
-    /// `usize::MAX` degenerates to a whole-input parse ("slurp mode") —
-    /// the output is identical either way.
-    pub chunk_size: usize,
-}
-
-impl Default for CsvReadOptions {
-    fn default() -> Self {
-        CsvReadOptions {
-            chunk_size: 64 * 1024,
-        }
-    }
-}
+/// Text shorter than this parses as one run on the calling thread.
+const PAR_MIN_BYTES: usize = 64 * 1024;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Inferred {
@@ -127,10 +109,10 @@ fn infer_one(s: &str) -> Inferred {
     }
 }
 
-/// Widen `a` to cover `b`. Associative and commutative, so the per-block
-/// fold order cannot change the merged type (the fold still runs in block
-/// order for determinism by construction). `Timestamp` only unifies with
-/// itself — `@tick` mixed with anything else is text.
+/// Widen `a` to cover `b`. Associative and commutative, so where the text
+/// is cut cannot change the merged type (the fold still runs in run order
+/// for determinism by construction). `Timestamp` only unifies with itself
+/// — `@tick` mixed with anything else is text.
 fn unify(a: Inferred, b: Inferred) -> Inferred {
     use Inferred::*;
     match (a, b) {
@@ -179,202 +161,111 @@ fn for_each_field(record: &str, mut f: impl FnMut(usize, &str)) -> usize {
     idx + 1
 }
 
-/// Parse one record into owned fields (test/oracle convenience).
-fn parse_record(record: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    for_each_field(record, |_, s| fields.push(s.to_string()));
-    fields
+/// A run of whole records cut from the input text.
+struct Run<'a> {
+    text: &'a str,
+    /// Global index (header = 0) of this run's first record.
+    first_record: usize,
 }
 
-/// Iterate the complete records of `block`, stripping the `\n` terminator
-/// and one trailing `\r` per record. `block` must start at a record
-/// boundary; newlines inside quoted fields (tracked by quote *parity*,
-/// which is equivalent to the field parser's toggling for `""` escapes) do
-/// not terminate a record. A final unterminated record (EOF without a
-/// newline) is yielded too.
-fn for_each_record(block: &str, mut f: impl FnMut(usize, &str) -> Result<()>) -> Result<()> {
-    let bytes = block.as_bytes();
-    let mut in_quotes = false;
-    let mut start = 0usize;
-    let mut rec_no = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
+/// Cut `text` into at most `runs` runs of whole records in one
+/// quote-aware scan: each run ends at the first record terminator at least
+/// `text.len() / runs` bytes past its start, so `runs >= text.len()` makes
+/// every record its own run. Quote *parity* decides which newlines
+/// terminate records, which is equivalent to the field parser's toggling
+/// for `""` escapes.
+///
+/// A lone `\r` after the last terminator is the `\r` of a `\r\n`-style
+/// trailing empty line (the original parser stripped it to an empty last
+/// line and popped it), so it is dropped here, before the header is
+/// parsed: it is not a record.
+fn cut_runs(text: &str, runs: usize) -> Vec<Run<'_>> {
+    let min_len = text.len().div_ceil(runs.max(1)).max(1);
+    let mut out = Vec::new();
+    let (mut start, mut first_record) = (0usize, 0usize);
+    let (mut records, mut last_end, mut in_quotes) = (0usize, 0usize, false);
+    for (i, &b) in text.as_bytes().iter().enumerate() {
         match b {
             b'"' => in_quotes = !in_quotes,
             b'\n' if !in_quotes => {
-                let mut end = i;
-                if end > start && bytes[end - 1] == b'\r' {
-                    end -= 1;
+                records += 1;
+                last_end = i + 1;
+                if last_end - start >= min_len {
+                    out.push(Run {
+                        text: &text[start..last_end],
+                        first_record,
+                    });
+                    start = last_end;
+                    first_record = records;
                 }
-                f(rec_no, &block[start..end])?;
-                rec_no += 1;
+            }
+            _ => {}
+        }
+    }
+    let end = if &text[last_end..] == "\r" {
+        last_end
+    } else {
+        text.len()
+    };
+    if start < end {
+        out.push(Run {
+            text: &text[start..end],
+            first_record,
+        });
+    }
+    out
+}
+
+/// Call `f(record, text)` for each data record of `run`, where `record` is
+/// the global record index; the header (record 0) is skipped. The `\n`
+/// terminator and one trailing `\r` per record are stripped, and a final
+/// unterminated record (EOF without a newline) is included.
+fn for_each_record(run: &Run, mut f: impl FnMut(usize, &str) -> Result<()>) -> Result<()> {
+    let mut emit = |record: usize, text: &str| match record {
+        0 => Ok(()),
+        _ => f(record, text.strip_suffix('\r').unwrap_or(text)),
+    };
+    let (mut start, mut record, mut in_quotes) = (0usize, run.first_record, false);
+    for (i, &b) in run.text.as_bytes().iter().enumerate() {
+        match b {
+            b'"' => in_quotes = !in_quotes,
+            b'\n' if !in_quotes => {
+                emit(record, &run.text[start..i])?;
+                record += 1;
                 start = i + 1;
             }
             _ => {}
         }
     }
-    if start < bytes.len() {
-        let mut end = bytes.len();
-        if bytes[end - 1] == b'\r' {
-            end -= 1;
-        }
-        f(rec_no, &block[start..end])?;
+    if start < run.text.len() {
+        emit(record, &run.text[start..])?;
     }
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Chunked block streaming
-// ---------------------------------------------------------------------------
-
-/// A run of complete records carved out of the byte stream.
-struct Block {
-    text: String,
-    /// Global index (header = 0) of this block's first record.
-    first_record: usize,
-}
-
-/// Streams fixed-size chunks from a reader and carves them into [`Block`]s
-/// of complete records at quote-aware boundaries. Quote parity persists
-/// across chunk reads, so structural characters split between two reads
-/// are classified exactly as in a whole-input scan.
-struct BlockStream<R: Read> {
-    reader: R,
-    chunk_size: usize,
-    carry: Vec<u8>,
-    /// Quote parity at `carry[scanned]`.
-    in_quotes: bool,
-    /// Prefix of `carry` already boundary-scanned.
-    scanned: usize,
-    /// Offset just past the last record terminator found in `carry`.
-    last_end: usize,
-    /// Record terminators found in `carry[..last_end]`.
-    pending_records: usize,
-    records_emitted: usize,
-    eof: bool,
-}
-
-impl<R: Read> BlockStream<R> {
-    fn new(reader: R, chunk_size: usize) -> Self {
-        BlockStream {
-            reader,
-            chunk_size: chunk_size.max(1),
-            carry: Vec::new(),
-            in_quotes: false,
-            scanned: 0,
-            last_end: 0,
-            pending_records: 0,
-            records_emitted: 0,
-            eof: false,
-        }
-    }
-
-    /// Read one chunk and boundary-scan the new bytes.
-    fn fill(&mut self) -> Result<()> {
-        let before = self.carry.len();
-        let n = self
-            .reader
-            .by_ref()
-            .take(self.chunk_size as u64)
-            .read_to_end(&mut self.carry)
-            .map_err(|e| TableError::Csv(e.to_string()))?;
-        if n == 0 {
-            self.eof = true;
-        }
-        debug_assert_eq!(self.scanned, before);
-        for i in self.scanned..self.carry.len() {
-            match self.carry[i] {
-                b'"' => self.in_quotes = !self.in_quotes,
-                b'\n' if !self.in_quotes => {
-                    self.last_end = i + 1;
-                    self.pending_records += 1;
-                }
-                _ => {}
-            }
-        }
-        self.scanned = self.carry.len();
-        Ok(())
-    }
-
-    /// Next block of complete records, or `None` at end of input. Blocks
-    /// split only at record boundaries, so each is valid UTF-8 iff the
-    /// input is.
-    fn next_block(&mut self) -> Result<Option<Block>> {
-        loop {
-            if self.last_end > 0 {
-                let rest = self.carry.split_off(self.last_end);
-                let bytes = std::mem::replace(&mut self.carry, rest);
-                let text = String::from_utf8(bytes)
-                    .map_err(|_| TableError::Csv("input is not valid UTF-8".into()))?;
-                let block = Block {
-                    text,
-                    first_record: self.records_emitted,
-                };
-                self.records_emitted += self.pending_records;
-                self.scanned -= self.last_end;
-                self.last_end = 0;
-                self.pending_records = 0;
-                return Ok(Some(block));
-            }
-            if self.eof {
-                // A lone `\r` tail is the `\r` of a final `\r\n`-style
-                // empty line: the original parser stripped it and popped
-                // the resulting empty last line, so it is not a record.
-                if self.carry.is_empty() || self.carry == b"\r" {
-                    return Ok(None);
-                }
-                let bytes = std::mem::take(&mut self.carry);
-                let text = String::from_utf8(bytes)
-                    .map_err(|_| TableError::Csv("input is not valid UTF-8".into()))?;
-                let block = Block {
-                    text,
-                    first_record: self.records_emitted,
-                };
-                self.records_emitted += 1;
-                self.scanned = 0;
-                return Ok(Some(block));
-            }
-            self.fill()?;
-        }
-    }
-
-    /// Pull up to `n` blocks (one parallel window's worth).
-    fn next_window(&mut self, n: usize) -> Result<Vec<Block>> {
-        let mut blocks = Vec::new();
-        while blocks.len() < n.max(1) {
-            match self.next_block()? {
-                Some(b) => blocks.push(b),
-                None => break,
-            }
-        }
-        Ok(blocks)
-    }
-}
-
-/// The first record of `block` (terminator and one trailing `\r`
-/// stripped), without scanning past it — a block can be the whole input in
-/// slurp mode, and the header never needs more than its own bytes.
-fn first_record(block: &str) -> &str {
-    let bytes = block.as_bytes();
+/// The column names: the first record of the first run, its terminator
+/// and one trailing `\r` stripped.
+fn header(runs: &[Run]) -> Result<Vec<String>> {
+    let Some(first) = runs.first() else {
+        return Err(TableError::Csv("empty input".into()));
+    };
     let mut in_quotes = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b'\n' if !in_quotes => {
-                let end = if i > 0 && bytes[i - 1] == b'\r' {
-                    i - 1
-                } else {
-                    i
-                };
-                return &block[..end];
-            }
-            _ => {}
-        }
+    let end = first
+        .text
+        .bytes()
+        .position(|b| {
+            in_quotes ^= b == b'"';
+            b == b'\n' && !in_quotes
+        })
+        .unwrap_or(first.text.len());
+    let record = &first.text[..end];
+    let record = record.strip_suffix('\r').unwrap_or(record);
+    if record.trim().is_empty() {
+        return Err(TableError::Csv("empty header".into()));
     }
-    let mut end = bytes.len();
-    if end > 0 && bytes[end - 1] == b'\r' {
-        end -= 1;
-    }
-    &block[..end]
+    let mut names = Vec::new();
+    for_each_field(record, |_, s| names.push(s.to_string()));
+    Ok(names)
 }
 
 fn ragged(record: usize, got: usize, width: usize) -> TableError {
@@ -388,29 +279,14 @@ fn ragged(record: usize, got: usize, width: usize) -> TableError {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: header + type inference
+// Type inference
 // ---------------------------------------------------------------------------
 
-struct InferState {
-    names: Vec<String>,
-    /// Per-column merged type; `None` = no non-null value seen.
-    types: Vec<Option<Inferred>>,
-    n_rows: usize,
-}
-
-/// Infer per-column types for one block of data records.
-fn infer_block(
-    block: &str,
-    first_record: usize,
-    skip_records: usize,
-    width: usize,
-) -> Result<(Vec<Option<Inferred>>, usize)> {
+/// Infer per-column types and count the data records of one run.
+fn infer_run(run: &Run, width: usize) -> Result<(Vec<Option<Inferred>>, usize)> {
     let mut types: Vec<Option<Inferred>> = vec![None; width];
     let mut rows = 0usize;
-    for_each_record(block, |i, rec| {
-        if i < skip_records {
-            return Ok(());
-        }
+    for_each_record(run, |record, rec| {
         rows += 1;
         if rec.is_empty() {
             return Ok(()); // full-width null row
@@ -425,62 +301,15 @@ fn infer_block(
             }
         });
         if n != width {
-            return Err(ragged(first_record + i, n, width));
+            return Err(ragged(record, n, width));
         }
         Ok(())
     })?;
     Ok((types, rows))
 }
 
-fn infer_pass<R: Read>(reader: R, opts: &CsvReadOptions) -> Result<InferState> {
-    let mut stream = BlockStream::new(reader, opts.chunk_size);
-    let Some(first) = stream.next_block()? else {
-        return Err(TableError::Csv("empty input".into()));
-    };
-
-    // The header is the first record of the first block; peel it off
-    // inline, then infer the rest of that block sequentially (it is one
-    // block's worth of work) and window the remainder in parallel.
-    let header = first_record(&first.text);
-    if header.trim().is_empty() {
-        return Err(TableError::Csv("empty header".into()));
-    }
-    let names = parse_record(header);
-    let width = names.len();
-
-    let (mut types, mut n_rows) = infer_block(&first.text, 0, 1, width)?;
-    loop {
-        let window = stream.next_window(arda_par::current_budget().width())?;
-        if window.is_empty() {
-            break;
-        }
-        let results = arda_par::par_map(&window, |_, block| {
-            infer_block(&block.text, block.first_record, 0, width)
-        });
-        // Fold in block order; `unify` is order-insensitive but the fold
-        // order is fixed anyway, and the *earliest* ragged row wins just
-        // like a sequential scan.
-        for res in results {
-            let (block_types, rows) = res?;
-            n_rows += rows;
-            for (slot, t) in types.iter_mut().zip(block_types) {
-                *slot = match (*slot, t) {
-                    (prev, None) => prev,
-                    (None, got) => got,
-                    (Some(prev), Some(got)) => Some(unify(prev, got)),
-                };
-            }
-        }
-    }
-    Ok(InferState {
-        names,
-        types,
-        n_rows,
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Pass 2: typed columnar build
+// Typed columnar build
 // ---------------------------------------------------------------------------
 
 fn new_builder(t: Inferred, capacity: usize) -> ColumnData {
@@ -502,34 +331,33 @@ fn push_null(data: &mut ColumnData) {
     }
 }
 
-/// Parse `field` into the builder's type. Inference already proved every
-/// non-null cell parses; a failure here means the source changed between
-/// the two passes.
+/// Parse `field` into the builder's type. Inference saw the same text and
+/// proved every non-null cell parses, so an error here is a reader bug,
+/// reported instead of a panic.
 fn push_field(data: &mut ColumnData, field: &str) -> Result<()> {
     if field.is_empty() {
         push_null(data);
         return Ok(());
     }
-    let changed = || TableError::Csv("input changed between streaming passes".into());
+    let dtype = data.dtype();
+    let bad = || TableError::Csv(format!("cell {field:?} does not parse as inferred {dtype}"));
     match data {
-        ColumnData::Int(v) => v.push(Some(field.parse::<i64>().map_err(|_| changed())?)),
+        ColumnData::Int(v) => v.push(Some(field.parse::<i64>().map_err(|_| bad())?)),
         ColumnData::Timestamp(v) => {
-            let tick = field.strip_prefix('@').ok_or_else(changed)?;
-            v.push(Some(tick.parse::<i64>().map_err(|_| changed())?))
+            let tick = field.strip_prefix('@').ok_or_else(bad)?;
+            v.push(Some(tick.parse::<i64>().map_err(|_| bad())?))
         }
         ColumnData::Float(v) => {
-            let x = field.parse::<f64>().map_err(|_| changed())?;
+            let x = field.parse::<f64>().map_err(|_| bad())?;
             if !x.is_finite() {
-                // Inference only admits finite literals; a non-finite one
-                // here means the source changed between the two passes.
-                return Err(changed());
+                return Err(bad());
             }
             v.push(Some(x))
         }
         ColumnData::Bool(v) => match field {
             "true" | "TRUE" | "True" => v.push(Some(true)),
             "false" | "FALSE" | "False" => v.push(Some(false)),
-            _ => return Err(changed()),
+            _ => return Err(bad()),
         },
         ColumnData::Str(v) => v.push(Some(field.to_string())),
     }
@@ -547,123 +375,86 @@ fn append_data(dst: &mut ColumnData, src: ColumnData) {
     }
 }
 
-/// Materialize one block of records into typed partial columns.
-fn build_block(
-    block: &str,
-    first_record: usize,
-    skip_records: usize,
-    types: &[Inferred],
-) -> Result<Vec<ColumnData>> {
-    let width = types.len();
+/// Materialize one run's records into typed partial columns. Inference
+/// already rejected ragged rows.
+fn build_run(run: &Run, types: &[Inferred]) -> Result<Vec<ColumnData>> {
     let mut cols: Vec<ColumnData> = types.iter().map(|&t| new_builder(t, 0)).collect();
-    for_each_record(block, |i, rec| {
-        if i < skip_records {
-            return Ok(());
-        }
+    for_each_record(run, |_, rec| {
         if rec.is_empty() {
-            for col in &mut cols {
-                push_null(col);
-            }
+            cols.iter_mut().for_each(push_null);
             return Ok(());
         }
-        let mut err: Option<TableError> = None;
-        let n = for_each_field(rec, |c, field| {
-            if err.is_none() {
-                if let Some(col) = cols.get_mut(c) {
-                    if let Err(e) = push_field(col, field) {
-                        err = Some(e);
-                    }
-                }
+        let mut res = Ok(());
+        for_each_field(rec, |c, field| {
+            if res.is_ok() {
+                res = push_field(&mut cols[c], field);
             }
         });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        if n != width {
-            return Err(ragged(first_record + i, n, width));
-        }
-        Ok(())
+        res
     })?;
     Ok(cols)
-}
-
-fn build_pass<R: Read>(
-    reader: R,
-    opts: &CsvReadOptions,
-    state: &InferState,
-) -> Result<Vec<ColumnData>> {
-    let types: Vec<Inferred> = state
-        .types
-        .iter()
-        .map(|t| t.unwrap_or(Inferred::Str))
-        .collect();
-    let mut columns: Vec<ColumnData> = types
-        .iter()
-        .map(|&t| new_builder(t, state.n_rows))
-        .collect();
-    let mut stream = BlockStream::new(reader, opts.chunk_size);
-    let mut first = true;
-    loop {
-        let window = stream.next_window(arda_par::current_budget().width())?;
-        if window.is_empty() {
-            break;
-        }
-        let skip_header = first;
-        first = false;
-        let parts = arda_par::par_map(&window, |bi, block| {
-            let skip = usize::from(skip_header && bi == 0);
-            build_block(&block.text, block.first_record, skip, &types)
-        });
-        for part in parts {
-            for (dst, src) in columns.iter_mut().zip(part?) {
-                append_data(dst, src);
-            }
-        }
-    }
-    if columns.first().is_some_and(|c| c.len() != state.n_rows) {
-        return Err(TableError::Csv(
-            "input changed between streaming passes".into(),
-        ));
-    }
-    Ok(columns)
 }
 
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
 
-/// Run both streaming passes over a re-openable byte source.
-fn ingest<R: Read>(
-    name: &str,
-    open: impl Fn() -> Result<R>,
-    opts: &CsvReadOptions,
-) -> Result<Table> {
-    let state = infer_pass(open()?, opts)?;
-    let columns = build_pass(open()?, opts, &state)?;
-    let columns: Vec<Column> = state
-        .names
-        .iter()
+/// Parse `text` cut into at most `runs` runs. The table does not depend
+/// on `runs`; only unit tests choose it.
+fn parse(name: &str, text: &str, runs: usize) -> Result<Table> {
+    let runs = cut_runs(text, runs);
+    let names = header(&runs)?;
+    let width = names.len();
+
+    // Fold in run order; `unify` is order-insensitive but the fold order
+    // is fixed anyway, and the *earliest* ragged row wins just like a
+    // sequential scan.
+    let mut types: Vec<Option<Inferred>> = vec![None; width];
+    let mut n_rows = 0usize;
+    for res in arda_par::par_map(&runs, |_, run| infer_run(run, width)) {
+        let (run_types, rows) = res?;
+        n_rows += rows;
+        for (slot, t) in types.iter_mut().zip(run_types) {
+            *slot = match (*slot, t) {
+                (prev, None) => prev,
+                (None, got) => got,
+                (Some(prev), Some(got)) => Some(unify(prev, got)),
+            };
+        }
+    }
+
+    let types: Vec<Inferred> = types
+        .into_iter()
+        .map(|t| t.unwrap_or(Inferred::Str))
+        .collect();
+    let mut columns: Vec<ColumnData> = types.iter().map(|&t| new_builder(t, n_rows)).collect();
+    for part in arda_par::par_map(&runs, |_, run| build_run(run, &types)) {
+        for (dst, src) in columns.iter_mut().zip(part?) {
+            append_data(dst, src);
+        }
+    }
+    let columns: Vec<Column> = names
+        .into_iter()
         .zip(columns)
-        .map(|(n, data)| Column::new(n.clone(), data))
+        .map(|(n, data)| Column::new(n, data))
         .collect();
     Table::new(name, columns)
 }
 
-/// Read a table from CSV text with explicit options. The first record is
-/// the header; an empty record is a row of nulls; quoted fields may span
-/// lines.
-pub fn read_csv_str_with(name: &str, text: &str, opts: &CsvReadOptions) -> Result<Table> {
-    ingest(name, || Ok(text.as_bytes()), opts)
+/// Read a table from CSV text. The first record is the header; an empty
+/// record is a row of nulls; quoted fields may span lines.
+pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
+    arda_par::sequential_below(text.len(), PAR_MIN_BYTES, || {
+        parse(name, text, arda_par::current_budget().width())
+    })
 }
 
-/// Read a table from CSV text (default streaming options).
-pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
-    read_csv_str_with(name, text, &CsvReadOptions::default())
+fn not_utf8() -> TableError {
+    TableError::Csv("input is not valid UTF-8".into())
 }
 
 /// Read a table from a CSV file; the table is named after the file stem.
-/// The file is streamed twice (infer, then build) so raw text, dynamic
-/// cells and columns are never all resident at once.
+/// The file is read into memory once and parsed by [`read_csv_str`].
 pub fn read_csv(path: impl AsRef<Path>) -> Result<Table> {
     let path = path.as_ref();
     let name = path
@@ -671,27 +462,32 @@ pub fn read_csv(path: impl AsRef<Path>) -> Result<Table> {
         .and_then(|s| s.to_str())
         .unwrap_or("table")
         .to_string();
-    ingest(
-        &name,
-        || std::fs::File::open(path).map_err(|e| TableError::Csv(e.to_string())),
-        &CsvReadOptions::default(),
-    )
+    let bytes = std::fs::read(path).map_err(|e| TableError::Csv(e.to_string()))?;
+    let text = String::from_utf8(bytes).map_err(|_| not_utf8())?;
+    read_csv_str(&name, &text)
 }
 
 /// Read only the header record of a CSV file: the column names, in order.
 /// This is the manifest-scan primitive behind directory-sharded
-/// repositories — it reads at most a few chunks, never the whole file.
+/// repositories: it reads whole lines until the header's quotes close,
+/// never the rest of the file.
 pub(crate) fn read_csv_header(path: impl AsRef<Path>) -> Result<Vec<String>> {
-    let file = std::fs::File::open(path.as_ref()).map_err(|e| TableError::Csv(e.to_string()))?;
-    let mut stream = BlockStream::new(file, CsvReadOptions::default().chunk_size);
-    let Some(first) = stream.next_block()? else {
-        return Err(TableError::Csv("empty input".into()));
-    };
-    let header = first_record(&first.text);
-    if header.trim().is_empty() {
-        return Err(TableError::Csv("empty header".into()));
+    let io_err = |e: std::io::Error| TableError::Csv(e.to_string());
+    let mut reader = std::io::BufReader::new(std::fs::File::open(path.as_ref()).map_err(io_err)?);
+    let mut bytes = Vec::new();
+    let mut in_quotes = false;
+    loop {
+        let before = bytes.len();
+        if reader.read_until(b'\n', &mut bytes).map_err(io_err)? == 0 {
+            break;
+        }
+        in_quotes ^= bytes[before..].iter().filter(|&&b| b == b'"').count() % 2 == 1;
+        if !in_quotes {
+            break;
+        }
     }
-    Ok(parse_record(header))
+    let text = String::from_utf8(bytes).map_err(|_| not_utf8())?;
+    header(&cut_runs(&text, 1))
 }
 
 fn escape(field: &str) -> String {
@@ -706,7 +502,7 @@ fn escape(field: &str) -> String {
 }
 
 /// Write a table as CSV (nulls become empty fields). Output always
-/// round-trips through the streaming reader.
+/// round-trips through [`read_csv_str`].
 pub fn write_csv(table: &Table, mut out: impl std::io::Write) -> Result<()> {
     let io_err = |e: std::io::Error| TableError::Csv(e.to_string());
     let header: Vec<String> = table.columns().iter().map(|c| escape(c.name())).collect();
@@ -887,22 +683,14 @@ mod tests {
         assert_eq!(back.column("s").unwrap().get(2), Value::Str("\r".into()));
     }
 
-    /// The streaming reader is chunk-size invariant, including chunks far
-    /// smaller than a record and chunks that split quotes/CRLF/UTF-8.
+    /// The table does not depend on where the text is cut: every run
+    /// count, from one run to one run per record, parses identically.
     #[test]
     fn chunk_size_invariance() {
         let text = "name,x,note\nαβγ,1,\"line one\nline two\"\nplain,2,\"q\"\"uote\"\nlast,3,\r\n";
-        let whole = read_csv_str_with(
-            "t",
-            text,
-            &CsvReadOptions {
-                chunk_size: usize::MAX,
-            },
-        )
-        .unwrap();
-        for chunk in [1usize, 2, 3, 7, 64, 4096] {
-            let got = read_csv_str_with("t", text, &CsvReadOptions { chunk_size: chunk }).unwrap();
-            assert_eq!(got, whole, "chunk_size={chunk}");
+        let whole = parse("t", text, 1).unwrap();
+        for runs in 2..=text.len() + 1 {
+            assert_eq!(parse("t", text, runs).unwrap(), whole, "runs={runs}");
         }
         assert_eq!(whole.n_rows(), 3);
         assert_eq!(
@@ -924,6 +712,53 @@ mod tests {
         let t = read_csv_str("t", "a,b\n1,2\n3,4\r").unwrap();
         assert_eq!(t.n_rows(), 2);
         assert_eq!(t.column("a").unwrap().get(1), Value::Int(3));
+    }
+
+    /// Byte offsets at which `cut_runs(text, runs)` ends a run (the text
+    /// end excluded). Runs are contiguous from offset 0.
+    fn cuts(text: &str, runs: usize) -> Vec<usize> {
+        let mut end = 0;
+        cut_runs(text, runs)
+            .iter()
+            .map(|r| {
+                end += r.text.len();
+                end
+            })
+            .filter(|&end| end < text.len())
+            .collect()
+    }
+
+    /// Sweeping the run count cuts the text at every record boundary at
+    /// least once, and every cut parses to the same table — or, for
+    /// ragged input, to the same earliest-row error.
+    #[test]
+    fn every_record_boundary_is_a_cut() {
+        let fixtures = [
+            "a,note\n1,\"x\ny\"\n2,\"p\r\nq\"\n3,\"\"\n",
+            "a,b\n1,\"q\"\"q\"\n\n2,z\n",
+            "u,v\nαβ,\"日🦀\"\né,🦀\n",
+            "a,b\n1,2\n3,4\r",
+            "a,b\n1,2\n3,4\n\r",
+            "a,b\r\n1,x\r\n\r\n2,y\r\n",
+            "@t,n\n@5,1.5\n,2\n@-7,\n",
+            "a,b\n1,2\n3\n4,5\n6\n",
+            "a,b\n1,2\n3,4\n5,6\n7,8\n9\n",
+        ];
+        for text in fixtures {
+            // One run per record: its ends are exactly the terminators.
+            let boundaries = cuts(text, text.len());
+            let mut seen = std::collections::BTreeSet::new();
+            let whole = parse("t", text, 1).map_err(|e| e.to_string());
+            for runs in 1..=text.len() + 1 {
+                seen.extend(cuts(text, runs));
+                let got = parse("t", text, runs).map_err(|e| e.to_string());
+                assert_eq!(got, whole, "{text:?} runs={runs}");
+            }
+            assert!(
+                boundaries.iter().all(|b| seen.contains(b)),
+                "{text:?}: cuts {seen:?} miss a boundary of {boundaries:?}"
+            );
+        }
     }
 
     // ---- PR 5 regression tests -------------------------------------------
@@ -949,9 +784,9 @@ mod tests {
         write_csv(&t, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("@86400"), "@tick syntax written: {text:?}");
-        for chunk_size in [3usize, 64, usize::MAX] {
-            let back = read_csv_str_with("t", &text, &CsvReadOptions { chunk_size }).unwrap();
-            assert_eq!(back, t, "chunk_size={chunk_size}");
+        for runs in [1usize, 2, 3, text.len()] {
+            let back = parse("t", &text, runs).unwrap();
+            assert_eq!(back, t, "runs={runs}");
             assert_eq!(back.column("ts").unwrap().dtype(), DataType::Timestamp);
             assert_eq!(back.column("k").unwrap().dtype(), DataType::Int);
         }

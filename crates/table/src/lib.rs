@@ -16,9 +16,9 @@
 //!   concatenation.
 //! * [`GroupBy`] — ARDA's pre-aggregation: group on key columns, take the
 //!   mean of numeric columns and the mode of the others.
-//! * Streaming CSV ingestion with type inference: a chunked, quote-aware
-//!   RFC-4180 reader that parses and infers on the ambient [`arda_par`]
-//!   work budget under bounded memory (see the `csv` module docs), plus a
+//! * CSV ingestion with type inference: a quote-aware RFC-4180 reader
+//!   that reads each file once and parses and infers on the ambient
+//!   [`arda_par`] work budget (see the `csv` module docs), plus a
 //!   round-trip-safe writer.
 //! * A typed binary columnar shard format (`.arda`): length-prefixed
 //!   little-endian columns with null bitmaps that round-trip every
@@ -48,7 +48,7 @@ mod table;
 mod value;
 
 pub use column::{Column, ColumnData};
-pub use csv::{read_csv, read_csv_str, read_csv_str_with, write_csv, CsvReadOptions};
+pub use csv::{read_csv, read_csv_str, write_csv};
 pub use error::TableError;
 pub use groupby::GroupBy;
 pub use repository::Repository;

@@ -18,8 +18,8 @@
 //! Two shard formats mix freely behind one manifest:
 //!
 //! * `*.csv` — a header-only scan (names and width known, dtypes unknown
-//!   until a full parse), bodies streamed in by the budget-parallel CSV
-//!   engine;
+//!   until a full parse); a load reads the file once and parses it with
+//!   the budget-parallel CSV reader;
 //! * `*.arda` — the typed binary columnar store (see [`crate::store`]):
 //!   the header scan also yields exact dtypes, so planning can be
 //!   dtype-aware without loading anything, and every [`DataType`]
@@ -74,7 +74,7 @@ enum Source {
 /// On-disk shard encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShardFormat {
-    /// Text shard parsed by the streaming CSV engine.
+    /// Text shard, read whole and parsed by the CSV reader.
     Csv,
     /// Typed binary columnar shard ([`crate::store`]).
     Arda,

@@ -2,9 +2,10 @@
 //! `.arda` directories, the `_catalog.arda` warm/cold contract and
 //! `save_dir`.
 
+use crate::csv::read_csv_header;
 use crate::repository::CATALOG_FILE;
 use crate::store::write_arda_file;
-use crate::{write_arda, write_csv, Column, DataType, Repository, Table};
+use crate::{read_csv, write_arda, write_csv, Column, DataType, Repository, Table};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -338,6 +339,72 @@ fn save_dir_removes_stale_shards_from_earlier_saves() {
     assert_eq!(back.len(), 2, "population shard + the user's CSV");
     assert_eq!(back.name(0), Some("population"));
     assert_eq!(back.name(1), Some("user_data"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// CSV shard edge cases through the header scan, the one-read
+/// [`read_csv`] and [`Repository::from_dir`]: header shapes the scan must
+/// read whole, an empty file, and non-UTF-8 bytes in the body (which the
+/// header scan never reads) and in the header. A failing shard's error
+/// names its path once.
+#[test]
+fn csv_shard_header_and_read_edge_cases() {
+    let dir = scratch("csv_edges");
+    std::fs::create_dir_all(&dir).unwrap();
+    let shapes: [(&str, &str, [&str; 2]); 3] = [
+        (
+            "a_quoted_newline",
+            "\"multi\nline\",v\n1,2\n",
+            ["multi\nline", "v"],
+        ),
+        ("b_crlf", "k,\"v,w\"\r\n1,2\r\n", ["k", "v,w"]),
+        ("c_no_trailing_newline", "k,v", ["k", "v"]),
+    ];
+    for (name, text, names) in shapes {
+        let path = dir.join(format!("{name}.csv"));
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(read_csv_header(&path).unwrap(), names, "{name}");
+        let t = read_csv(&path).unwrap();
+        assert_eq!(t.schema().names(), names, "{name}");
+        assert_eq!(t.n_rows(), usize::from(name != "c_no_trailing_newline"));
+    }
+    let repo = Repository::from_dir(&dir).unwrap();
+    assert_eq!(repo.len(), 3);
+    for i in 0..3 {
+        assert_eq!(repo.n_cols(i), Some(2));
+        assert_eq!(repo.table(i).unwrap().n_cols(), 2);
+    }
+
+    let shard_error =
+        |path: &Path, msg: &str| format!("csv error: shard {}: {msg}", path.display());
+
+    let empty = dir.join("d_empty.csv");
+    std::fs::write(&empty, "").unwrap();
+    for err in [
+        read_csv_header(&empty).unwrap_err(),
+        read_csv(&empty).unwrap_err(),
+    ] {
+        assert_eq!(err.to_string(), "csv error: empty input");
+    }
+    let err = Repository::from_dir(&dir).unwrap_err().to_string();
+    assert_eq!(err, shard_error(&empty, "empty input"));
+    std::fs::remove_file(&empty).unwrap();
+
+    // Latin-1 bytes in the body: the header scan succeeds, the load fails.
+    let body = dir.join("e_latin1_body.csv");
+    std::fs::write(&body, b"k,v\n1,caf\xe9\n").unwrap();
+    assert_eq!(read_csv_header(&body).unwrap(), ["k", "v"]);
+    let repo = Repository::from_dir(&dir).unwrap();
+    let err = repo.table(3).unwrap_err().to_string();
+    assert_eq!(err, shard_error(&body, "input is not valid UTF-8"));
+    assert_eq!(err.matches(&*body.display().to_string()).count(), 1);
+
+    // In the header, the scan itself fails with the same message.
+    let head = dir.join("f_latin1_header.csv");
+    std::fs::write(&head, b"k,caf\xe9\n1,2\n").unwrap();
+    let err = Repository::from_dir(&dir).unwrap_err().to_string();
+    assert_eq!(err, shard_error(&head, "input is not valid UTF-8"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,32 +1,33 @@
-//! CSV property suite for the streaming reader (PR 4).
+//! CSV property suite for the reader.
 //!
 //! Three families of properties:
 //!
 //! 1. **Round-trip**: random tables over all dtypes — with nulls and
 //!    hostile strings (embedded `\n`, `\r\n`, bare `\r`, `,`, `"`,
-//!    multi-byte UTF-8) — survive `write_csv` → streaming read *exactly*,
+//!    multi-byte UTF-8) — survive `write_csv` → read *exactly*,
 //!    **including `Timestamp` columns** (the PR 5 bugfix: `@tick` is now
 //!    CSV timestamp syntax, so dtypes and values come back identical).
 //! 2. **Seed equivalence**: on every input the original slurping parser
-//!    handled, the streaming reader produces a bit-identical table at
-//!    every chunk size in {7, 64, 4096, whole-file}. The original parser
-//!    is embedded below as `seed_read_csv_str`, verbatim. Since PR 5 the
-//!    equivalence domain excludes tokens the reader now types more
-//!    precisely than the seed did: `@<i64>` cells (seed: `Str`, now
+//!    handled, the reader produces a bit-identical table. The original
+//!    parser is embedded below as `seed_read_csv_str`, verbatim. Since
+//!    PR 5 the equivalence domain excludes tokens the reader now types
+//!    more precisely than the seed did: `@<i64>` cells (seed: `Str`, now
 //!    `Timestamp`) and non-finite float literals like `inf` / `NaN`
 //!    (seed: `Float`, now `Str`) — both have dedicated regression tests
 //!    in the `csv` module instead.
-//! 3. **Budget invariance**: parsing is bit-identical across work budgets
-//!    (chunk/block layout depends only on `chunk_size`, never on width).
+//! 3. **Budget invariance**: text of 64 KiB and more is cut into one run
+//!    of whole records per budget slot and parsed in parallel; the table
+//!    is bit-identical across work budgets because it does not depend on
+//!    where the text is cut.
 //!
-//! `tests/budget_determinism.rs` at the workspace root additionally drives
-//! ingestion through the full pipeline across budgets.
+//! Cut placement itself is swept in the `csv` module's unit tests
+//! (`every_record_boundary_is_a_cut`), which can choose the run count;
+//! nothing outside the crate can. `tests/budget_determinism.rs` at the
+//! workspace root additionally drives ingestion through the full pipeline
+//! across budgets.
 
 use arda_par::Budget;
-use arda_table::{
-    read_csv_str, read_csv_str_with, write_csv, Column, ColumnData, CsvReadOptions, Table,
-    TableError,
-};
+use arda_table::{read_csv_str, write_csv, Column, ColumnData, Table, TableError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -171,8 +172,6 @@ fn seed_read_csv_str(name: &str, text: &str) -> Result<Table, TableError> {
 // Random table generation
 // ---------------------------------------------------------------------------
 
-const CHUNK_SIZES: [usize; 4] = [7, 64, 4096, usize::MAX];
-
 /// Hostile characters for string cells. `allow_newlines = false` keeps the
 /// value inside the seed parser's domain (it split on `\n` before quotes).
 fn hostile_string(rng: &mut StdRng, allow_newlines: bool) -> String {
@@ -272,33 +271,40 @@ fn to_csv(table: &Table) -> String {
     String::from_utf8(buf).unwrap()
 }
 
+/// `text`'s header followed by its body repeated until the whole exceeds
+/// 64 KiB. Generated headers hold no quotes, so the body starts after the
+/// first newline.
+fn past_64_kib(text: &str) -> String {
+    let (header, body) = text.split_at(text.find('\n').unwrap() + 1);
+    let mut out = header.to_string();
+    while out.len() <= 64 * 1024 {
+        out.push_str(body);
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
 
 /// Random tables (all five dtypes — Timestamp included since PR 5 —
 /// nulls, hostile strings incl. embedded newlines) round-trip `write_csv`
-/// → streaming reader *identically*, at every chunk size.
+/// → reader *identically*.
 #[test]
 fn random_tables_round_trip_exactly() {
     let mut rng = StdRng::seed_from_u64(0x4a5d);
     for case in 0..40 {
         let table = random_table(&mut rng, true, true);
         let text = to_csv(&table);
-        for chunk_size in CHUNK_SIZES {
-            let got = read_csv_str_with("t", &text, &CsvReadOptions { chunk_size })
-                .unwrap_or_else(|e| panic!("case {case} chunk {chunk_size}: {e}\n{text:?}"));
-            assert_eq!(
-                got, table,
-                "case {case} chunk {chunk_size} round-trip\n{text:?}"
-            );
-        }
+        let got = read_csv_str("t", &text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text:?}"));
+        assert_eq!(got, table, "case {case} round-trip\n{text:?}");
     }
 }
 
 /// On seed-parsable inputs (no `@tick` / non-finite tokens — those are
-/// typed more precisely now), the streaming reader is bit-identical to
-/// the seed parser at every chunk size in {7, 64, 4096, whole-file}.
+/// typed more precisely now), the reader is bit-identical to the seed
+/// parser. (The name predates the one-read parser, which has no chunk
+/// size; its cuts are swept by the `csv` module's unit tests.)
 #[test]
 fn streaming_matches_seed_parser_on_every_chunk_size() {
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
@@ -307,10 +313,8 @@ fn streaming_matches_seed_parser_on_every_chunk_size() {
         let text = to_csv(&table);
         let seed = seed_read_csv_str("t", &text)
             .unwrap_or_else(|e| panic!("case {case}: seed parser choked: {e}\n{text:?}"));
-        for chunk_size in CHUNK_SIZES {
-            let got = read_csv_str_with("t", &text, &CsvReadOptions { chunk_size }).unwrap();
-            assert_eq!(got, seed, "case {case} chunk {chunk_size}\n{text:?}");
-        }
+        let got = read_csv_str("t", &text).unwrap();
+        assert_eq!(got, seed, "case {case}\n{text:?}");
     }
 }
 
@@ -340,10 +344,8 @@ fn streaming_matches_seed_parser_on_quirk_fixtures() {
     ];
     for text in fixtures {
         let seed = seed_read_csv_str("t", text).unwrap();
-        for chunk_size in CHUNK_SIZES {
-            let got = read_csv_str_with("t", text, &CsvReadOptions { chunk_size }).unwrap();
-            assert_eq!(got, seed, "fixture {text:?} chunk {chunk_size}");
-        }
+        let got = read_csv_str("t", text).unwrap();
+        assert_eq!(got, seed, "fixture {text:?}");
     }
 }
 
@@ -372,31 +374,24 @@ fn all_null_column_matches_seed_fallback() {
     );
 }
 
-/// Parsing is bit-identical across work budgets {1, 2, 3, 8}: block layout
-/// derives from `chunk_size` alone, and per-block results merge in block
-/// order regardless of how many workers the pool grants. Each budget is
-/// installed in scope with its own permit pool, and every width above 1
-/// must have spawned somewhere in the sweep.
+/// Parsing is bit-identical across work budgets {1, 2, 3, 8}: each width
+/// cuts the text into its own number of runs, and per-run results merge
+/// in run order regardless of how many workers the pool grants. Each
+/// budget is installed in scope with its own permit pool, and every width
+/// above 1 must have spawned somewhere in the sweep. The parser keeps text
+/// under 64 KiB on the calling thread, so each random table's body is
+/// repeated past that size.
 #[test]
 fn ingestion_identical_across_budgets() {
     let mut rng = StdRng::seed_from_u64(0xbadc0de);
     let texts: Vec<String> = (0..6)
-        .map(|_| to_csv(&random_table(&mut rng, true, true)))
+        .map(|_| past_64_kib(&to_csv(&random_table(&mut rng, true, true))))
         .collect();
     let budgets = [1usize, 2, 3, 8].map(Budget::isolated);
     for text in &texts {
         let mut reference: Option<Table> = None;
         for budget in &budgets {
-            let got = budget.install(|| {
-                read_csv_str_with(
-                    "t",
-                    text,
-                    &CsvReadOptions {
-                        chunk_size: 64, // small chunks → many blocks → real fan-out
-                    },
-                )
-                .unwrap()
-            });
+            let got = budget.install(|| read_csv_str("t", text).unwrap());
             match &reference {
                 None => reference = Some(got),
                 Some(r) => assert_eq!(&got, r, "budget {}\n{text:?}", budget.width()),

@@ -7,9 +7,9 @@
 //! writes a synthetic repository to disk as CSV shards, indexes it with
 //! `Repository::from_dir` (a manifest scan that reads only headers), bounds
 //! the lazy-load cache to two resident shards, and runs the full pipeline.
-//! Shards stream in — chunked, quote-aware, parallel on the work budget —
-//! only when discovery or a join batch first touches them, and the LRU
-//! bound evicts cold ones as mining moves on.
+//! Each shard is read once and parsed — quote-aware, parallel on the work
+//! budget — only when discovery or a join batch first touches it, and the
+//! LRU bound evicts cold ones as mining moves on.
 //!
 //! It then converts the CSV shards to typed binary `.arda` shards with
 //! `Repository::save_dir` — dtypes survive exactly, and the written
@@ -62,7 +62,7 @@ fn main() {
         );
     }
 
-    // Full pipeline: discovery lazily streams each shard in as it mines.
+    // Full pipeline: discovery lazily loads each shard as it mines.
     let config = ArdaConfig {
         selector: SelectorKind::Rifs(RifsConfig {
             repeats: 4,

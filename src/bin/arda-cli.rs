@@ -9,8 +9,8 @@
 //!
 //! The repository directory is ingested as a **sharded repository**: every
 //! `*.csv` and `*.arda` file becomes a shard whose header is scanned up
-//! front (the manifest) and whose body is loaded — CSV streamed chunked
-//! and quote-aware, binary shards decoded per column, both parallel on
+//! front (the manifest) and whose body is loaded — CSV read once and
+//! parsed quote-aware, binary shards decoded per column, both parallel on
 //! the work budget — only when the pipeline first touches it. A fresh
 //! `_catalog.arda` in the directory makes the manifest scan free: the
 //! whole index (names, widths, dtypes, row counts) is validated against
@@ -20,7 +20,7 @@
 //! converts the repository into typed binary shards + catalog at `<dir>`
 //! (Timestamps and every other dtype survive exactly; may be used alone,
 //! without `--base`/`--target`, as a pure conversion). Otherwise the base
-//! table is read with the streaming engine, candidate joins are
+//! table is read with the same CSV reader, candidate joins are
 //! discovered, the pipeline runs, and the augmented table (base coreset +
 //! selected foreign columns) is written as CSV.
 

@@ -218,24 +218,26 @@ fn pipeline_identical_across_budgets() {
     });
 }
 
-/// Streaming CSV ingestion — chunked boundary scan, parallel per-block
-/// type inference with the widen-merge, parallel typed build — yields a
-/// bit-identical table at every budget (satellite of PR 4; budgets {1, 2,
-/// 8} required, {1, 2, 3, 8} swept). Small chunks force many blocks so
-/// the parallel path genuinely engages at wide budgets.
+/// CSV ingestion — the quote-aware cut into runs, parallel per-run type
+/// inference with the widen-merge, parallel typed build — yields a
+/// bit-identical table at every budget (budgets {1, 2, 8} required, {1, 2,
+/// 3, 8} swept). The reader keeps text under 64 KiB on the calling thread,
+/// so the hostile body is repeated past that size to make the parallel
+/// path engage at wide budgets.
 #[test]
 fn csv_ingestion_identical_across_budgets() {
     // Hostile content: embedded newlines/CRLF in quoted cells, quotes,
     // commas, blank interior line, type widening, trailing nulls.
-    let text = "id,score,who,note\n\
-                1,2.5,\"a,b\",\"line one\nline two\"\n\
+    let header = "id,score,who,note\n";
+    let body = "1,2.5,\"a,b\",\"line one\nline two\"\n\
                 2,,c d,\"q\"\"uote\"\n\
                 \n\
                 3,4,\"crlf\r\nin cell\",\n\
                 4,5.5,αβ🦀,end\r\n";
+    let text = format!("{header}{}", body.repeat(64 * 1024 / body.len() + 1));
+    assert!(text.len() > 64 * 1024);
     assert_identical_across_budgets("csv_ingestion", || {
-        arda::table::read_csv_str_with("t", text, &arda::table::CsvReadOptions { chunk_size: 16 })
-            .unwrap()
+        arda::table::read_csv_str("t", &text).unwrap()
     });
 }
 

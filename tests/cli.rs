@@ -72,6 +72,70 @@ fn cli_augments_csv_repository() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A repository shard above the CSV reader's 64 KiB single-run threshold
+/// is cut into runs and parsed in parallel at a wide budget; the CLI's
+/// output (the augmented CSV on stdout) is byte-identical at
+/// `ARDA_THREADS=1` and `ARDA_THREADS=8`.
+#[test]
+fn cli_output_identical_across_thread_counts_above_parse_threshold() {
+    let dir = std::env::temp_dir().join(format!("arda_cli_big_shard_{}", std::process::id()));
+    let repo = dir.join("repo");
+    std::fs::create_dir_all(&repo).unwrap();
+
+    let mut base_csv = String::from("key,y\n");
+    for i in 0..60 {
+        base_csv.push_str(&format!("{i},{}\n", 2 * (i * 7 % 13) + 1));
+    }
+    // 200 keys × 25 rows each (group-by pre-aggregation runs), with
+    // quoted cells that hold a comma, a newline and a CRLF.
+    let mut ext_csv = String::from("key,boost,note\n");
+    for i in 0..5_000 {
+        let note = ["plain", "\"a,b\"", "\"two\nlines\"", "\"crlf\r\ncell\""][i % 4];
+        ext_csv.push_str(&format!("{},{}.5,{note}\n", i % 200, i % 13));
+    }
+    assert!(
+        ext_csv.len() > 64 * 1024,
+        "shard is {} bytes",
+        ext_csv.len()
+    );
+    write(&dir.join("base.csv"), &base_csv);
+    write(&repo.join("ext.csv"), &ext_csv);
+
+    let run = |threads: &str| {
+        let output = Command::new(env!("CARGO_BIN_EXE_arda-cli"))
+            .args([
+                "--base",
+                dir.join("base.csv").to_str().unwrap(),
+                "--target",
+                "y",
+                "--repo",
+                repo.to_str().unwrap(),
+                "--selector",
+                "all",
+            ])
+            .env("ARDA_THREADS", threads)
+            .output()
+            .expect("run arda-cli");
+        assert!(
+            output.status.success(),
+            "ARDA_THREADS={threads}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        output.stdout
+    };
+    let narrow = run("1");
+    let wide = run("8");
+    assert!(
+        String::from_utf8_lossy(&narrow).starts_with("key,y,"),
+        "augmented CSV carries joined columns"
+    );
+    assert!(
+        narrow == wide,
+        "stdout differs between ARDA_THREADS=1 and 8"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--save-repo` without `--base`/`--target` is a pure conversion run:
 /// CSV shards become typed binary `.arda` shards plus a `_catalog.arda`,
 /// and a pipeline run over the converted directory starts warm (catalog
@@ -219,11 +283,18 @@ fn degenerate_inputs_are_rejected_by_library_and_cli() {
     };
     let few_values = "fewer than two distinct non-null values";
     let small_split = "each side needs at least 2";
+    let constant_holdout = "holdout target is constant";
     let cases: Vec<(&str, String, &str)> = vec![
         (
             "constant regression target",
             base_csv(40, &|_| "1.5".into()),
             few_values,
+        ),
+        (
+            // Row 0 lands in the training side, so the holdout is all 1.5.
+            "near-constant regression target",
+            base_csv(40, &|i| if i == 0 { "2.5" } else { "1.5" }.into()),
+            constant_holdout,
         ),
         (
             "all-null target",
