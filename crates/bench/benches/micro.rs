@@ -14,6 +14,7 @@ use arda_coreset::sketch_xy;
 use arda_join::{execute_join, JoinSpec, SoftMethod};
 use arda_linalg::{stats::standardize_columns, Matrix};
 use arda_ml::{Dataset, ForestConfig, RandomForest, Task};
+use arda_par::Budget;
 use arda_select::rifs_fractions;
 use arda_select::sparse_regression::{l21_solve, target_matrix, L21Config};
 use arda_synth::{taxi, ScenarioConfig};
@@ -93,7 +94,9 @@ fn bench_sketch(out: &mut Vec<Measurement>) {
 }
 
 /// One tall solve (primal form, d×d system) and one wide solve shaped like
-/// a School (L) lake batch (dual form, n×n system).
+/// a School (L) lake batch (dual form, n×n system). The wide solve also
+/// runs at width 1, as inside RIFS, whose rounds split the budget over
+/// their repeats.
 fn bench_l21(out: &mut Vec<Measurement>) {
     let mut rng = StdRng::seed_from_u64(3);
     let cfg = L21Config {
@@ -106,13 +109,17 @@ fn bench_l21(out: &mut Vec<Measurement>) {
         standardize_columns(&mut x);
         let y: Vec<f64> = (0..n).map(|i| x.get(i, 0) * 3.0 - x.get(i, 1)).collect();
         let ym = target_matrix(&y, Task::Regression);
-        out.push(time_op(
-            &format!("l21_irls_{n}x{d}_10iter"),
-            WINDOW_SECS,
-            || {
-                black_box(l21_solve(&x, &ym, &cfg).unwrap());
-            },
-        ));
+        let name = format!("l21_irls_{n}x{d}_10iter");
+        out.push(time_op(&name, WINDOW_SECS, || {
+            black_box(l21_solve(&x, &ym, &cfg).unwrap());
+        }));
+        if d > n {
+            out.push(Budget::isolated(1).install(|| {
+                time_op(&format!("{name}_width1"), WINDOW_SECS, || {
+                    black_box(l21_solve(&x, &ym, &cfg).unwrap());
+                })
+            }));
+        }
     }
 }
 

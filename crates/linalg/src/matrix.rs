@@ -7,6 +7,13 @@
 //! size or budget, so results are **bit-identical** to the sequential
 //! naive versions — a property the test suite asserts across random shapes
 //! and budget widths.
+//!
+//! Two variants of the product keep that order while doing less work.
+//! `matmul_lower` computes only the lower triangle of a square product
+//! (the half a Cholesky factorisation reads), banding rows by equal
+//! triangle area. And a `matmul` whose right-hand side is at most 4 wide
+//! keeps each output row in a register accumulator instead of paying the
+//! blocked loop's per-`k` overhead on a 1–4 element slice.
 
 use crate::{LinalgError, Result};
 
@@ -28,6 +35,94 @@ const PAR_MIN_OPS: usize = 1 << 15;
 /// their band sizes.
 fn kernel<R>(ops: usize, f: impl FnOnce(usize) -> R) -> R {
     arda_par::sequential_below(ops, PAR_MIN_OPS, || f(arda_par::current_budget().width()))
+}
+
+/// Accumulate rows `i0..` of the product `a * b` (`a` with `kd` columns,
+/// `b` and the output `m` wide) into the zeroed row-major `out`, row `i`
+/// over its first `row_len(i)` columns only. Blocked over `k` and `j`;
+/// every element adds its `k` terms in ascending order and skips a term
+/// whose `a` factor is zero.
+fn blocked_product_rows(
+    a: &[f64],
+    b: &[f64],
+    kd: usize,
+    m: usize,
+    i0: usize,
+    out: &mut [f64],
+    row_len: impl Fn(usize) -> usize,
+) {
+    let rows_here = out.len() / m;
+    for kk in (0..kd).step_by(MATMUL_KC) {
+        let k_end = (kk + MATMUL_KC).min(kd);
+        for jj in (0..m).step_by(MATMUL_JC) {
+            for li in 0..rows_here {
+                let j_end = (jj + MATMUL_JC).min(row_len(i0 + li));
+                if j_end <= jj {
+                    continue;
+                }
+                let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
+                let out_row = &mut out[li * m + jj..li * m + j_end];
+                for k in kk..k_end {
+                    let av = a_row[k];
+                    // One-hot featurized matrices are mostly zeros; adding
+                    // an exact 0·x term is a bitwise no-op for finite x, so
+                    // skipping keeps bit-identity.
+                    if av == 0.0 {
+                        continue;
+                    }
+                    let b_row = &b[k * m + jj..k * m + j_end];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`blocked_product_rows`] for an `M`-wide `b` (`M ≤ 4`): a `k` step over
+/// a slice that narrow costs more in loop overhead than in arithmetic, so
+/// each output row accumulates in registers instead, with the same
+/// ascending `k` order and zero skip.
+fn narrow_product_rows<const M: usize>(
+    a: &[f64],
+    b: &[f64],
+    kd: usize,
+    i0: usize,
+    out: &mut [f64],
+) {
+    for (li, out_row) in out.chunks_exact_mut(M).enumerate() {
+        let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
+        let mut acc = [0.0; M];
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(M)) {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in acc.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+        out_row.copy_from_slice(&acc);
+    }
+}
+
+/// Row bounds `0 = r₀ < r₁ < … = n` cutting the lower triangle of an n×n
+/// output into at most `bands` runs of rows of near-equal area (row `i`
+/// holds `i + 1` elements).
+fn triangle_bands(n: usize, bands: usize) -> Vec<usize> {
+    let total = n * (n + 1) / 2;
+    let mut bounds = vec![0];
+    let mut area = 0;
+    for r in 1..n {
+        area += r;
+        // Close band `bounds.len() - 1` once it holds its share; since
+        // `area < total` here, at most `bands - 1` bounds are pushed.
+        if area * bands >= total * bounds.len() {
+            bounds.push(r);
+        }
+    }
+    bounds.push(n);
+    bounds
 }
 
 /// A dense `rows × cols` matrix of `f64` stored row-major.
@@ -218,10 +313,11 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * other`: cache-blocked over `k` and `j`,
-    /// parallel over output row bands. Bit-identical to the sequential
-    /// naive i-k-j product at every budget because each output element
-    /// accumulates its `k` contributions in ascending order.
+    /// Matrix product `self * other`: cache-blocked over `k` and `j` (a
+    /// right-hand side at most 4 wide accumulates each output row in
+    /// registers instead), parallel over output row bands. Bit-identical
+    /// to the sequential naive i-k-j product at every budget because each
+    /// output element accumulates its `k` contributions in ascending order.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -245,34 +341,54 @@ impl Matrix {
             let band_rows = n.div_ceil(width).max(1);
             arda_par::par_chunks_mut(&mut out.data, band_rows * m, |start, chunk| {
                 let i0 = start / m;
-                let rows_here = chunk.len() / m;
-                for kk in (0..kd).step_by(MATMUL_KC) {
-                    let k_end = (kk + MATMUL_KC).min(kd);
-                    for jj in (0..m).step_by(MATMUL_JC) {
-                        let j_end = (jj + MATMUL_JC).min(m);
-                        for li in 0..rows_here {
-                            let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
-                            let out_row = &mut chunk[li * m + jj..li * m + j_end];
-                            for k in kk..k_end {
-                                let av = a_row[k];
-                                // One-hot featurized matrices are mostly
-                                // zeros; adding an exact 0·x term is a
-                                // bitwise no-op for finite x, so skipping
-                                // keeps bit-identity.
-                                if av == 0.0 {
-                                    continue;
-                                }
-                                let b_row = &b[k * m + jj..k * m + j_end];
-                                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                                    *o += av * bv;
-                                }
-                            }
-                        }
-                    }
+                match m {
+                    1 => narrow_product_rows::<1>(a, b, kd, i0, chunk),
+                    2 => narrow_product_rows::<2>(a, b, kd, i0, chunk),
+                    3 => narrow_product_rows::<3>(a, b, kd, i0, chunk),
+                    4 => narrow_product_rows::<4>(a, b, kd, i0, chunk),
+                    _ => blocked_product_rows(a, b, kd, m, i0, chunk, |_| m),
                 }
             })
         });
         Ok(out)
+    }
+
+    /// Lower triangle (diagonal included) of the square product
+    /// `self * other`; the strict upper triangle is left `0.0`. Each kept
+    /// element is bit-identical to the same element of [`Matrix::matmul`],
+    /// at half its work. Suits a symmetric product consumed by a solver
+    /// that reads one triangle, like `cholesky_decompose`.
+    ///
+    /// Row `i` holds `i + 1` elements, so the rows are cut into at most
+    /// one band per worker of near-equal triangle area rather than equal
+    /// row count; the result does not depend on the bands.
+    pub fn matmul_lower(&self, other: &Matrix) -> Result<Matrix> {
+        if self.cols != other.rows || self.rows != other.cols {
+            return Err(LinalgError::DimensionMismatch {
+                context: format!(
+                    "matmul_lower: {}x{} * {}x{} is not square",
+                    self.rows, self.cols, other.rows, other.cols
+                ),
+            });
+        }
+        let (n, kd) = (self.rows, self.cols);
+        if n == 0 || kd == 0 {
+            return Ok(Matrix::zeros(n, n));
+        }
+        let a = &self.data;
+        let b = &other.data;
+        let data = kernel(n * (n + 1) / 2 * kd, |width| {
+            let bounds = triangle_bands(n, width);
+            // Each band index range returns its rows, full width, in order,
+            // so the concatenation is the row-major output.
+            arda_par::par_for_rows(bounds.len() - 1, |bands| {
+                let (lo, hi) = (bounds[bands.start], bounds[bands.end]);
+                let mut rows = vec![0.0; (hi - lo) * n];
+                blocked_product_rows(a, b, kd, n, lo, &mut rows, |i| i + 1);
+                rows
+            })
+        });
+        Matrix::from_vec(n, n, data)
     }
 
     /// Matrix-vector product, parallel over output rows.
@@ -661,9 +777,12 @@ mod tests {
 
     #[test]
     fn blocked_kernels_match_naive_oracles_across_shapes_and_threads() {
-        // Shapes straddling every block/tile boundary constant. The last
-        // one is above `PAR_MIN_OPS` for all four kernels, and its 131
-        // rows and 257 columns leave a ragged last band at widths 2, 3, 8.
+        // Shapes straddling every block/tile boundary constant, then
+        // right-hand sides 1 to 5 wide (the narrow `matmul` path and the
+        // first shape past it). `(131, 257, 31)` is above `PAR_MIN_OPS`
+        // for every kernel, and `(131, 257, 1)` and `(97, 130, 4)` for the
+        // narrow products; their 131 and 97 rows leave a ragged last band
+        // at widths 2, 3, 8.
         let shapes = [
             (1, 1, 1),
             (3, 7, 2),
@@ -671,29 +790,51 @@ mod tests {
             (40, 130, 70),
             (65, 257, 31),
             (131, 257, 31),
+            (5, 9, 1),
+            (17, 33, 2),
+            (40, 130, 3),
+            (29, 70, 4),
+            (33, 65, 5),
+            (131, 257, 1),
+            (97, 130, 4),
         ];
         for (si, &(n, k, m)) in shapes.iter().enumerate() {
             let a = filled(n, k, si as u64);
             let b = filled(k, m, si as u64 + 100);
+            // `a * bt` is square, for the triangle kernel.
+            let bt = filled(k, n, si as u64 + 200);
             let v: Vec<f64> = (0..k).map(|i| (i as f64 * 0.37).sin()).collect();
             let mm_oracle = a.matmul_naive(&b).unwrap();
+            let mut lower_oracle = a.matmul_naive(&bt).unwrap();
+            for i in 0..n {
+                for j in i + 1..n {
+                    lower_oracle.set(i, j, 0.0);
+                }
+            }
             let t_oracle = a.transpose_naive();
             let g_oracle = a.gram_naive();
             let mv_oracle = a.matvec_naive(&v).unwrap();
             for width in [1, 2, 3, 8] {
                 let budget = Budget::isolated(width);
-                // Runs one kernel against its oracle, checking that it
-                // spawned exactly when the policy lets it fan out.
+                // Runs one kernel against its oracle bit for bit, checking
+                // that it spawned exactly when the policy lets it fan out.
                 let check =
                     |name: &str, ops: usize, kernel: &dyn Fn() -> Vec<f64>, oracle: &[f64]| {
                         let what = format!("{name} {n}x{k}x{m} width={width}");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         budget.reset_counters();
-                        assert_eq!(budget.install(kernel), oracle, "{what}");
+                        assert_eq!(bits(&budget.install(kernel)), bits(oracle), "{what}");
                         let parallel = width > 1 && ops >= PAR_MIN_OPS;
                         assert_eq!(budget.total_spawns() > 0, parallel, "{what}");
                     };
                 let matmul = || a.matmul(&b).unwrap().data().to_vec();
                 check("matmul", n * k * m, &matmul, mm_oracle.data());
+                check(
+                    "matmul_lower",
+                    n * (n + 1) / 2 * k,
+                    &|| a.matmul_lower(&bt).unwrap().data().to_vec(),
+                    lower_oracle.data(),
+                );
                 check(
                     "transpose",
                     n * k,
@@ -709,5 +850,31 @@ mod tests {
                 check("matvec", n * k, &|| a.matvec(&v).unwrap(), &mv_oracle);
             }
         }
+    }
+
+    #[test]
+    fn matmul_lower_rejects_non_square_products() {
+        let a = Matrix::zeros(3, 4);
+        assert!(a.matmul_lower(&Matrix::zeros(4, 2)).is_err());
+        assert!(a.matmul_lower(&Matrix::zeros(3, 3)).is_err());
+        assert_eq!(a.matmul_lower(&Matrix::zeros(4, 3)).unwrap().rows(), 3);
+        let empty = Matrix::zeros(2, 0)
+            .matmul_lower(&Matrix::zeros(0, 2))
+            .unwrap();
+        assert_eq!(empty, Matrix::zeros(2, 2));
+    }
+
+    #[test]
+    fn triangle_bands_cover_rows_in_equal_area_runs() {
+        for n in 1..60 {
+            for bands in 1..10 {
+                let bounds = triangle_bands(n, bands);
+                assert_eq!((bounds[0], *bounds.last().unwrap()), (0, n));
+                assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
+                assert!(bounds.len() - 1 <= bands.min(n), "n={n} {bounds:?}");
+            }
+        }
+        // Later rows are longer, so later bands hold fewer of them.
+        assert_eq!(triangle_bands(100, 2), vec![0, 71, 100]);
     }
 }

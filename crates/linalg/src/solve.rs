@@ -6,6 +6,10 @@ use crate::{LinalgError, Matrix, Result};
 ///
 /// Fails when `A` is not (numerically) positive definite. Callers that add a
 /// ridge term `λI` with `λ > 0` are always safe.
+///
+/// Only the lower triangle of `A` (diagonal included) is read; the strict
+/// upper triangle may hold anything, so a symmetric `A` can be built with
+/// [`Matrix::matmul_lower`].
 pub fn cholesky_decompose(a: &Matrix) -> Result<Matrix> {
     let n = a.rows();
     if a.cols() != n {
@@ -122,6 +126,20 @@ mod tests {
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn cholesky_reads_only_the_lower_triangle() {
+        let a = spd3();
+        let mut poisoned = a.clone();
+        for i in 0..3 {
+            for j in i + 1..3 {
+                poisoned.set(i, j, f64::NAN);
+            }
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let l = cholesky_decompose(&a).unwrap();
+        assert_eq!(bits(&cholesky_decompose(&poisoned).unwrap()), bits(&l));
     }
 
     #[test]

@@ -267,6 +267,30 @@ mod tests {
     }
 
     #[test]
+    fn every_selector_selects_nothing_from_zero_features() {
+        let d = Dataset::new(
+            Matrix::zeros(40, 0),
+            (0..40).map(|i| (i % 2) as f64).collect(),
+            Vec::new(),
+            Task::Classification { n_classes: 2 },
+        )
+        .unwrap();
+        let ctx = SelectionContext::standard(&d, 4);
+        for kind in [
+            SelectorKind::AllFeatures,
+            SelectorKind::Rifs(RifsConfig::default()),
+            SelectorKind::Ranking(RankingMethod::RandomForest),
+            SelectorKind::ForwardSelection,
+            SelectorKind::BackwardSelection,
+            SelectorKind::Rfe,
+        ] {
+            let r = run_selector(&d, &kind, &ctx).unwrap();
+            assert!(r.selected.is_empty(), "{}: {:?}", kind.name(), r.selected);
+            assert_eq!(r.holdout_score, f64::NEG_INFINITY, "{}", kind.name());
+        }
+    }
+
+    #[test]
     fn context_evaluate_empty_is_neg_infinity() {
         let d = planted_classification(40, 3);
         let ctx = SelectionContext::standard(&d, 3);

@@ -311,12 +311,11 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
     }
 
     // Fallback when no feature ever beat the noise at the lowest threshold:
-    // keep the single most noise-resistant feature.
+    // keep the single most noise-resistant feature, if there is any.
     let (selected, threshold_used, holdout_score) = match best {
         Some(b) => b,
         None => {
-            let order = order_by_scores(&fractions);
-            let subset = vec![order[0]];
+            let subset: Vec<usize> = order_by_scores(&fractions).into_iter().take(1).collect();
             let score = ctx.evaluate(data, &subset)?;
             (subset, f64::NAN, score)
         }

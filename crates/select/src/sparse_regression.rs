@@ -19,9 +19,11 @@
 //!
 //! The two forms are equal by the Woodbury identity. The primal factors a
 //! d×d system (an `n·d²/2` weighted Gram plus a `d³/3` Cholesky); the dual
-//! factors an n×n one (an `n²·d` product plus an `n³/3` Cholesky), so the
-//! solver picks it whenever a batch has more features than rows. The ridge
-//! start follows the same rule: `(XᵀX + γI)⁻¹XᵀY` or `Xᵀ(XXᵀ + γI)⁻¹Y`.
+//! factors an n×n one (an `n²·d/2` product plus an `n³/3` Cholesky), so the
+//! solver picks it whenever a batch has more features than rows. The dual
+//! product is half of `n²·d` because the Cholesky reads only the lower
+//! triangle of the symmetric `X A Xᵀ`, and only that half is computed. The
+//! ridge start follows the same rule: `(XᵀX + γI)⁻¹XᵀY` or `Xᵀ(XXᵀ + γI)⁻¹Y`.
 //! The choice depends only on the input's shape, and both forms run their
 //! products through budget-independent kernels, so the output is
 //! bit-identical at any thread budget.
@@ -170,15 +172,11 @@ fn primal_update(x: &Matrix, y: &Matrix, d1: &[f64], ridge: &[f64]) -> Result<Ma
 }
 
 /// Dual update `W = A Xᵀ (X A Xᵀ + B)⁻¹ Y` for diagonal `A = diag(a)`,
-/// `B = diag(b)`, given `xt = Xᵀ`.
+/// `B = diag(b)`, given `xt = Xᵀ`. The Cholesky solve reads only the lower
+/// triangle of `X A Xᵀ + B`, so only that triangle is computed.
 fn dual_update(x: &Matrix, xt: &Matrix, y: &Matrix, a: &[f64], b: &[f64]) -> Result<Matrix> {
-    let mut axt = xt.clone();
-    for (j, &aj) in a.iter().enumerate() {
-        for v in axt.row_mut(j) {
-            *v *= aj;
-        }
-    }
-    let mut k = x.matmul(&axt).expect("dims");
+    let axt = scale_rows(xt, a);
+    let mut k = x.matmul_lower(&axt).expect("dims");
     for (i, &bi) in b.iter().enumerate() {
         let v = k.get(i, i) + bi;
         k.set(i, i, v);
@@ -187,6 +185,20 @@ fn dual_update(x: &Matrix, xt: &Matrix, y: &Matrix, a: &[f64], b: &[f64]) -> Res
     Ok(axt.matmul(&z).expect("dims"))
 }
 
+/// `diag(s) · m`.
+fn scale_rows(m: &Matrix, s: &[f64]) -> Matrix {
+    let mut out = m.clone();
+    for (j, &sj) in s.iter().enumerate() {
+        for v in out.row_mut(j) {
+            *v *= sj;
+        }
+    }
+    out
+}
+
+/// One dual IRLS step: `(x, xt, y, a, b) ↦ W`, as [`dual_update`].
+type DualStep = fn(&Matrix, &Matrix, &Matrix, &[f64], &[f64]) -> Result<Matrix>;
+
 /// `2·max(‖mᵢ‖, ε)` per row of `m`: the inverse IRLS weight of each row.
 fn clamped_twice_norms(m: &Matrix, eps: f64) -> Vec<f64> {
     m.row_norms().iter().map(|r| 2.0 * r.max(eps)).collect()
@@ -194,6 +206,11 @@ fn clamped_twice_norms(m: &Matrix, eps: f64) -> Vec<f64> {
 
 /// Solve the ℓ2,1 objective on (standardised) `x` against targets `y`.
 pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution> {
+    solve_with(x, y, cfg, dual_update)
+}
+
+/// [`l21_solve`] with the dual form's step given.
+fn solve_with(x: &Matrix, y: &Matrix, cfg: &L21Config, dual_step: DualStep) -> Result<L21Solution> {
     if x.rows() != y.rows() {
         return Err(SelectError::Invalid(format!(
             "l21: {} rows vs {} targets",
@@ -214,7 +231,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
     let ridge = cfg.gamma.max(1e-9);
     let mut w = match &xt {
         None => primal_update(x, &y_work, &vec![1.0; n], &vec![ridge; d])?,
-        Some(xt) => dual_update(x, xt, &y_work, &vec![1.0; d], &vec![ridge; n])?,
+        Some(xt) => dual_step(x, xt, &y_work, &vec![1.0; d], &vec![ridge; n])?,
     };
 
     let predict = |w: &Matrix| x.matmul(w).expect("dims");
@@ -239,7 +256,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
             }
             Some(xt) => {
                 let a: Vec<f64> = w2.iter().map(|v| v / cfg.gamma).collect();
-                dual_update(x, xt, &y_work, &a, &r2)?
+                dual_step(x, xt, &y_work, &a, &r2)?
             }
         };
         let pred = predict(&w);
@@ -372,6 +389,25 @@ mod tests {
             prev_obj = obj;
         }
         Ok((w, prev_obj, iterations))
+    }
+
+    /// The dual update before it computed one triangle: the full `X A Xᵀ`
+    /// product, kept as the oracle the dual path must match bit for bit.
+    fn dual_update_full(
+        x: &Matrix,
+        xt: &Matrix,
+        y: &Matrix,
+        a: &[f64],
+        b: &[f64],
+    ) -> Result<Matrix> {
+        let axt = scale_rows(xt, a);
+        let mut k = x.matmul(&axt).expect("dims");
+        for (i, &bi) in b.iter().enumerate() {
+            let v = k.get(i, i) + bi;
+            k.set(i, i, v);
+        }
+        let z = cholesky_solve_multi(&k, y).map_err(|e| SelectError::Invalid(e.to_string()))?;
+        Ok(axt.matmul(&z).expect("dims"))
     }
 
     fn bits(m: &Matrix) -> Vec<u64> {
@@ -512,6 +548,32 @@ mod tests {
             let what = format!("{task:?}");
             assert_scores_close(&dual.feature_scores, &w.row_norms(), &what);
             assert_eq!(dual.iterations, iterations, "{what}");
+        }
+    }
+
+    #[test]
+    fn dual_path_matches_full_product_oracle_bit_for_bit() {
+        for (seed, task) in TASKS.into_iter().enumerate() {
+            for gamma in [0.1, 1.0] {
+                for robust_labels in [false, true] {
+                    let (x, y) = shaped(40, 90, task, 40 + seed as u64);
+                    let cfg = L21Config {
+                        gamma,
+                        robust_labels,
+                        ..Default::default()
+                    };
+                    let want = solve_with(&x, &y, &cfg, dual_update_full).unwrap();
+                    for width in [1, 8] {
+                        let budget = Budget::isolated(width);
+                        let got = budget.install(|| l21_solve(&x, &y, &cfg).unwrap());
+                        let what = format!("{task:?} {cfg:?} width={width}");
+                        assert_eq!(budget.total_spawns() > 0, width > 1, "{what}");
+                        assert_eq!(bits(&got.w), bits(&want.w), "{what}");
+                        assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{what}");
+                        assert_eq!(got.iterations, want.iterations, "{what}");
+                    }
+                }
+            }
         }
     }
 
