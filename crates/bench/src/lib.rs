@@ -1,27 +1,30 @@
 //! # arda-bench
 //!
 //! Experiment harness regenerating every table and figure of the ARDA
-//! paper's evaluation (§7). One binary per artifact:
+//! paper's evaluation (§7). [`paper`] has one function per artifact; the
+//! `paper` binary prints them by name (`paper all` prints every one):
 //!
-//! | target | paper artifact |
+//! | name | paper artifact |
 //! |---|---|
-//! | `fig3_augmentation` | Fig. 3 — achieved augmentation + time per system |
-//! | `fig4_score_vs_time` | Fig. 4 — score vs selection time per selector |
-//! | `table1_real_world` | Table 1 — error/accuracy + time, full method grid |
-//! | `table2_coreset_classification` | Table 2 — stratified/sketch vs uniform |
-//! | `table3_coreset_regression` | Table 3 — sketch vs uniform (regression) |
-//! | `fig5_soft_joins` | Fig. 5 — soft-join strategies × selectors |
-//! | `fig6_noise_filtering` | Fig. 6 — #features selected, original vs noise |
-//! | `table4_tr_prefilter` | Table 4 — Tuple-Ratio prefiltering |
-//! | `table5_table_grouping` | Table 5 — table/budget/full-mat join plans |
-//! | `table6_micro` | Table 6 — micro-benchmark accuracy + time |
+//! | `fig3` | Fig. 3 — achieved augmentation + time per system |
+//! | `fig4` | Fig. 4 — score vs run time per selector |
+//! | `fig5` | Fig. 5 — soft-join strategies × selectors |
+//! | `fig6` | Fig. 6 — #features selected, original vs noise |
+//! | `table1` | Table 1 — error/accuracy + time, full method grid |
+//! | `table2` | Table 2 — stratified/sketch vs uniform |
+//! | `table3` | Table 3 — sketch vs uniform (regression) |
+//! | `table4` | Table 4 — Tuple-Ratio prefiltering |
+//! | `table5` | Table 5 — table/budget/full-mat join plans |
+//! | `table6` | Table 6 — micro-benchmark accuracy + time |
+//! | `ablation` | RIFS design choices (ν, injection, η, k) |
 //!
 //! Scale: set `ARDA_BENCH_SCALE=full` for paper-sized repositories (School
-//! (L) gets 350 tables); the default `quick` profile keeps every binary
+//! (L) gets 350 tables); the default `quick` profile keeps every artifact
 //! under a few minutes. Numbers are *shape*-comparable with the paper, not
 //! absolute: the substrate is the in-repo simulator, not the authors'
-//! testbed (see EXPERIMENTS.md).
+//! testbed.
 
+pub mod paper;
 pub mod timing;
 
 use arda_core::{join_kind_for, Arda, ArdaConfig};
@@ -31,6 +34,7 @@ use arda_join::{execute_join, JoinSpec, SoftMethod};
 use arda_ml::{featurize, metrics, score_for_task, Dataset, FeaturizeOptions, ModelKind};
 use arda_select::{RifsConfig, SelectorKind};
 use arda_synth::{pickup, poverty, school, taxi, Scenario, ScenarioConfig};
+use arda_table::Table;
 
 /// Benchmark scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,10 +149,16 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
         joined = execute_join(&joined, &foreign, &spec, seed).expect("join");
     }
     let (imputed, _) = impute(&joined, seed).expect("impute");
+    featurized(&imputed, &scenario.target, false)
+}
+
+/// `table` as a [`Dataset`] predicting `target`, with the default
+/// featurization options.
+pub fn featurized(table: &Table, target: &str, force_classification: bool) -> Dataset {
     featurize(
-        &imputed,
-        &scenario.target,
-        false,
+        table,
+        target,
+        force_classification,
         &FeaturizeOptions::default(),
     )
     .expect("featurize")
@@ -198,31 +208,6 @@ pub fn selector_grid(
         grid.push(("RFE".into(), SelectorKind::Rfe));
     }
     grid
-}
-
-/// Render an aligned text table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let line: Vec<String> = headers
-        .iter()
-        .zip(&widths)
-        .map(|(h, w)| format!("{h:>w$}", w = w))
-        .collect();
-    println!("{}", line.join("  "));
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect();
-        println!("{}", line.join("  "));
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! The paper's evaluation uses real datasets assembled through NYU Auctus
 //! (Taxi, Pickup, Poverty, School) and two micro-benchmark sets (Kraken,
 //! Digits). None of those are redistributable or reachable offline, so this
-//! crate generates *structurally equivalent* scenarios (see DESIGN.md §1):
+//! crate generates *structurally equivalent* scenarios:
 //!
 //! * a base table whose own features carry only part of the signal,
 //! * a repository in which a few joinable tables carry the rest of the
