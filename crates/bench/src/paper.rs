@@ -415,16 +415,11 @@ pub fn table2(datasets: &[(&str, Dataset)], scale: Scale) -> Artifact {
     let mut rows = Vec::new();
     for (name, ds) in datasets {
         for (sel_name, selector) in selector_grid(ds.task, scale, false) {
-            let uni = ds
-                .select_rows(&uniform_indices(ds.n_samples(), coreset_rows, 31))
-                .expect("uniform rows");
-            let (uni_score, _) = select_and_score(&uni, &uni, &selector, 31);
+            let (uni_score, sk_score) = uniform_and_sketch_scores(ds, &selector, coreset_rows, 31);
             let strat = ds
                 .select_rows(&stratified_indices(&ds.y, coreset_rows, 31))
                 .expect("stratified rows");
             let (strat_score, _) = select_and_score(&strat, &strat, &selector, 31);
-            let sk = sketch(ds, coreset_rows, 31);
-            let (sk_score, _) = select_and_score(&sk, &sk, &selector, 31);
             rows.push(vec![
                 name.to_string(),
                 sel_name,
@@ -451,14 +446,7 @@ pub fn table3(datasets: &[(&str, Dataset)], scale: Scale) -> Artifact {
     let mut rows = Vec::new();
     for (name, ds) in datasets {
         for (sel_name, selector) in selector_grid(ds.task, scale, false) {
-            let uni = ds
-                .select_rows(&uniform_indices(ds.n_samples(), coreset_rows, 51))
-                .expect("uniform rows");
-            let (uni_score, _) = select_and_score(&uni, &uni, &selector, 51);
-            // Sketched rows are linear combinations of real rows, so the
-            // subset chosen on the sketch is scored on the uniform coreset.
-            let sk = sketch(ds, coreset_rows, 51);
-            let (sk_score, _) = select_and_score(&sk, &uni, &selector, 51);
+            let (uni_score, sk_score) = uniform_and_sketch_scores(ds, &selector, coreset_rows, 51);
             rows.push(vec![
                 name.to_string(),
                 sel_name,
@@ -694,11 +682,26 @@ fn is_noise(feature: &str) -> bool {
     feature.starts_with("synthnoise_")
 }
 
-/// A sketched coreset of `rows` rows (per-label OSNAP for classification,
-/// joint OSNAP over `[X | y]` for regression).
-fn sketch(ds: &Dataset, rows: usize, seed: u64) -> Dataset {
+/// Scores of `selector` on a uniform coreset of `rows` rows and on a
+/// sketched one (per-label OSNAP for classification, joint OSNAP over
+/// `[X | y]` for regression). Selection runs on each coreset, but both
+/// subsets are scored on the real rows of the uniform coreset: sketched
+/// rows are linear combinations of real rows, not real rows.
+fn uniform_and_sketch_scores(
+    ds: &Dataset,
+    selector: &SelectorKind,
+    rows: usize,
+    seed: u64,
+) -> (f64, f64) {
+    let uni = ds
+        .select_rows(&uniform_indices(ds.n_samples(), rows, seed))
+        .expect("uniform rows");
     let (x, y) = sketch_xy(&ds.x, &ds.y, ds.task.is_classification(), rows, seed);
-    Dataset::new(x, y, ds.feature_names.clone(), ds.task).expect("sketch shape")
+    let sk = Dataset::new(x, y, ds.feature_names.clone(), ds.task).expect("sketch shape");
+    (
+        select_and_score(&uni, &uni, selector, seed).0,
+        select_and_score(&sk, &uni, selector, seed).0,
+    )
 }
 
 /// The features `selector` keeps on `ds` under the standard selection
