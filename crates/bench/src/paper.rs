@@ -752,10 +752,7 @@ mod tests {
     use super::*;
 
     fn cell(row: &[String], col: usize) -> f64 {
-        row[col]
-            .trim_end_matches(['%', 'x'])
-            .parse()
-            .expect("numeric cell")
+        row[col].parse().expect("numeric cell")
     }
 
     /// Fig. 5: on Pickup's mid-hour soft key, interpolating between the two
