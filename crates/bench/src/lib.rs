@@ -154,7 +154,7 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
 
 /// `table` as a [`Dataset`] predicting `target`, with the default
 /// featurization options.
-pub fn featurized(table: &Table, target: &str, force_classification: bool) -> Dataset {
+pub(crate) fn featurized(table: &Table, target: &str, force_classification: bool) -> Dataset {
     featurize(
         table,
         target,
