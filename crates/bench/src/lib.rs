@@ -146,7 +146,8 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
             foreign_keys: vec![c.foreign_key.clone()],
             kind: join_kind_for(&joined, c, SoftMethod::TwoWayNearest),
         };
-        joined = execute_join(&joined, &foreign, &spec, seed).expect("join");
+        let block = execute_join(&joined, &foreign, &spec, seed).expect("join");
+        joined = joined.hstack(&block).expect("distinct names");
     }
     let (imputed, _) = impute(&joined, seed).expect("impute");
     featurized(&imputed, &scenario.target, false)

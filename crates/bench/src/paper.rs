@@ -290,7 +290,8 @@ pub fn fig5(inputs: &[(&Scenario, &str, &str)], scale: Scale) -> Artifact {
                 foreign_keys: vec![key.to_string()],
                 kind: *kind,
             };
-            let joined = execute_join(&scenario.base, signal, &spec, 61).expect("join");
+            let block = execute_join(&scenario.base, signal, &spec, 61).expect("join");
+            let joined = scenario.base.hstack(&block).expect("distinct names");
             let (imputed, _) = impute(&joined, 61).expect("impute");
             let ds = featurized(&imputed, &scenario.target, false);
             for (sel_name, selector) in selector_grid(ds.task, scale, false) {

@@ -65,7 +65,10 @@ impl Default for ArdaConfig {
 pub struct SelectedColumn {
     /// Source repository table.
     pub table: String,
-    /// Column name in the augmented output.
+    /// Column name in the augmented output:
+    /// `<table>[<base_key>:<foreign_key>].<column>`, naming the candidate
+    /// join and the source column (see [`arda_join::joined_name`]). It
+    /// depends only on that source, not on the join plan.
     pub column: String,
 }
 
@@ -174,13 +177,33 @@ impl Arda {
             .map(|c| c.name().to_string())
             .collect();
 
-        // Bounds-check candidates against the manifest without touching
-        // tables — on a sharded repository this must not force a load.
+        // Check candidates against the manifest without touching tables —
+        // on a sharded repository this must not force a load. A joined
+        // column is named after its table and key pair, so a repeated
+        // candidate, or two tables sharing a name, would name two columns
+        // alike.
+        let mut table_by_name: HashMap<&str, usize> = HashMap::new();
+        let mut pairs: HashSet<(usize, &str, &str)> = HashSet::new();
         for c in candidates {
             if c.table_index >= repo.len() {
                 return Err(ArdaError::Invalid(format!(
                     "candidate references missing table {}",
                     c.table_index
+                )));
+            }
+            let first = *table_by_name
+                .entry(c.table_name.as_str())
+                .or_insert(c.table_index);
+            if first != c.table_index {
+                return Err(ArdaError::Invalid(format!(
+                    "candidates name tables {first} and {} both `{}`",
+                    c.table_index, c.table_name
+                )));
+            }
+            if !pairs.insert((c.table_index, &c.base_key, &c.foreign_key)) {
+                return Err(ArdaError::Invalid(format!(
+                    "candidate {}[{}:{}] is listed twice",
+                    c.table_name, c.base_key, c.foreign_key
                 )));
             }
         }
@@ -236,55 +259,37 @@ impl Arda {
         for (batch_no, batch) in batches.iter().enumerate() {
             // Every candidate in a batch joins against the same base
             // snapshot on a base-table key, so the joins are independent:
-            // execute them concurrently, each yielding only its new
-            // columns, then fold the column blocks back in candidate order.
-            // Values are identical to the old sequential chaining; column
-            // names too, except when the same foreign column name collides
-            // twice in one batch (rename then happens at fold time with the
-            // table-name prefix rather than hstack's numeric salt). Provenance
-            // tracking below uses the folded names, so attribution stays
-            // consistent either way. Each candidate's join runs with its
-            // split of the shared `arda-par` work budget (installed by
-            // `par_map`): a multi-candidate batch spreads the budget across
-            // candidates, a lone candidate keeps all of it, and the permit
-            // pool guarantees the nested scans never oversubscribe.
+            // execute them concurrently, each yielding the block of columns
+            // it adds, then fold the blocks in candidate order. A block's
+            // names carry its candidate (`<table>[<keys>].<column>`), so no
+            // two blocks share a name and none meets a base column. Each
+            // candidate's join runs with its split of the shared `arda-par`
+            // work budget (installed by `par_map`): a multi-candidate batch
+            // spreads the budget across candidates, a lone candidate keeps
+            // all of it, and the permit pool guarantees the nested scans
+            // never oversubscribe.
             let snapshot = &kept;
-            let extra_tables: Vec<Result<Table>> = arda_par::par_map(batch, |_, cand| {
+            let blocks: Vec<Result<Table>> = arda_par::par_map(batch, |_, cand| {
                 // On a sharded repository this is where the foreign shard
                 // is loaded — concurrently per candidate, under the
                 // batch's split of the work budget.
                 let foreign = repo.table(cand.table_index)?;
-                let kind = join_kind_for(snapshot, cand, cfg.soft_method);
                 let spec = JoinSpec {
                     base_keys: vec![cand.base_key.clone()],
                     foreign_keys: vec![cand.foreign_key.clone()],
-                    kind,
+                    kind: join_kind_for(snapshot, cand, cfg.soft_method),
                 };
-                let before: HashSet<&str> = snapshot.columns().iter().map(|c| c.name()).collect();
-                let joined = execute_join(snapshot, &foreign, &spec, cfg.seed)?;
-                let mut extras = Table::empty(cand.table_name.clone());
-                for col in joined.columns() {
-                    if !before.contains(col.name()) {
-                        extras.add_column(col.clone()).map_err(ArdaError::from)?;
-                    }
-                }
-                Ok(extras)
+                Ok(execute_join(snapshot, &foreign, &spec, cfg.seed)?)
             });
 
             let mut joined = kept.clone();
-            for (cand, extras) in batch.iter().zip(extra_tables) {
-                let before: HashSet<String> = joined
-                    .columns()
-                    .iter()
-                    .map(|c| c.name().to_string())
-                    .collect();
-                joined = joined.hstack(&extras?)?;
-                joins_executed += 1;
-                for col in joined.columns() {
-                    if !before.contains(col.name()) {
-                        provenance.insert(col.name().to_string(), cand.table_name.clone());
-                    }
+            for (cand, block) in batch.iter().zip(blocks) {
+                let block = block?;
+                for col in block.columns() {
+                    provenance.insert(col.name().to_string(), cand.table_name.clone());
                 }
+                joined = joined.hstack(&block)?;
+                joins_executed += 1;
             }
 
             // Impute the LEFT-join nulls, featurize, select.

@@ -1,6 +1,6 @@
 //! Hard-key LEFT joins (hash join on exact key equality).
 
-use crate::Result;
+use crate::{gathered_block, Result};
 use arda_table::{GroupBy, Key, Table};
 use std::collections::HashMap;
 
@@ -35,8 +35,9 @@ pub fn pre_aggregate(foreign: &Table, keys: &[&str]) -> Result<Table> {
 /// * Every base row is preserved exactly once (the paper's hard requirement).
 /// * The foreign table is pre-aggregated on its keys first, so duplicate
 ///   foreign keys can never fan out base rows.
-/// * Foreign *key* columns are dropped from the output (they duplicate the
-///   base keys); remaining columns are appended, renamed on collision.
+/// * Returns the foreign non-key columns, row-aligned with `base` and
+///   named by [`crate::joined_name`]; the foreign key columns duplicate the
+///   base keys and are left out.
 /// * Unmatched base rows get nulls (imputation handles them later).
 pub fn left_hard_join(
     base: &Table,
@@ -64,16 +65,7 @@ pub fn left_hard_join(
         })
     });
 
-    // Gather matched foreign rows (nulls where unmatched), minus key columns.
-    let value_names: Vec<&str> = foreign
-        .columns()
-        .iter()
-        .map(|c| c.name())
-        .filter(|n| !foreign_keys.contains(n))
-        .collect();
-    let gathered = foreign.take_opt(&matches)?;
-    let values = gathered.select(&value_names)?;
-    Ok(base.hstack(&values)?)
+    gathered_block(&foreign, base_keys, foreign_keys, &matches)
 }
 
 #[cfg(test)]
@@ -104,13 +96,13 @@ mod tests {
         .unwrap();
         let out = left_hard_join(&base(), &foreign, &["city"], &["city"]).unwrap();
         assert_eq!(out.n_rows(), 4);
-        let p = out.column("population").unwrap();
+        let p = out.column("pop[city:city].population").unwrap();
         assert_eq!(p.get_f64(0), Some(8.4));
         assert_eq!(p.get_f64(1), Some(0.7));
         assert_eq!(p.get_f64(2), Some(8.4));
         assert!(p.get(3).is_null(), "sfo has no match → null");
-        // Foreign key column is not duplicated.
-        assert_eq!(out.n_cols(), 3);
+        // Only the value column comes back; the foreign key is left out.
+        assert_eq!(out.n_cols(), 1);
     }
 
     #[test]
@@ -126,7 +118,10 @@ mod tests {
         let out = left_hard_join(&base(), &foreign, &["city"], &["city"]).unwrap();
         assert_eq!(out.n_rows(), 4, "base rows must never fan out");
         // nyc amount = mean(10, 30) = 20.
-        assert_eq!(out.column("amount").unwrap().get_f64(0), Some(20.0));
+        assert_eq!(
+            out.column("sales[city:city].amount").unwrap().get_f64(0),
+            Some(20.0)
+        );
     }
 
     #[test]
@@ -149,7 +144,7 @@ mod tests {
         )
         .unwrap();
         let out = left_hard_join(&b, &f, &["a", "b"], &["a", "b"]).unwrap();
-        let v = out.column("v").unwrap();
+        let v = out.column("f[a+b:a+b].v").unwrap();
         assert!(v.get(0).is_null());
         assert_eq!(v.get_f64(1), Some(12.0));
         assert_eq!(v.get_f64(2), Some(21.0));
@@ -167,15 +162,13 @@ mod tests {
         )
         .unwrap();
         let out = left_hard_join(&b, &f, &["k"], &["k"]).unwrap();
-        assert_eq!(out.column("v").unwrap().get_f64(0), Some(1.0));
-        assert!(
-            out.column("v").unwrap().get(1).is_null(),
-            "null keys must not match null keys"
-        );
+        let v = out.column("f[k:k].v").unwrap();
+        assert_eq!(v.get_f64(0), Some(1.0));
+        assert!(v.get(1).is_null(), "null keys must not match null keys");
     }
 
     #[test]
-    fn name_collisions_are_prefixed() {
+    fn foreign_column_named_like_a_base_column_arrives_labelled() {
         let foreign = Table::new(
             "ext",
             vec![
@@ -184,11 +177,15 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = left_hard_join(&base(), &foreign, &["city"], &["city"]).unwrap();
-        assert!(out.column("ext.target").is_ok());
+        let block = left_hard_join(&base(), &foreign, &["city"], &["city"]).unwrap();
+        let out = base().hstack(&block).unwrap();
         assert_eq!(
-            out.column("target").unwrap().get_f64(0),
-            Some(1.0),
+            out.column("ext[city:city].target").unwrap().get_f64(0),
+            Some(0.5)
+        );
+        assert_eq!(
+            out.column("target").unwrap(),
+            base().column("target").unwrap(),
             "base column unchanged"
         );
     }

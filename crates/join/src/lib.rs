@@ -15,13 +15,22 @@
 //! * [`JoinSpec`] / [`JoinKind`] / [`SoftMethod`] — a declarative description
 //!   of one candidate join.
 //! * [`execute_join`] — run a spec: pre-aggregate, (optionally) resample,
-//!   join, and drop duplicated key columns.
+//!   join, and return the foreign non-key columns as one block, row-aligned
+//!   with the base.
 //! * [`hard::left_hard_join`], [`soft::nearest_join`],
-//!   [`soft::two_way_nearest_join`] — the individual algorithms.
+//!   [`soft::two_way_nearest_join`] — the individual algorithms, which
+//!   return the same block.
 //! * [`resample::detect_granularity`] / [`resample::resample_to_granularity`]
 //!   — time alignment.
 //! * [`impute::impute`] — median / uniform-random imputation (§4
 //!   "Imputation").
+//!
+//! Every join names the columns it adds after the candidate that produced
+//! them: `<table>[<base_key>:<foreign_key>].<column>`, with composite keys
+//! joined by `+` (see [`joined_name`]). A column's name therefore depends
+//! only on its source, never on what else is joined beside it, and the
+//! caller folds blocks together with [`Table::hstack`], which rejects a
+//! duplicate name instead of renaming it.
 
 pub mod hard;
 pub mod impute;
@@ -29,7 +38,8 @@ pub mod resample;
 pub mod soft;
 pub mod stats;
 
-use arda_table::{Table, TableError};
+use arda_table::{Column, Table, TableError};
+use std::borrow::Cow;
 
 /// Strategy for joining on a soft (numeric / time) key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,14 +139,16 @@ impl std::error::Error for JoinError {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, JoinError>;
 
-/// Execute a candidate join, returning the augmented table.
+/// Execute a candidate join, returning the block of columns it adds.
 ///
-/// The base table's rows (count and order) are always preserved; foreign
-/// non-key columns are appended, renamed on collision. The foreign table is
-/// pre-aggregated on its keys first, so to-many joins cannot duplicate rows.
-/// `seed` drives the random choices of categorical interpolation. The join
-/// runs on the ambient `arda-par` work budget; under the pipeline's batch
-/// fan-out each join plans with its split, so nesting cannot oversubscribe.
+/// The block holds the foreign table's non-key columns, named by
+/// [`joined_name`], with one row per base row in base order; the caller
+/// appends it to `base` with [`Table::hstack`]. The foreign table is
+/// pre-aggregated on its keys first, so to-many joins cannot duplicate
+/// rows. `seed` drives the random choices of categorical interpolation.
+/// The join runs on the ambient `arda-par` work budget; under the
+/// pipeline's batch fan-out each join plans with its split, so nesting
+/// cannot oversubscribe.
 pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -> Result<Table> {
     if spec.base_keys.len() != spec.foreign_keys.len() || spec.base_keys.is_empty() {
         return Err(JoinError::InvalidSpec(format!(
@@ -148,33 +160,25 @@ pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -
     let base_keys: Vec<&str> = spec.base_keys.iter().map(String::as_str).collect();
     let foreign_keys: Vec<&str> = spec.foreign_keys.iter().map(String::as_str).collect();
 
+    let foreign = match spec.kind {
+        JoinKind::HardTimeResampled | JoinKind::SoftTimeResampled(_) => {
+            let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
+            Cow::Owned(resample::resample_to_base(base, foreign, bk, fk)?)
+        }
+        JoinKind::Hard | JoinKind::Soft(_) => Cow::Borrowed(foreign),
+    };
     match spec.kind {
-        JoinKind::Hard => hard::left_hard_join(base, foreign, &base_keys, &foreign_keys),
-        JoinKind::Soft(method) => {
+        JoinKind::Hard | JoinKind::HardTimeResampled => {
+            hard::left_hard_join(base, &foreign, &base_keys, &foreign_keys)
+        }
+        JoinKind::Soft(method) | JoinKind::SoftTimeResampled(method) => {
             let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
             match method {
                 SoftMethod::Nearest { tolerance } => {
-                    soft::nearest_join(base, foreign, bk, fk, tolerance)
+                    soft::nearest_join(base, &foreign, bk, fk, tolerance)
                 }
                 SoftMethod::TwoWayNearest => {
-                    soft::two_way_nearest_join(base, foreign, bk, fk, seed)
-                }
-            }
-        }
-        JoinKind::HardTimeResampled => {
-            let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
-            let resampled = resample::resample_to_base(base, foreign, bk, fk)?;
-            hard::left_hard_join(base, &resampled, &[bk], &[fk])
-        }
-        JoinKind::SoftTimeResampled(method) => {
-            let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
-            let resampled = resample::resample_to_base(base, foreign, bk, fk)?;
-            match method {
-                SoftMethod::Nearest { tolerance } => {
-                    soft::nearest_join(base, &resampled, bk, fk, tolerance)
-                }
-                SoftMethod::TwoWayNearest => {
-                    soft::two_way_nearest_join(base, &resampled, bk, fk, seed)
+                    soft::two_way_nearest_join(base, &foreign, bk, fk, seed)
                 }
             }
         }
@@ -188,6 +192,61 @@ fn single_key<'a>(base: &[&'a str], foreign: &[&'a str]) -> Result<(&'a str, &'a
         ));
     }
     Ok((base[0], foreign[0]))
+}
+
+/// The name a join gives foreign column `column` of `table` joined on
+/// `base_keys = foreign_keys`: `<table>[<base_key>:<foreign_key>].<column>`,
+/// with composite keys joined by `+`.
+pub fn joined_name(table: &str, base_keys: &[&str], foreign_keys: &[&str], column: &str) -> String {
+    format!(
+        "{table}[{}:{}].{column}",
+        base_keys.join("+"),
+        foreign_keys.join("+")
+    )
+}
+
+/// The foreign table's non-key columns, in table order.
+pub(crate) fn value_columns<'a>(foreign: &'a Table, foreign_keys: &[&str]) -> Vec<&'a Column> {
+    foreign
+        .columns()
+        .iter()
+        .filter(|c| !foreign_keys.contains(&c.name()))
+        .collect()
+}
+
+/// The block a join returns: `values`, built from [`value_columns`] in
+/// order and still carrying their source names, each renamed by
+/// [`joined_name`].
+pub(crate) fn joined_block(
+    foreign: &Table,
+    base_keys: &[&str],
+    foreign_keys: &[&str],
+    values: Vec<Column>,
+) -> Result<Table> {
+    let columns = values
+        .into_iter()
+        .map(|mut c| {
+            let name = joined_name(foreign.name(), base_keys, foreign_keys, c.name());
+            c.set_name(name);
+            c
+        })
+        .collect();
+    Ok(Table::new(foreign.name().to_string(), columns)?)
+}
+
+/// The block of a join that matched base row `i` with foreign row
+/// `rows[i]` (`None` leaves it null).
+pub(crate) fn gathered_block(
+    foreign: &Table,
+    base_keys: &[&str],
+    foreign_keys: &[&str],
+    rows: &[Option<usize>],
+) -> Result<Table> {
+    let values = value_columns(foreign, foreign_keys)
+        .into_iter()
+        .map(|c| c.take_opt(rows))
+        .collect();
+    joined_block(foreign, base_keys, foreign_keys, values)
 }
 
 #[cfg(test)]
@@ -221,7 +280,8 @@ mod tests {
     fn execute_hard_spec() {
         let out = execute_join(&base(), &foreign(), &JoinSpec::hard("id", "fid"), 0).unwrap();
         assert_eq!(out.n_rows(), 3);
-        let w = out.column("w").unwrap();
+        assert_eq!(out.n_cols(), 1, "only the foreign value column");
+        let w = out.column("ext[id:fid].w").unwrap();
         assert_eq!(w.get_f64(0), Some(10.0));
         assert!(w.get(1).is_null());
         assert_eq!(w.get_f64(2), Some(30.0));
@@ -256,7 +316,30 @@ mod tests {
         let out = execute_join(&base(), &foreign(), &spec, 0).unwrap();
         assert_eq!(out.n_rows(), 3);
         // id=2 joins with nearest foreign key (1 or 3; tie → lower).
-        assert!(out.column("w").unwrap().get_f64(1).is_some());
+        assert!(out.column("ext[id:fid].w").unwrap().get_f64(1).is_some());
+    }
+
+    #[test]
+    fn every_kind_names_columns_after_the_candidate() {
+        let kinds = [
+            JoinKind::Hard,
+            JoinKind::HardTimeResampled,
+            JoinKind::Soft(SoftMethod::Nearest { tolerance: None }),
+            JoinKind::SoftTimeResampled(SoftMethod::TwoWayNearest),
+        ];
+        for kind in kinds {
+            let spec = JoinSpec {
+                kind,
+                ..JoinSpec::hard("id", "fid")
+            };
+            let out = execute_join(&base(), &foreign(), &spec, 0).unwrap();
+            let names: Vec<&str> = out.columns().iter().map(|c| c.name()).collect();
+            assert_eq!(names, ["ext[id:fid].w"], "{kind:?}");
+        }
+        assert_eq!(
+            joined_name("t", &["a", "b"], &["c", "d"], "x"),
+            "t[a+b:c+d].x"
+        );
     }
 
     #[test]

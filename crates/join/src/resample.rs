@@ -165,9 +165,10 @@ mod tests {
         assert_eq!(resampled.n_rows(), 2);
         // End-to-end: hard join after resampling hits both days.
         let joined = left_hard_join(&base, &resampled, &["day"], &["time"]).unwrap();
-        assert_eq!(joined.column("temp").unwrap().get_f64(0), Some(2.0));
-        assert_eq!(joined.column("temp").unwrap().get_f64(1), Some(20.0));
-        assert!(joined.column("temp").unwrap().get(2).is_null());
+        let temp = joined.column("weather[day:time].temp").unwrap();
+        assert_eq!(temp.get_f64(0), Some(2.0));
+        assert_eq!(temp.get_f64(1), Some(20.0));
+        assert!(temp.get(2).is_null());
     }
 
     #[test]

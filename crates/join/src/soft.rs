@@ -4,10 +4,11 @@
 //! Both joins build one `SoftKeyIndex` over the (pre-aggregated) foreign
 //! key and reuse it across every base row; the per-row binary-search
 //! matching — the hot loop for large bases — runs in parallel row bands
-//! with deterministic output.
+//! with deterministic output. Both return the foreign non-key columns as
+//! one block, row-aligned with the base and named by [`crate::joined_name`].
 
 use crate::hard::pre_aggregate;
-use crate::{JoinError, Result};
+use crate::{gathered_block, joined_block, value_columns, JoinError, Result};
 #[cfg(test)]
 use arda_table::Value;
 use arda_table::{Column, ColumnData, DataType, Table};
@@ -118,15 +119,7 @@ pub fn nearest_join(
             .collect()
     });
 
-    let value_names: Vec<&str> = foreign
-        .columns()
-        .iter()
-        .map(|c| c.name())
-        .filter(|n| *n != foreign_key)
-        .collect();
-    let gathered = foreign.take_opt(&matches)?;
-    let values = gathered.select(&value_names)?;
-    Ok(base.hstack(&values)?)
+    gathered_block(&foreign, &[base_key], &[foreign_key], &matches)
 }
 
 /// Two-way nearest-neighbour soft LEFT join (ARDA §4): for base key `x`,
@@ -180,11 +173,7 @@ pub fn two_way_nearest_join(
     // Categorical neighbour picks consume the seeded RNG sequentially in
     // (column, row) order — exactly the draws the old sequential loop made —
     // so the parallel materialisation below stays deterministic.
-    let value_cols: Vec<&Column> = foreign
-        .columns()
-        .iter()
-        .filter(|c| c.name() != foreign_key)
-        .collect();
+    let value_cols = value_columns(&foreign, &[foreign_key]);
     let mut rng = StdRng::seed_from_u64(seed);
     let str_picks: Vec<Option<Vec<Option<usize>>>> = value_cols
         .iter()
@@ -240,11 +229,8 @@ pub fn two_way_nearest_join(
             })
         });
 
-    let mut extras = Table::empty(foreign.name().to_string());
-    for col in new_cols {
-        extras.add_column(col?)?;
-    }
-    Ok(base.clone().hstack(&extras)?)
+    let values = new_cols.into_iter().collect::<Result<_>>()?;
+    joined_block(&foreign, &[base_key], &[foreign_key], values)
 }
 
 #[cfg(test)]
@@ -277,7 +263,7 @@ mod tests {
     #[test]
     fn nearest_picks_closest_key() {
         let out = nearest_join(&trips(), &weather(), "t", "time", None).unwrap();
-        let temp = out.column("temp").unwrap();
+        let temp = out.column("weather[t:time].temp").unwrap();
         assert_eq!(temp.get_f64(0), Some(10.0)); // t=10 → time=0
         assert_eq!(temp.get_f64(1), Some(20.0)); // t=150 → tie 100/200 → lower
         assert_eq!(temp.get_f64(2), Some(30.0)); // t=400 → time=200
@@ -286,7 +272,7 @@ mod tests {
     #[test]
     fn nearest_respects_tolerance() {
         let out = nearest_join(&trips(), &weather(), "t", "time", Some(60.0)).unwrap();
-        let temp = out.column("temp").unwrap();
+        let temp = out.column("weather[t:time].temp").unwrap();
         assert_eq!(temp.get_f64(0), Some(10.0));
         assert_eq!(temp.get_f64(1), Some(20.0));
         assert!(temp.get(2).is_null(), "t=400 is 200 away > tolerance");
@@ -295,7 +281,7 @@ mod tests {
     #[test]
     fn two_way_interpolates_linearly() {
         let out = two_way_nearest_join(&trips(), &weather(), "t", "time", 0).unwrap();
-        let temp = out.column("temp").unwrap();
+        let temp = out.column("weather[t:time].temp").unwrap();
         // t=10 between 0 and 100: λ=(100-10)/100=0.9 → 0.9*10+0.1*20 = 11.
         assert!((temp.get_f64(0).unwrap() - 11.0).abs() < 1e-9);
         // t=150 between 100 and 200 → 25.
@@ -308,13 +294,16 @@ mod tests {
     fn two_way_exact_match_uses_that_row() {
         let base = Table::new("b", vec![Column::from_timestamps("t", vec![100])]).unwrap();
         let out = two_way_nearest_join(&base, &weather(), "t", "time", 0).unwrap();
-        assert_eq!(out.column("temp").unwrap().get_f64(0), Some(20.0));
+        assert_eq!(
+            out.column("weather[t:time].temp").unwrap().get_f64(0),
+            Some(20.0)
+        );
     }
 
     #[test]
     fn two_way_categorical_comes_from_a_neighbor() {
         let out = two_way_nearest_join(&trips(), &weather(), "t", "time", 42).unwrap();
-        let sky = out.column("sky").unwrap().get(0);
+        let sky = out.column("weather[t:time].sky").unwrap().get(0);
         assert!(
             sky == Value::Str("clear".into()) || sky == Value::Str("rain".into()),
             "sky must come from one of the bracketing rows, got {sky:?}"
@@ -326,9 +315,13 @@ mod tests {
         let base = Table::new("b", vec![Column::from_i64_opt("t", vec![Some(50), None])]).unwrap();
         let out = nearest_join(&base, &weather(), "t", "time", None).unwrap();
         assert_eq!(out.n_rows(), 2);
-        assert!(out.column("temp").unwrap().get(1).is_null());
+        assert!(out.column("weather[t:time].temp").unwrap().get(1).is_null());
         let out2 = two_way_nearest_join(&base, &weather(), "t", "time", 0).unwrap();
-        assert!(out2.column("temp").unwrap().get(1).is_null());
+        assert!(out2
+            .column("weather[t:time].temp")
+            .unwrap()
+            .get(1)
+            .is_null());
     }
 
     #[test]
@@ -358,7 +351,7 @@ mod tests {
         .unwrap();
         let base = Table::new("b", vec![Column::from_i64("t", vec![100])]).unwrap();
         let out = nearest_join(&base, &f, "t", "time", None).unwrap();
-        assert_eq!(out.column("temp").unwrap().get_f64(0), Some(20.0));
+        assert_eq!(out.column("f[t:time].temp").unwrap().get_f64(0), Some(20.0));
     }
 
     #[test]
@@ -373,8 +366,8 @@ mod tests {
         .unwrap();
         let base = Table::new("b", vec![Column::from_i64("t", vec![1])]).unwrap();
         let out = nearest_join(&base, &f, "t", "time", None).unwrap();
-        assert!(out.column("temp").unwrap().get(0).is_null());
+        assert!(out.column("f[t:time].temp").unwrap().get(0).is_null());
         let out2 = two_way_nearest_join(&base, &f, "t", "time", 0).unwrap();
-        assert!(out2.column("temp").unwrap().get(0).is_null());
+        assert!(out2.column("f[t:time].temp").unwrap().get(0).is_null());
     }
 }

@@ -42,8 +42,9 @@ pub struct Dataset {
     pub x: Matrix,
     /// Length-`n` target.
     pub y: Vec<f64>,
-    /// Column names aligned with `x` (provenance: `table.column` after
-    /// joins), used to report which augmentations were selected.
+    /// Column names aligned with `x` (a joined column's name carries its
+    /// source table and key pair), used to report which augmentations were
+    /// selected.
     pub feature_names: Vec<String>,
     /// Task type.
     pub task: Task,

@@ -214,7 +214,7 @@ impl Column {
         &self.name
     }
 
-    /// Rename in place (used for join-prefix disambiguation).
+    /// Rename in place (a join uses it to name the columns it adds).
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
     }

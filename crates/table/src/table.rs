@@ -179,9 +179,9 @@ impl Table {
         Ok(out)
     }
 
-    /// Horizontally concatenate `other`'s columns onto `self`, renaming
-    /// collisions to `{other.name}.{column}` (and numeric suffixes if still
-    /// colliding). Row counts must match.
+    /// Horizontally concatenate `other`'s columns onto `self`. Row counts
+    /// must match, and a column name `self` already has is a
+    /// [`TableError::DuplicateColumn`] error: nothing is renamed.
     pub fn hstack(&self, other: &Table) -> Result<Table> {
         if other.n_cols() > 0 && self.n_cols() > 0 && other.n_rows() != self.n_rows() {
             return Err(TableError::LengthMismatch {
@@ -192,17 +192,7 @@ impl Table {
         }
         let mut out = self.clone();
         for col in &other.columns {
-            let mut c = col.clone();
-            if out.column_index(c.name()).is_some() {
-                let mut candidate = format!("{}.{}", other.name, c.name());
-                let mut salt = 2usize;
-                while out.column_index(&candidate).is_some() {
-                    candidate = format!("{}.{}_{salt}", other.name, c.name());
-                    salt += 1;
-                }
-                c.set_name(candidate);
-            }
-            out.columns.push(c);
+            out.add_column(col.clone())?;
         }
         Ok(out)
     }
@@ -316,12 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn hstack_renames_collisions() {
+    fn hstack_rejects_duplicate_columns() {
         let a = sample();
         let b = Table::new("weather", vec![Column::from_f64("x", vec![9.0, 8.0, 7.0])]).unwrap();
-        let j = a.hstack(&b).unwrap();
+        assert_eq!(a.hstack(&b), Err(TableError::DuplicateColumn("x".into())));
+        let c = Table::new("weather", vec![Column::from_f64("y", vec![9.0, 8.0, 7.0])]).unwrap();
+        let j = a.hstack(&c).unwrap();
         assert_eq!(j.n_cols(), 4);
-        assert!(j.column("weather.x").is_ok());
+        assert_eq!(j.column("y").unwrap(), c.column("y").unwrap());
     }
 
     #[test]

@@ -66,7 +66,8 @@ fn main() {
             foreign_keys: vec!["time".into()],
             kind,
         };
-        let joined = execute_join(&scenario.base, &weather, &spec, 5).unwrap();
+        let block = execute_join(&scenario.base, &weather, &spec, 5).unwrap();
+        let joined = scenario.base.hstack(&block).unwrap();
         let nulls = joined.null_count();
         let (r2, err) = evaluate(&joined, &scenario.target, 5);
         println!("{name:<26} {r2:>10.3} {err:>10.3} {nulls:>14}");

@@ -66,7 +66,7 @@ fn cli_augments_csv_repository() {
     assert_eq!(augmented.n_rows(), 60);
     assert!(augmented.column("y").is_ok());
     assert!(
-        augmented.column("boost").is_ok(),
+        augmented.column("ext[key:key].boost").is_ok(),
         "signal column joined and selected"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -199,7 +199,10 @@ fn cli_save_repo_converts_and_reloads_via_catalog() {
         "warm manifest reported: {stderr}"
     );
     let augmented = arda::table::read_csv(&out).unwrap();
-    assert!(augmented.column("boost").is_ok(), "signal column selected");
+    assert!(
+        augmented.column("ext[key:key].boost").is_ok(),
+        "signal column selected"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
