@@ -569,6 +569,48 @@ mod tests {
         );
     }
 
+    /// Candidates for a small taxi run, with its repository.
+    fn taxi_candidates() -> (arda_synth::Scenario, Repository, Vec<CandidateJoin>) {
+        let sc = taxi(&ScenarioConfig {
+            n_rows: 60,
+            n_decoys: 1,
+            seed: 8,
+        });
+        let repo = Repository::from_tables(sc.repository.clone());
+        let candidates = discover_joins(&sc.base, &repo, &DiscoveryConfig::default()).unwrap();
+        (sc, repo, candidates)
+    }
+
+    #[test]
+    fn augment_rejects_a_repeated_candidate() {
+        let (sc, repo, mut candidates) = taxi_candidates();
+        candidates.push(candidates[0].clone());
+        let err = Arda::default()
+            .augment(&sc.base, &repo, &candidates, &sc.target)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ArdaError::Invalid(msg) if msg.contains("listed twice")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn augment_rejects_two_tables_sharing_a_name() {
+        let (sc, repo, mut candidates) = taxi_candidates();
+        let other = candidates
+            .iter()
+            .position(|c| c.table_index != candidates[0].table_index)
+            .unwrap();
+        candidates[other].table_name = candidates[0].table_name.clone();
+        let err = Arda::default()
+            .augment(&sc.base, &repo, &candidates, &sc.target)
+            .unwrap_err();
+        assert!(
+            matches!(&err, ArdaError::Invalid(msg) if msg.contains("both")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn missing_target_errors() {
         let sc = taxi(&ScenarioConfig {

@@ -332,7 +332,8 @@ impl Repository {
     /// (the manifest scan) — and not even those when a fresh
     /// `_catalog.arda` covers the directory (see the module docs for the
     /// invalidation rules). Table bodies are parsed lazily by
-    /// [`Self::table`].
+    /// [`Self::table`]. Two shards with one stem (`t.csv` beside `t.arda`)
+    /// are an error naming both files.
     pub fn from_dir(dir: impl AsRef<Path>) -> Result<Self, TableError> {
         let dir = dir.as_ref();
         let entries = std::fs::read_dir(dir).map_err(|e| {
@@ -349,6 +350,19 @@ impl Repository {
             }
         }
         paths.sort_by(|a, b| a.0.cmp(&b.0));
+        // A shard's table is named after its file stem, so `t.csv` beside
+        // `t.arda` would give two tables one name.
+        let mut by_stem: HashMap<String, &Path> = HashMap::new();
+        for (path, _) in &paths {
+            if let Some(first) = by_stem.insert(file_stem(path), path) {
+                return Err(TableError::Invalid(format!(
+                    "shards {} and {} would both be table `{}`",
+                    first.display(),
+                    path.display(),
+                    file_stem(path)
+                )));
+            }
+        }
 
         // Stat every shard up front: the pairs both validate the catalog
         // and (on a cold scan) become the next catalog's contents.

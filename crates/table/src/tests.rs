@@ -343,6 +343,21 @@ fn save_dir_removes_stale_shards_from_earlier_saves() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Saving a CSV directory's tables into that same directory puts
+/// `weather.arda` beside `weather.csv`; indexing it again is an error that
+/// names both files rather than two tables called `weather`.
+#[test]
+fn from_dir_rejects_two_shards_with_one_stem() {
+    let dir = scratch("stem");
+    write_shards(&dir, &[weather()]);
+    Repository::from_dir(&dir).unwrap().save_dir(&dir).unwrap();
+    let err = Repository::from_dir(&dir).unwrap_err().to_string();
+    for file in ["weather.arda", "weather.csv"] {
+        assert!(err.contains(file), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// CSV shard edge cases through the header scan, the one-read
 /// [`read_csv`] and [`Repository::from_dir`]: header shapes the scan must
 /// read whole, an empty file, and non-UTF-8 bytes in the body (which the
