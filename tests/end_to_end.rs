@@ -140,6 +140,58 @@ fn all_join_plans_produce_valid_outputs() {
         assert_eq!(report.augmented.n_rows(), 100, "{plan:?} preserves rows");
         assert!(report.augmented_score.is_finite(), "{plan:?} scored");
     }
+
+    // A kept column's name depends only on its source: the candidate join
+    // and the foreign column. The table and budget plans batch pickup's
+    // candidates differently, and RIFS keeps many of the same sources.
+    let sc = arda::synth::pickup(&ScenarioConfig {
+        n_rows: 150,
+        n_decoys: 3,
+        seed: 4,
+    });
+    let repo = Repository::from_tables(sc.repository.clone());
+    let candidates = discover_joins(&sc.base, &repo, &DiscoveryConfig::default()).unwrap();
+    let mut names_by_plan = Vec::new();
+    for plan in [JoinPlan::Table, JoinPlan::Budget { budget: None }] {
+        let report = Arda::new(ArdaConfig {
+            selector: fast_rifs(),
+            join_plan: plan,
+            seed: 4,
+            ..Default::default()
+        })
+        .run(&sc.base, &repo, &sc.target)
+        .unwrap();
+        let mut names = std::collections::HashMap::new();
+        for s in &report.selected {
+            // `<table>[<base_key>:<foreign_key>].<column>` for one of the
+            // table's candidates and one of its columns.
+            let source = candidates
+                .iter()
+                .filter(|c| c.table_name == s.table)
+                .find_map(|c| {
+                    let label = format!("{}[{}:{}].", c.table_name, c.base_key, c.foreign_key);
+                    let column = s.column.strip_prefix(&label)?;
+                    let table = repo.table(c.table_index).unwrap();
+                    table.column(column).is_ok().then(|| {
+                        (
+                            c.table_index,
+                            c.base_key.clone(),
+                            c.foreign_key.clone(),
+                            column.to_string(),
+                        )
+                    })
+                });
+            let source = source.unwrap_or_else(|| panic!("{plan:?}: {s:?} names no source"));
+            names.insert(source, s.column.clone());
+        }
+        names_by_plan.push(names);
+    }
+    let (table, budget) = (&names_by_plan[0], &names_by_plan[1]);
+    let shared: Vec<_> = table.keys().filter(|k| budget.contains_key(*k)).collect();
+    assert!(!shared.is_empty(), "both plans keep some source column");
+    for source in shared {
+        assert_eq!(table[source], budget[source], "{source:?}");
+    }
 }
 
 #[test]
