@@ -67,8 +67,8 @@ pub struct SelectedColumn {
     pub table: String,
     /// Column name in the augmented output:
     /// `<table>[<base_key>:<foreign_key>].<column>`, naming the candidate
-    /// join and the source column (see [`arda_join::joined_name`]). It
-    /// depends only on that source, not on the join plan.
+    /// join and the source column. It depends only on that source, not on
+    /// the join plan.
     pub column: String,
 }
 
@@ -185,27 +185,20 @@ impl Arda {
         let mut table_by_name: HashMap<&str, usize> = HashMap::new();
         let mut pairs: HashSet<(usize, &str, &str)> = HashSet::new();
         for c in candidates {
-            if c.table_index >= repo.len() {
-                return Err(ArdaError::Invalid(format!(
-                    "candidate references missing table {}",
-                    c.table_index
-                )));
-            }
-            let first = *table_by_name
-                .entry(c.table_name.as_str())
-                .or_insert(c.table_index);
-            if first != c.table_index {
-                return Err(ArdaError::Invalid(format!(
-                    "candidates name tables {first} and {} both `{}`",
-                    c.table_index, c.table_name
-                )));
-            }
-            if !pairs.insert((c.table_index, &c.base_key, &c.foreign_key)) {
-                return Err(ArdaError::Invalid(format!(
-                    "candidate {}[{}:{}] is listed twice",
-                    c.table_name, c.base_key, c.foreign_key
-                )));
-            }
+            let problem = if c.table_index >= repo.len() {
+                "references a missing table"
+            } else if *table_by_name.entry(&c.table_name).or_insert(c.table_index) != c.table_index
+            {
+                "shares its table name with another table"
+            } else if !pairs.insert((c.table_index, &c.base_key, &c.foreign_key)) {
+                "is listed twice"
+            } else {
+                continue;
+            };
+            return Err(ArdaError::Invalid(format!(
+                "candidate {}[{}:{}] on table {} {problem}",
+                c.table_name, c.base_key, c.foreign_key, c.table_index
+            )));
         }
 
         // ---- Base-only reference score ---------------------------------
@@ -261,8 +254,9 @@ impl Arda {
             // snapshot on a base-table key, so the joins are independent:
             // execute them concurrently, each yielding the block of columns
             // it adds, then fold the blocks in candidate order. A block's
-            // names carry its candidate (`<table>[<keys>].<column>`), so no
-            // two blocks share a name and none meets a base column. Each
+            // names carry its candidate (`<table>[<keys>].<column>`), and
+            // the checks above keep candidates distinct, so no two blocks
+            // share a name. Each
             // candidate's join runs with its split of the shared `arda-par`
             // work budget (installed by `par_map`): a multi-candidate batch
             // spreads the budget across candidates, a lone candidate keeps
@@ -274,10 +268,11 @@ impl Arda {
                 // is loaded — concurrently per candidate, under the
                 // batch's split of the work budget.
                 let foreign = repo.table(cand.table_index)?;
+                let kind = join_kind_for(snapshot, cand, cfg.soft_method);
                 let spec = JoinSpec {
                     base_keys: vec![cand.base_key.clone()],
                     foreign_keys: vec![cand.foreign_key.clone()],
-                    kind: join_kind_for(snapshot, cand, cfg.soft_method),
+                    kind,
                 };
                 Ok(execute_join(snapshot, &foreign, &spec, cfg.seed)?)
             });
@@ -606,7 +601,7 @@ mod tests {
             .augment(&sc.base, &repo, &candidates, &sc.target)
             .unwrap_err();
         assert!(
-            matches!(&err, ArdaError::Invalid(msg) if msg.contains("both")),
+            matches!(&err, ArdaError::Invalid(msg) if msg.contains("shares its table name")),
             "{err}"
         );
     }

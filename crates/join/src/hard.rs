@@ -1,6 +1,6 @@
 //! Hard-key LEFT joins (hash join on exact key equality).
 
-use crate::{gathered_block, Result};
+use crate::{joined_block, value_columns, Result};
 use arda_table::{GroupBy, Key, Table};
 use std::collections::HashMap;
 
@@ -36,8 +36,8 @@ pub fn pre_aggregate(foreign: &Table, keys: &[&str]) -> Result<Table> {
 /// * The foreign table is pre-aggregated on its keys first, so duplicate
 ///   foreign keys can never fan out base rows.
 /// * Returns the foreign non-key columns, row-aligned with `base` and
-///   named by [`crate::joined_name`]; the foreign key columns duplicate the
-///   base keys and are left out.
+///   named as [`crate::execute_join`] describes; the foreign key columns
+///   duplicate the base keys and are left out.
 /// * Unmatched base rows get nulls (imputation handles them later).
 pub fn left_hard_join(
     base: &Table,
@@ -65,7 +65,11 @@ pub fn left_hard_join(
         })
     });
 
-    gathered_block(&foreign, base_keys, foreign_keys, &matches)
+    let values = value_columns(&foreign, foreign_keys)
+        .into_iter()
+        .map(|c| c.take_opt(&matches))
+        .collect();
+    joined_block(&foreign, base_keys, foreign_keys, values)
 }
 
 #[cfg(test)]

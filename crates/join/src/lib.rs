@@ -15,22 +15,17 @@
 //! * [`JoinSpec`] / [`JoinKind`] / [`SoftMethod`] — a declarative description
 //!   of one candidate join.
 //! * [`execute_join`] — run a spec: pre-aggregate, (optionally) resample,
-//!   join, and return the foreign non-key columns as one block, row-aligned
-//!   with the base.
+//!   join, and return the block of foreign columns it adds.
 //! * [`hard::left_hard_join`], [`soft::nearest_join`],
-//!   [`soft::two_way_nearest_join`] — the individual algorithms, which
-//!   return the same block.
+//!   [`soft::two_way_nearest_join`] — the individual algorithms.
 //! * [`resample::detect_granularity`] / [`resample::resample_to_granularity`]
 //!   — time alignment.
 //! * [`impute::impute`] — median / uniform-random imputation (§4
 //!   "Imputation").
 //!
-//! Every join names the columns it adds after the candidate that produced
-//! them: `<table>[<base_key>:<foreign_key>].<column>`, with composite keys
-//! joined by `+` (see [`joined_name`]). A column's name therefore depends
-//! only on its source, never on what else is joined beside it, and the
-//! caller folds blocks together with [`Table::hstack`], which rejects a
-//! duplicate name instead of renaming it.
+//! A join names each column it adds after its candidate and source column,
+//! `<table>[<base_key>:<foreign_key>].<column>` (composite keys joined by
+//! `+`), so the name never depends on what else is joined beside it.
 
 pub mod hard;
 pub mod impute;
@@ -141,14 +136,13 @@ pub type Result<T> = std::result::Result<T, JoinError>;
 
 /// Execute a candidate join, returning the block of columns it adds.
 ///
-/// The block holds the foreign table's non-key columns, named by
-/// [`joined_name`], with one row per base row in base order; the caller
-/// appends it to `base` with [`Table::hstack`]. The foreign table is
-/// pre-aggregated on its keys first, so to-many joins cannot duplicate
-/// rows. `seed` drives the random choices of categorical interpolation.
-/// The join runs on the ambient `arda-par` work budget; under the
-/// pipeline's batch fan-out each join plans with its split, so nesting
-/// cannot oversubscribe.
+/// The block holds the foreign non-key columns, one row per base row in
+/// base order, named `<table>[<base_key>:<foreign_key>].<column>`; append
+/// it with [`Table::hstack`]. The foreign table is pre-aggregated on its
+/// keys first, so to-many joins cannot duplicate rows. `seed` drives the
+/// random choices of categorical interpolation. The join runs on the
+/// ambient `arda-par` work budget; under the pipeline's batch fan-out each
+/// join plans with its split, so nesting cannot oversubscribe.
 pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -> Result<Table> {
     if spec.base_keys.len() != spec.foreign_keys.len() || spec.base_keys.is_empty() {
         return Err(JoinError::InvalidSpec(format!(
@@ -194,18 +188,7 @@ fn single_key<'a>(base: &[&'a str], foreign: &[&'a str]) -> Result<(&'a str, &'a
     Ok((base[0], foreign[0]))
 }
 
-/// The name a join gives foreign column `column` of `table` joined on
-/// `base_keys = foreign_keys`: `<table>[<base_key>:<foreign_key>].<column>`,
-/// with composite keys joined by `+`.
-pub fn joined_name(table: &str, base_keys: &[&str], foreign_keys: &[&str], column: &str) -> String {
-    format!(
-        "{table}[{}:{}].{column}",
-        base_keys.join("+"),
-        foreign_keys.join("+")
-    )
-}
-
-/// The foreign table's non-key columns, in table order.
+/// `foreign`'s non-key columns, in table order.
 pub(crate) fn value_columns<'a>(foreign: &'a Table, foreign_keys: &[&str]) -> Vec<&'a Column> {
     foreign
         .columns()
@@ -214,39 +197,28 @@ pub(crate) fn value_columns<'a>(foreign: &'a Table, foreign_keys: &[&str]) -> Ve
         .collect()
 }
 
-/// The block a join returns: `values`, built from [`value_columns`] in
-/// order and still carrying their source names, each renamed by
-/// [`joined_name`].
+/// The block a join returns: `values`, built in order from
+/// [`value_columns`], each renamed `<label>.<source name>`.
 pub(crate) fn joined_block(
     foreign: &Table,
     base_keys: &[&str],
     foreign_keys: &[&str],
     values: Vec<Column>,
 ) -> Result<Table> {
+    let label = format!(
+        "{}[{}:{}]",
+        foreign.name(),
+        base_keys.join("+"),
+        foreign_keys.join("+")
+    );
     let columns = values
         .into_iter()
         .map(|mut c| {
-            let name = joined_name(foreign.name(), base_keys, foreign_keys, c.name());
-            c.set_name(name);
+            c.set_name(format!("{label}.{}", c.name()));
             c
         })
         .collect();
     Ok(Table::new(foreign.name().to_string(), columns)?)
-}
-
-/// The block of a join that matched base row `i` with foreign row
-/// `rows[i]` (`None` leaves it null).
-pub(crate) fn gathered_block(
-    foreign: &Table,
-    base_keys: &[&str],
-    foreign_keys: &[&str],
-    rows: &[Option<usize>],
-) -> Result<Table> {
-    let values = value_columns(foreign, foreign_keys)
-        .into_iter()
-        .map(|c| c.take_opt(rows))
-        .collect();
-    joined_block(foreign, base_keys, foreign_keys, values)
 }
 
 #[cfg(test)]
@@ -336,10 +308,6 @@ mod tests {
             let names: Vec<&str> = out.columns().iter().map(|c| c.name()).collect();
             assert_eq!(names, ["ext[id:fid].w"], "{kind:?}");
         }
-        assert_eq!(
-            joined_name("t", &["a", "b"], &["c", "d"], "x"),
-            "t[a+b:c+d].x"
-        );
     }
 
     #[test]

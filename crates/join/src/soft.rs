@@ -5,10 +5,11 @@
 //! key and reuse it across every base row; the per-row binary-search
 //! matching — the hot loop for large bases — runs in parallel row bands
 //! with deterministic output. Both return the foreign non-key columns as
-//! one block, row-aligned with the base and named by [`crate::joined_name`].
+//! one block, row-aligned with the base and named as
+//! [`crate::execute_join`] describes.
 
 use crate::hard::pre_aggregate;
-use crate::{gathered_block, joined_block, value_columns, JoinError, Result};
+use crate::{joined_block, value_columns, JoinError, Result};
 #[cfg(test)]
 use arda_table::Value;
 use arda_table::{Column, ColumnData, DataType, Table};
@@ -119,7 +120,11 @@ pub fn nearest_join(
             .collect()
     });
 
-    gathered_block(&foreign, &[base_key], &[foreign_key], &matches)
+    let values = value_columns(&foreign, &[foreign_key])
+        .into_iter()
+        .map(|c| c.take_opt(&matches))
+        .collect();
+    joined_block(&foreign, &[base_key], &[foreign_key], values)
 }
 
 /// Two-way nearest-neighbour soft LEFT join (ARDA §4): for base key `x`,
@@ -201,7 +206,7 @@ pub fn two_way_nearest_join(
     // Each output column interpolates independently from the shared plans.
     let jobs: Vec<(&Column, Option<Vec<Option<usize>>>)> =
         value_cols.into_iter().zip(str_picks).collect();
-    let new_cols: Vec<Result<Column>> =
+    let values: Vec<Column> =
         arda_par::sequential_below(base.n_rows() * jobs.len().max(1), PAR_MIN_ROWS, || {
             arda_par::par_map(&jobs, |_, (col, picks)| match (col.data(), picks) {
                 (ColumnData::Str(cells), Some(picks)) => {
@@ -209,7 +214,7 @@ pub fn two_way_nearest_join(
                         .iter()
                         .map(|p| p.and_then(|row| cells[row].clone()))
                         .collect();
-                    Ok(Column::from_str_opt(col.name(), values))
+                    Column::from_str_opt(col.name(), values)
                 }
                 _ => {
                     let values: Vec<Option<f64>> = plans
@@ -224,12 +229,10 @@ pub fn two_way_nearest_join(
                             }
                         })
                         .collect();
-                    Ok(Column::from_f64_opt(col.name(), values))
+                    Column::from_f64_opt(col.name(), values)
                 }
             })
         });
-
-    let values = new_cols.into_iter().collect::<Result<_>>()?;
     joined_block(&foreign, &[base_key], &[foreign_key], values)
 }
 

@@ -43,8 +43,7 @@ pub struct Dataset {
     /// Length-`n` target.
     pub y: Vec<f64>,
     /// Column names aligned with `x` (a joined column's name carries its
-    /// source table and key pair), used to report which augmentations were
-    /// selected.
+    /// source), used to report which augmentations were selected.
     pub feature_names: Vec<String>,
     /// Task type.
     pub task: Task,

@@ -350,16 +350,13 @@ impl Repository {
             }
         }
         paths.sort_by(|a, b| a.0.cmp(&b.0));
-        // A shard's table is named after its file stem, so `t.csv` beside
-        // `t.arda` would give two tables one name.
-        let mut by_stem: HashMap<String, &Path> = HashMap::new();
+        // A shard's table is named after its file stem.
+        let mut stems: HashMap<String, &PathBuf> = HashMap::new();
         for (path, _) in &paths {
-            if let Some(first) = by_stem.insert(file_stem(path), path) {
+            if let Some(first) = stems.insert(file_stem(path), path) {
+                let (a, b) = (first.display(), path.display());
                 return Err(TableError::Invalid(format!(
-                    "shards {} and {} would both be table `{}`",
-                    first.display(),
-                    path.display(),
-                    file_stem(path)
+                    "shards {a} and {b} share a table name"
                 )));
             }
         }

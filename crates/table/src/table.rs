@@ -123,20 +123,6 @@ impl Table {
         Table::new(self.name.clone(), cols)
     }
 
-    /// Gather optional row indices; `None` becomes an all-null row. The LEFT
-    /// JOIN primitive.
-    pub fn take_opt(&self, indices: &[Option<usize>]) -> Result<Table> {
-        let n = self.n_rows();
-        if let Some(bad) = indices.iter().flatten().find(|&&i| i >= n) {
-            return Err(TableError::RowOutOfBounds {
-                index: *bad,
-                len: n,
-            });
-        }
-        let cols = self.columns.iter().map(|c| c.take_opt(indices)).collect();
-        Table::new(self.name.clone(), cols)
-    }
-
     /// First `n` rows.
     pub fn head(&self, n: usize) -> Table {
         let idx: Vec<usize> = (0..self.n_rows().min(n)).collect();
@@ -183,13 +169,6 @@ impl Table {
     /// must match, and a column name `self` already has is a
     /// [`TableError::DuplicateColumn`] error: nothing is renamed.
     pub fn hstack(&self, other: &Table) -> Result<Table> {
-        if other.n_cols() > 0 && self.n_cols() > 0 && other.n_rows() != self.n_rows() {
-            return Err(TableError::LengthMismatch {
-                expected: self.n_rows(),
-                actual: other.n_rows(),
-                context: "hstack".into(),
-            });
-        }
         let mut out = self.clone();
         for col in &other.columns {
             out.add_column(col.clone())?;
@@ -269,14 +248,6 @@ mod tests {
         assert_eq!(sub.n_rows(), 2);
         assert_eq!(sub.column("id").unwrap().get(0), Value::Int(3));
         assert!(t.take(&[9]).is_err());
-    }
-
-    #[test]
-    fn take_opt_nulls() {
-        let t = sample();
-        let j = t.take_opt(&[Some(0), None]).unwrap();
-        assert_eq!(j.n_rows(), 2);
-        assert!(j.column("x").unwrap().get(1).is_null());
     }
 
     #[test]
