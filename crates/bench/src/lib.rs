@@ -147,7 +147,7 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
             kind: join_kind_for(&joined, c, SoftMethod::TwoWayNearest),
         };
         let block = execute_join(&joined, &foreign, &spec, seed).expect("join");
-        joined = joined.hstack(&block).expect("distinct names");
+        joined.append(block).expect("distinct names");
     }
     let (imputed, _) = impute(&joined, seed).expect("impute");
     featurized(&imputed, &scenario.target, false)

@@ -271,10 +271,7 @@ pub fn fig4(scenarios: &[Scenario], scale: Scale) -> Artifact {
 pub fn fig5(inputs: &[(&Scenario, &str, &str)], scale: Scale) -> Artifact {
     let strategies = [
         ("hard", JoinKind::Hard),
-        (
-            "nearest",
-            JoinKind::SoftTimeResampled(SoftMethod::Nearest { tolerance: None }),
-        ),
+        ("nearest", JoinKind::SoftTimeResampled(SoftMethod::Nearest)),
         (
             "2-way nearest",
             JoinKind::SoftTimeResampled(SoftMethod::TwoWayNearest),
@@ -553,7 +550,7 @@ pub fn table5(scenarios: &[Scenario], scale: Scale) -> Artifact {
                 )
                 .augmented_score
             };
-            let budget = run(JoinPlan::Budget { budget: None });
+            let budget = run(JoinPlan::Budget);
             let table = run(JoinPlan::Table);
             let fullmat = run(JoinPlan::FullMaterialization);
             rows.push(vec![

@@ -11,8 +11,8 @@
 //! 2. **Coreset construction** — sample base rows (uniform or stratified;
 //!    [`arda_coreset`]).
 //! 3. **Join plan** — group candidates into batches: one table at a time,
-//!    *budget* batches (default: as many features as coreset rows), or full
-//!    materialization ([`plan`]).
+//!    *budget* batches (the default: as many features as the coreset
+//!    size), or full materialization ([`plan`]).
 //! 4. **Join execution** — hard keys hash-join, soft keys nearest /
 //!    two-way-nearest with time resampling; one-to-many pre-aggregation;
 //!    LEFT semantics preserve every base row ([`arda_join`]).

@@ -8,7 +8,7 @@ use arda_coreset::{row_coreset, CoresetSpec};
 use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
 use arda_join::{execute_join, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod};
 use arda_ml::model::holdout_score;
-use arda_ml::{featurize, Dataset, FeaturizeOptions, ModelKind};
+use arda_ml::{featurize, featurize_with_sources, Dataset, FeaturizeOptions, ModelKind};
 use arda_select::{
     run_selector, tuple_ratio_filter, SelectionContext, SelectorKind, TupleRatioDecision,
 };
@@ -121,17 +121,20 @@ impl Arda {
     }
 
     /// Full pipeline: discover candidate joins in `repo`, then augment.
-    /// The report's `seconds` covers discovery too.
+    /// A candidate keyed on the target is dropped: it would look features
+    /// up by the value being predicted. The report's `seconds` covers
+    /// discovery too.
     pub fn run(&self, base: &Table, repo: &Repository, target: &str) -> Result<AugmentationReport> {
         let start = Instant::now();
-        let candidates = discover_joins(base, repo, &self.config.discovery)?;
+        let mut candidates = discover_joins(base, repo, &self.config.discovery)?;
+        candidates.retain(|c| c.base_key != target);
         let mut report = self.augment(base, repo, &candidates, target)?;
         report.seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
 
     /// Augment `base` using a caller-provided (discovery-system) candidate
-    /// list.
+    /// list. A candidate keyed on the target is an error.
     pub fn augment(
         &self,
         base: &Table,
@@ -181,7 +184,7 @@ impl Arda {
         // on a sharded repository this must not force a load. A joined
         // column is named after its table and key pair, so a repeated
         // candidate, or two tables sharing a name, would name two columns
-        // alike.
+        // alike; a join keyed on the target leaks it into the features.
         let mut table_by_name: HashMap<&str, usize> = HashMap::new();
         let mut pairs: HashSet<(usize, &str, &str)> = HashSet::new();
         for c in candidates {
@@ -192,6 +195,8 @@ impl Arda {
                 "shares its table name with another table"
             } else if !pairs.insert((c.table_index, &c.base_key, &c.foreign_key)) {
                 "is listed twice"
+            } else if c.base_key == target {
+                "is keyed on the target"
             } else {
                 continue;
             };
@@ -277,42 +282,43 @@ impl Arda {
                 Ok(execute_join(snapshot, &foreign, &spec, cfg.seed)?)
             });
 
-            let mut joined = kept.clone();
+            let mut joined = kept;
             for (cand, block) in batch.iter().zip(blocks) {
                 let block = block?;
                 for col in block.columns() {
                     provenance.insert(col.name().to_string(), cand.table_name.clone());
                 }
-                joined = joined.hstack(&block)?;
+                joined.append(block)?;
                 joins_executed += 1;
             }
 
             // Impute the LEFT-join nulls, featurize, select.
             let (imputed, _) = impute(&joined, cfg.seed.wrapping_add(batch_no as u64))?;
-            let ds = featurize(&imputed, target, cfg.force_classification, &cfg.featurize)?;
+            let (ds, sources) =
+                featurize_with_sources(&imputed, target, cfg.force_classification, &cfg.featurize)?;
             let ctx = SelectionContext::standard(&ds, cfg.seed);
             let result = run_selector(&ds, &cfg.selector, &ctx)?;
 
-            // Map selected features back to source columns; base columns
-            // are always retained.
-            let mut keep_cols: Vec<String> = Vec::new();
-            let mut seen: HashSet<String> = HashSet::new();
-            for col in imputed.columns() {
-                if base_columns.contains(col.name()) {
-                    keep_cols.push(col.name().to_string());
-                    seen.insert(col.name().to_string());
-                }
-            }
+            // Keep the base columns, then each selected feature's source
+            // column once, in selection order.
+            let columns = imputed.columns();
+            let mut keep: Vec<bool> = columns
+                .iter()
+                .map(|c| base_columns.contains(c.name()))
+                .collect();
+            let mut keep_cols: Vec<&str> = columns
+                .iter()
+                .map(|c| c.name())
+                .filter(|name| base_columns.contains(*name))
+                .collect();
             for &f in &result.selected {
-                let feature_name = &ds.feature_names[f];
-                let source = feature_name.split('=').next().unwrap_or(feature_name);
-                if !base_columns.contains(source) && !seen.contains(source) {
-                    keep_cols.push(source.to_string());
-                    seen.insert(source.to_string());
+                let source = sources[f];
+                if !keep[source] {
+                    keep[source] = true;
+                    keep_cols.push(columns[source].name());
                 }
             }
-            let keep_refs: Vec<&str> = keep_cols.iter().map(String::as_str).collect();
-            kept = imputed.select(&keep_refs)?;
+            kept = imputed.select(&keep_cols)?;
 
             if let Some(stop) = cfg.stop_at_score {
                 if result.holdout_score >= stop {
@@ -604,6 +610,85 @@ mod tests {
             matches!(&err, ArdaError::Invalid(msg) if msg.contains("shares its table name")),
             "{err}"
         );
+    }
+
+    /// A base of `key` and an Int target `y` whose values overlap the
+    /// shard's `key`, so discovery mines `y` as a join key too. `y` follows
+    /// the shard's `boost`; the base also has a numeric column named `a=b`,
+    /// and the shard a category column whose values contain `=`.
+    fn target_key_scenario() -> (Table, Repository) {
+        let n = 80;
+        let boost: Vec<i64> = (0..n).map(|k| k * 7 % 13).collect();
+        let base = Table::new(
+            "base",
+            vec![
+                arda_table::Column::from_i64("key", (0..n).collect()),
+                arda_table::Column::from_i64("y", boost.iter().map(|b| 3 * b + 1).collect()),
+                arda_table::Column::from_f64("a=b", (0..n).map(|k| (k % 5) as f64).collect()),
+            ],
+        )
+        .unwrap();
+        let tags: Vec<&str> = boost
+            .iter()
+            .map(|b| if b % 2 == 0 { "k=even" } else { "k=odd" })
+            .collect();
+        let ext = Table::new(
+            "ext",
+            vec![
+                arda_table::Column::from_i64("key", (0..n).collect()),
+                arda_table::Column::from_i64("boost", boost),
+                arda_table::Column::from_str("tag", tags),
+            ],
+        )
+        .unwrap();
+        (base, Repository::from_tables(vec![ext]))
+    }
+
+    #[test]
+    fn run_never_joins_on_the_target() {
+        let (base, repo) = target_key_scenario();
+        let mined = discover_joins(&base, &repo, &DiscoveryConfig::default()).unwrap();
+        assert!(mined.iter().any(|c| c.base_key == "y"), "{mined:?}");
+        let report = Arda::new(fast_config(0)).run(&base, &repo, "y").unwrap();
+        let kept = mined.iter().filter(|c| c.base_key != "y").count();
+        assert_eq!(report.joins_executed, kept);
+        for s in &report.selected {
+            assert!(!s.column.starts_with("ext[y:"), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn augment_rejects_a_candidate_keyed_on_the_target() {
+        let (base, repo) = target_key_scenario();
+        let mined = discover_joins(&base, &repo, &DiscoveryConfig::default()).unwrap();
+        let err = Arda::default()
+            .augment(&base, &repo, &mined, "y")
+            .unwrap_err();
+        assert!(
+            matches!(&err, ArdaError::Invalid(msg) if msg.contains("ext[y:key]") && msg.contains("keyed on the target")),
+            "{err}"
+        );
+    }
+
+    /// A kept feature maps back to its source column by featurize's own
+    /// record, not by cutting its name at `=`.
+    #[test]
+    fn column_and_category_names_with_equals_signs_survive() {
+        let (base, repo) = target_key_scenario();
+        let cfg = ArdaConfig {
+            selector: SelectorKind::AllFeatures,
+            ..fast_config(0)
+        };
+        let report = Arda::new(cfg).run(&base, &repo, "y").unwrap();
+        let names: Vec<&str> = report
+            .augmented
+            .columns()
+            .iter()
+            .map(|c| c.name())
+            .collect();
+        for want in ["key", "y", "a=b", "ext[key:key].boost", "ext[key:key].tag"] {
+            assert!(names.contains(&want), "{want} kept: {names:?}");
+        }
     }
 
     #[test]

@@ -3,30 +3,22 @@
 //! * **Table-join** — one candidate at a time, in priority order. Cheap per
 //!   step but blind to co-predictors split across tables.
 //! * **Budget-join** (default) — as many candidates per batch as fit a
-//!   feature budget (default: the coreset row count). Trades co-predictor
-//!   discovery against the noise the selector must tolerate.
+//!   feature budget: the coreset size. Trades co-predictor discovery
+//!   against the noise the selector must tolerate.
 //! * **Full materialization** — everything in one batch.
 
 use arda_discovery::{CandidateJoin, Repository};
 
 /// Table-grouping strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JoinPlan {
     /// One table per batch, priority order.
     Table,
-    /// Batches capped at `budget` features (`None` → coreset size).
-    Budget {
-        /// Maximum features per batch (`None` = coreset rows).
-        budget: Option<usize>,
-    },
+    /// Batches capped at the coreset size in features.
+    #[default]
+    Budget,
     /// Single batch with every candidate.
     FullMaterialization,
-}
-
-impl Default for JoinPlan {
-    fn default() -> Self {
-        JoinPlan::Budget { budget: None }
-    }
 }
 
 /// Number of value (non-key) columns a candidate would contribute. Widths
@@ -40,10 +32,10 @@ fn candidate_width(c: &CandidateJoin, repo: &Repository) -> usize {
 
 /// Group ranked candidates into executable batches.
 ///
-/// `coreset_rows` supplies the default budget ("By default, budget equals
-/// coreset size"). A single table wider than the whole budget still becomes
-/// its own batch ("in this case ARDA ships an entire table to a feature
-/// selection pipeline").
+/// `coreset_rows` is the budget plan's feature budget, the coreset size
+/// ("By default, budget equals coreset size"). A single table wider than
+/// the whole budget still becomes its own batch ("in this case ARDA ships
+/// an entire table to a feature selection pipeline").
 pub fn plan_batches(
     candidates: &[CandidateJoin],
     repo: &Repository,
@@ -59,8 +51,8 @@ pub fn plan_batches(
                 vec![candidates.to_vec()]
             }
         }
-        JoinPlan::Budget { budget } => {
-            let budget = budget.unwrap_or(coreset_rows).max(1);
+        JoinPlan::Budget => {
+            let budget = coreset_rows.max(1);
             let mut batches: Vec<Vec<CandidateJoin>> = Vec::new();
             let mut current: Vec<CandidateJoin> = Vec::new();
             let mut used = 0usize;
@@ -136,7 +128,7 @@ mod tests {
 
     #[test]
     fn budget_plan_respects_budget() {
-        // Widths: 2, 3, 2, 3 — budget 5 → [2+3], [2+3].
+        // Widths: 2, 3, 2, 3 — a 5-row coreset → [2+3], [2+3].
         let repo = Repository::from_tables(vec![
             table("t0", 2),
             table("t1", 3),
@@ -144,7 +136,7 @@ mod tests {
             table("t3", 3),
         ]);
         let cands: Vec<CandidateJoin> = (0..4).map(candidate).collect();
-        let b = plan_batches(&cands, &repo, JoinPlan::Budget { budget: Some(5) }, 100);
+        let b = plan_batches(&cands, &repo, JoinPlan::Budget, 5);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].len(), 2);
         assert_eq!(b[1].len(), 2);
@@ -154,7 +146,7 @@ mod tests {
     fn oversized_table_ships_alone() {
         let repo = Repository::from_tables(vec![table("wide", 50), table("t1", 2)]);
         let cands = vec![candidate(0), candidate(1)];
-        let b = plan_batches(&cands, &repo, JoinPlan::Budget { budget: Some(10) }, 100);
+        let b = plan_batches(&cands, &repo, JoinPlan::Budget, 10);
         assert_eq!(b.len(), 2);
         assert_eq!(b[0].len(), 1, "wide table alone");
         assert_eq!(b[0][0].table_name, "t0");
@@ -165,12 +157,12 @@ mod tests {
         let repo = Repository::from_tables(vec![table("t0", 4), table("t1", 4)]);
         let cands = vec![candidate(0), candidate(1)];
         // Coreset of 4 rows → each 4-wide table fills one batch.
-        let b = plan_batches(&cands, &repo, JoinPlan::Budget { budget: None }, 4);
+        let b = plan_batches(&cands, &repo, JoinPlan::Budget, 4);
         assert_eq!(b.len(), 2);
     }
 
     #[test]
     fn default_plan_is_budget() {
-        assert_eq!(JoinPlan::default(), JoinPlan::Budget { budget: None });
+        assert_eq!(JoinPlan::default(), JoinPlan::Budget);
     }
 }

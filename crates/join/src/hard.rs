@@ -2,6 +2,7 @@
 
 use crate::{joined_block, value_columns, Result};
 use arda_table::{GroupBy, Key, Table};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Base rows below which the probe scan stays sequential.
@@ -13,8 +14,8 @@ const PAR_MIN_ROWS: usize = 4_096;
 /// take group means, categoricals take the group mode; the per-column
 /// aggregation scans fan out on the ambient `arda-par` work budget inside
 /// [`GroupBy::aggregate`]. Tables whose keys are already unique are
-/// returned as-is (cheap check first).
-pub fn pre_aggregate(foreign: &Table, keys: &[&str]) -> Result<Table> {
+/// borrowed as-is (cheap check first).
+pub fn pre_aggregate<'a>(foreign: &'a Table, keys: &[&str]) -> Result<Cow<'a, Table>> {
     let key_values = foreign.keys(keys)?;
     let mut seen: std::collections::HashSet<&Key> = std::collections::HashSet::new();
     let mut duplicated = false;
@@ -25,9 +26,9 @@ pub fn pre_aggregate(foreign: &Table, keys: &[&str]) -> Result<Table> {
         }
     }
     if !duplicated {
-        return Ok(foreign.clone());
+        return Ok(Cow::Borrowed(foreign));
     }
-    Ok(GroupBy::new(foreign, keys)?.aggregate()?)
+    Ok(Cow::Owned(GroupBy::new(foreign, keys)?.aggregate()?))
 }
 
 /// LEFT join `base` with `foreign` on exact key equality.
@@ -205,7 +206,7 @@ mod tests {
         )
         .unwrap();
         let agg = pre_aggregate(&foreign, &["k"]).unwrap();
-        assert_eq!(agg, foreign);
+        assert!(matches!(agg, Cow::Borrowed(t) if std::ptr::eq(t, &foreign)));
     }
 
     #[test]

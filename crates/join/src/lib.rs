@@ -39,12 +39,8 @@ use std::borrow::Cow;
 /// Strategy for joining on a soft (numeric / time) key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SoftMethod {
-    /// Join each base row with the single nearest foreign row; when
-    /// `tolerance` is set and the nearest row is farther away, null-fill.
-    Nearest {
-        /// Maximum admissible key distance.
-        tolerance: Option<f64>,
-    },
+    /// Join each base row with the single nearest foreign row.
+    Nearest,
     /// Interpolate between the nearest foreign rows below and above the base
     /// key (λ-weighted linear interpolation on numeric columns, uniform
     /// random choice for categoricals).
@@ -138,7 +134,7 @@ pub type Result<T> = std::result::Result<T, JoinError>;
 ///
 /// The block holds the foreign non-key columns, one row per base row in
 /// base order, named `<table>[<base_key>:<foreign_key>].<column>`; append
-/// it with [`Table::hstack`]. The foreign table is pre-aggregated on its
+/// it with [`Table::append`]. The foreign table is pre-aggregated on its
 /// keys first, so to-many joins cannot duplicate rows. `seed` drives the
 /// random choices of categorical interpolation. The join runs on the
 /// ambient `arda-par` work budget; under the pipeline's batch fan-out each
@@ -157,7 +153,7 @@ pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -
     let foreign = match spec.kind {
         JoinKind::HardTimeResampled | JoinKind::SoftTimeResampled(_) => {
             let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
-            Cow::Owned(resample::resample_to_base(base, foreign, bk, fk)?)
+            resample::resample_to_base(base, foreign, bk, fk)?
         }
         JoinKind::Hard | JoinKind::Soft(_) => Cow::Borrowed(foreign),
     };
@@ -168,9 +164,7 @@ pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -
         JoinKind::Soft(method) | JoinKind::SoftTimeResampled(method) => {
             let (bk, fk) = single_key(&base_keys, &foreign_keys)?;
             match method {
-                SoftMethod::Nearest { tolerance } => {
-                    soft::nearest_join(base, &foreign, bk, fk, tolerance)
-                }
+                SoftMethod::Nearest => soft::nearest_join(base, &foreign, bk, fk),
                 SoftMethod::TwoWayNearest => {
                     soft::two_way_nearest_join(base, &foreign, bk, fk, seed)
                 }
@@ -284,7 +278,7 @@ mod tests {
 
     #[test]
     fn execute_soft_nearest_spec() {
-        let spec = JoinSpec::soft("id", "fid", SoftMethod::Nearest { tolerance: None });
+        let spec = JoinSpec::soft("id", "fid", SoftMethod::Nearest);
         let out = execute_join(&base(), &foreign(), &spec, 0).unwrap();
         assert_eq!(out.n_rows(), 3);
         // id=2 joins with nearest foreign key (1 or 3; tie → lower).
@@ -296,7 +290,7 @@ mod tests {
         let kinds = [
             JoinKind::Hard,
             JoinKind::HardTimeResampled,
-            JoinKind::Soft(SoftMethod::Nearest { tolerance: None }),
+            JoinKind::Soft(SoftMethod::Nearest),
             JoinKind::SoftTimeResampled(SoftMethod::TwoWayNearest),
         ];
         for kind in kinds {

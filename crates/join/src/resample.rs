@@ -7,6 +7,7 @@
 
 use crate::{JoinError, Result};
 use arda_table::{Column, ColumnData, DataType, GroupBy, Table};
+use std::borrow::Cow;
 
 /// Estimate the key granularity as the GCD of the gaps between consecutive
 /// distinct (integer) key values — e.g. daily timestamps in seconds yield
@@ -88,19 +89,24 @@ pub fn resample_to_granularity(
 
 /// Detect both granularities and resample `foreign` to the base's
 /// granularity when the base is coarser (the paper's Taxi scenario:
-/// day-level base, minute-level weather).
-pub fn resample_to_base(
+/// day-level base, minute-level weather); otherwise `foreign` is borrowed
+/// as-is.
+pub fn resample_to_base<'a>(
     base: &Table,
-    foreign: &Table,
+    foreign: &'a Table,
     base_key: &str,
     foreign_key: &str,
-) -> Result<Table> {
+) -> Result<Cow<'a, Table>> {
     let g_base = detect_granularity(&integer_keys(base, base_key)?);
     let g_foreign = detect_granularity(&integer_keys(foreign, foreign_key)?);
     if g_base > g_foreign {
-        resample_to_granularity(foreign, foreign_key, g_base)
+        Ok(Cow::Owned(resample_to_granularity(
+            foreign,
+            foreign_key,
+            g_base,
+        )?))
     } else {
-        Ok(foreign.clone())
+        Ok(Cow::Borrowed(foreign))
     }
 }
 
@@ -161,7 +167,9 @@ mod tests {
             ],
         )
         .unwrap();
-        let resampled = resample_to_base(&base, &minute_weather(), "day", "time").unwrap();
+        let weather = minute_weather();
+        let resampled = resample_to_base(&base, &weather, "day", "time").unwrap();
+        assert!(matches!(resampled, Cow::Owned(_)));
         assert_eq!(resampled.n_rows(), 2);
         // End-to-end: hard join after resampling hits both days.
         let joined = left_hard_join(&base, &resampled, &["day"], &["time"]).unwrap();
@@ -175,8 +183,9 @@ mod tests {
     fn resample_to_base_noop_when_base_finer() {
         let base =
             Table::new("base", vec![Column::from_timestamps("t", vec![0, 1, 2, 3])]).unwrap();
-        let out = resample_to_base(&base, &minute_weather(), "t", "time").unwrap();
-        assert_eq!(out, minute_weather());
+        let weather = minute_weather();
+        let out = resample_to_base(&base, &weather, "t", "time").unwrap();
+        assert!(matches!(out, Cow::Borrowed(t) if std::ptr::eq(t, &weather)));
     }
 
     #[test]

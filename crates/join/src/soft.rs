@@ -90,14 +90,12 @@ fn scan_rows<U: Send>(n_rows: usize, f: impl Fn(Range<usize>) -> Vec<U> + Sync) 
 }
 
 /// Nearest-neighbour soft LEFT join: each base row joins the foreign row
-/// whose key is numerically closest. With `tolerance`, matches farther than
-/// the threshold become nulls.
+/// whose key is numerically closest.
 pub fn nearest_join(
     base: &Table,
     foreign: &Table,
     base_key: &str,
     foreign_key: &str,
-    tolerance: Option<f64>,
 ) -> Result<Table> {
     let base_col = base.column(base_key)?;
     if !base_col.dtype().is_numeric() {
@@ -109,13 +107,8 @@ pub fn nearest_join(
     let matches: Vec<Option<usize>> = scan_rows(base.n_rows(), |range| {
         range
             .map(|i| {
-                let x = base_col.get_f64(i)?;
-                let c = index.closest(x)?;
-                let (v, row) = index.sorted[c];
-                match tolerance {
-                    Some(t) if (v - x).abs() > t => None,
-                    _ => Some(row),
-                }
+                let c = index.closest(base_col.get_f64(i)?)?;
+                Some(index.sorted[c].1)
             })
             .collect()
     });
@@ -265,20 +258,11 @@ mod tests {
 
     #[test]
     fn nearest_picks_closest_key() {
-        let out = nearest_join(&trips(), &weather(), "t", "time", None).unwrap();
+        let out = nearest_join(&trips(), &weather(), "t", "time").unwrap();
         let temp = out.column("weather[t:time].temp").unwrap();
         assert_eq!(temp.get_f64(0), Some(10.0)); // t=10 → time=0
         assert_eq!(temp.get_f64(1), Some(20.0)); // t=150 → tie 100/200 → lower
         assert_eq!(temp.get_f64(2), Some(30.0)); // t=400 → time=200
-    }
-
-    #[test]
-    fn nearest_respects_tolerance() {
-        let out = nearest_join(&trips(), &weather(), "t", "time", Some(60.0)).unwrap();
-        let temp = out.column("weather[t:time].temp").unwrap();
-        assert_eq!(temp.get_f64(0), Some(10.0));
-        assert_eq!(temp.get_f64(1), Some(20.0));
-        assert!(temp.get(2).is_null(), "t=400 is 200 away > tolerance");
     }
 
     #[test]
@@ -316,7 +300,7 @@ mod tests {
     #[test]
     fn base_rows_preserved_and_null_keys_null_filled() {
         let base = Table::new("b", vec![Column::from_i64_opt("t", vec![Some(50), None])]).unwrap();
-        let out = nearest_join(&base, &weather(), "t", "time", None).unwrap();
+        let out = nearest_join(&base, &weather(), "t", "time").unwrap();
         assert_eq!(out.n_rows(), 2);
         assert!(out.column("weather[t:time].temp").unwrap().get(1).is_null());
         let out2 = two_way_nearest_join(&base, &weather(), "t", "time", 0).unwrap();
@@ -331,7 +315,7 @@ mod tests {
     fn non_numeric_keys_rejected() {
         let base = Table::new("b", vec![Column::from_str("k", vec!["a"])]).unwrap();
         assert!(matches!(
-            nearest_join(&base, &weather(), "k", "time", None),
+            nearest_join(&base, &weather(), "k", "time"),
             Err(JoinError::NonNumericSoftKey(_))
         ));
         let f = Table::new("f", vec![Column::from_str("k", vec!["a"])]).unwrap();
@@ -353,7 +337,7 @@ mod tests {
         )
         .unwrap();
         let base = Table::new("b", vec![Column::from_i64("t", vec![100])]).unwrap();
-        let out = nearest_join(&base, &f, "t", "time", None).unwrap();
+        let out = nearest_join(&base, &f, "t", "time").unwrap();
         assert_eq!(out.column("f[t:time].temp").unwrap().get_f64(0), Some(20.0));
     }
 
@@ -368,7 +352,7 @@ mod tests {
         )
         .unwrap();
         let base = Table::new("b", vec![Column::from_i64("t", vec![1])]).unwrap();
-        let out = nearest_join(&base, &f, "t", "time", None).unwrap();
+        let out = nearest_join(&base, &f, "t", "time").unwrap();
         assert!(out.column("f[t:time].temp").unwrap().get(0).is_null());
         let out2 = two_way_nearest_join(&base, &f, "t", "time", 0).unwrap();
         assert!(out2.column("f[t:time].temp").unwrap().get(0).is_null());

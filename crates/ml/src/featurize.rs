@@ -46,6 +46,19 @@ pub fn featurize(
     force_classification: bool,
     opts: &FeaturizeOptions,
 ) -> Result<Dataset> {
+    featurize_with_sources(table, target, force_classification, opts).map(|(data, _)| data)
+}
+
+/// [`featurize`], also returning each feature's source: the index in
+/// `table.columns()` of the column it encodes. A one-hot feature is named
+/// `<column>=<category>`, so its name alone cannot tell a column whose name
+/// contains `=` from a category that does.
+pub fn featurize_with_sources(
+    table: &Table,
+    target: &str,
+    force_classification: bool,
+    opts: &FeaturizeOptions,
+) -> Result<(Dataset, Vec<usize>)> {
     let target_col = table
         .column(target)
         .map_err(|e| MlError::Invalid(e.to_string()))?;
@@ -96,27 +109,32 @@ pub fn featurize(
     // through `par_map` on the ambient work budget; the ordered results are
     // flattened in table column order, matching the sequential encoding
     // exactly at any budget size.
-    let feature_cols: Vec<&Column> = table
+    let feature_cols: Vec<(usize, &Column)> = table
         .columns()
         .iter()
-        .filter(|c| c.name() != target)
+        .enumerate()
+        .filter(|(_, c)| c.name() != target)
         .collect();
     let encoded: Vec<Vec<(String, Vec<f64>)>> =
         arda_par::sequential_below(n * feature_cols.len().max(1), PAR_MIN_CELLS, || {
-            arda_par::par_map(&feature_cols, |_, col| encode_column(col, n, opts))
+            arda_par::par_map(&feature_cols, |_, (_, col)| encode_column(col, n, opts))
         });
 
     let mut columns: Vec<Vec<f64>> = Vec::new();
     let mut names: Vec<String> = Vec::new();
-    for (name, vals) in encoded.into_iter().flatten() {
-        names.push(name);
-        columns.push(vals);
+    let mut sources: Vec<usize> = Vec::new();
+    for ((source, _), block) in feature_cols.iter().zip(encoded) {
+        for (name, vals) in block {
+            names.push(name);
+            columns.push(vals);
+            sources.push(*source);
+        }
     }
 
     // Columnar fast path: scatter the per-column buffers straight into the
     // row-major matrix (no per-cell indirection).
     let x = Matrix::from_columns(n, &columns).map_err(|e| MlError::ShapeMismatch(e.to_string()))?;
-    Dataset::new(x, y, names, task)
+    Ok((Dataset::new(x, y, names, task)?, sources))
 }
 
 /// Encode one feature column into zero or more named numeric columns,
@@ -289,6 +307,22 @@ mod tests {
         };
         let d2 = featurize(&t, "y", false, &opts).unwrap();
         assert_eq!(d2.n_features(), 1);
+    }
+
+    #[test]
+    fn sources_name_each_feature_column() {
+        let t = Table::new(
+            "t",
+            vec![
+                Column::from_f64("a=b", vec![1.0, 2.0, 3.0]),
+                Column::from_f64("y", vec![1.0, 2.0, 3.0]),
+                Column::from_str("c", vec!["k=1", "k=2", "k=1"]),
+            ],
+        )
+        .unwrap();
+        let (d, sources) = featurize_with_sources(&t, "y", false, &Default::default()).unwrap();
+        assert_eq!(d.feature_names, ["a=b", "c=k=1", "c=k=2"]);
+        assert_eq!(sources, [0, 2, 2]);
     }
 
     #[test]

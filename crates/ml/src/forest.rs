@@ -20,22 +20,15 @@ use rand::{Rng, SeedableRng};
 /// Row·tree product below which `predict` stays sequential.
 const PAR_MIN_PREDICTIONS: usize = 1 << 12;
 
-/// Forest hyper-parameters.
+/// Forest hyper-parameters. Every tree trains on a bootstrap sample and
+/// considers ⌈√d⌉ features per split for classification, ⌈d/3⌉ for
+/// regression (the standard defaults).
 #[derive(Debug, Clone)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
-    /// Per-tree growth limits.
+    /// Per-tree depth limit.
     pub max_depth: usize,
-    /// Minimum samples to split a node.
-    pub min_samples_split: usize,
-    /// Minimum samples per leaf.
-    pub min_samples_leaf: usize,
-    /// Feature subsampling (`None` → √d for classification, d/3 for
-    /// regression, the standard defaults).
-    pub max_features: Option<MaxFeatures>,
-    /// Bootstrap sample rows per tree.
-    pub bootstrap: bool,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -45,10 +38,6 @@ impl Default for ForestConfig {
         ForestConfig {
             n_trees: 64,
             max_depth: 12,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            max_features: None,
-            bootstrap: true,
             seed: 0,
         }
     }
@@ -84,8 +73,6 @@ impl RandomForest {
         let table = RankTable::new(x);
         let tree_cfg = |seed: u64| TreeConfig {
             max_depth: cfg.max_depth,
-            min_samples_split: cfg.min_samples_split,
-            min_samples_leaf: cfg.min_samples_leaf,
             max_features,
             seed,
         };
@@ -181,26 +168,22 @@ impl RandomForest {
 /// The feature-subsampling rule and each tree's pre-drawn `(seed, rows)`
 /// job, drawn from `cfg.seed` alone so results are independent of thread
 /// scheduling. `rows` lists the bootstrap's training rows, repeats
-/// included (every row once without bootstrap).
+/// included.
 pub(crate) fn plan(
     n: usize,
     task: Task,
     cfg: &ForestConfig,
 ) -> (MaxFeatures, Vec<(u64, Vec<usize>)>) {
-    let max_features = cfg.max_features.unwrap_or(match task {
+    let max_features = match task {
         Task::Classification { .. } => MaxFeatures::Sqrt,
         Task::Regression => MaxFeatures::Third,
-    });
+    };
     let mut master = StdRng::seed_from_u64(cfg.seed);
     let jobs = (0..cfg.n_trees)
         .map(|_| {
             let seed: u64 = master.gen();
-            let rows: Vec<usize> = if cfg.bootstrap {
-                let mut r = StdRng::seed_from_u64(seed ^ 0xB00157);
-                (0..n).map(|_| r.gen_range(0..n)).collect()
-            } else {
-                (0..n).collect()
-            };
+            let mut r = StdRng::seed_from_u64(seed ^ 0xB00157);
+            let rows: Vec<usize> = (0..n).map(|_| r.gen_range(0..n)).collect();
             (seed, rows)
         })
         .collect();
@@ -331,31 +314,20 @@ mod tests {
         use crate::tree::oracle;
         for task in oracle::TASKS {
             let (x, y) = oracle::tricky_data(200, task, 31);
-            let variants = [
-                (true, 1, None),
-                (true, 3, Some(MaxFeatures::Exact(4))),
-                (false, 1, Some(MaxFeatures::All)),
-            ];
-            for (bootstrap, min_samples_leaf, max_features) in variants {
-                let cfg = ForestConfig {
-                    n_trees: 6,
-                    max_depth: 10,
-                    min_samples_leaf,
-                    max_features,
-                    bootstrap,
-                    seed: 32,
-                    ..Default::default()
-                };
-                let want = oracle::fit_forest(&x, &y, task, &cfg);
-                for width in [1, 8] {
-                    let budget = Budget::isolated(width);
-                    let rf = budget.install(|| RandomForest::fit_xy(&x, &y, task, &cfg).unwrap());
-                    assert_eq!(budget.total_spawns() > 0, width > 1, "width={width}");
-                    assert_eq!(rf.trees.len(), want.len());
-                    for (i, (got, want)) in rf.trees.iter().zip(&want).enumerate() {
-                        let ctx = format!("{task:?} bootstrap={bootstrap} leaf={min_samples_leaf} width={width} tree {i}");
-                        oracle::assert_same_tree(got, want, &ctx);
-                    }
+            let cfg = ForestConfig {
+                n_trees: 6,
+                max_depth: 10,
+                seed: 32,
+            };
+            let want = oracle::fit_forest(&x, &y, task, &cfg);
+            for width in [1, 8] {
+                let budget = Budget::isolated(width);
+                let rf = budget.install(|| RandomForest::fit_xy(&x, &y, task, &cfg).unwrap());
+                assert_eq!(budget.total_spawns() > 0, width > 1, "width={width}");
+                assert_eq!(rf.trees.len(), want.len());
+                for (i, (got, want)) in rf.trees.iter().zip(&want).enumerate() {
+                    let ctx = format!("{task:?} width={width} tree {i}");
+                    oracle::assert_same_tree(got, want, &ctx);
                 }
             }
         }

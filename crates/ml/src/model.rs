@@ -79,7 +79,6 @@ impl ModelKind {
                     n_trees,
                     max_depth,
                     seed,
-                    ..Default::default()
                 };
                 Ok(Model::RandomForest(RandomForest::fit_xy(x, y, task, &cfg)?))
             }

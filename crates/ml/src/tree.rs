@@ -44,31 +44,25 @@ pub enum MaxFeatures {
     Sqrt,
     /// `⌈d/3⌉` — the forest default for regression.
     Third,
-    /// Explicit count (clamped to `d`).
-    Exact(usize),
 }
 
 impl MaxFeatures {
+    /// Features to draw out of `d ≥ 1`; every rule gives `1..=d`.
     fn resolve(self, d: usize) -> usize {
-        let k = match self {
+        match self {
             MaxFeatures::All => d,
             MaxFeatures::Sqrt => (d as f64).sqrt().ceil() as usize,
             MaxFeatures::Third => d.div_ceil(3),
-            MaxFeatures::Exact(k) => k,
-        };
-        k.clamp(1, d.max(1))
+        }
     }
 }
 
-/// Tree growth hyper-parameters.
+/// Tree growth hyper-parameters. A node splits only when both children
+/// get at least one row; a one-row node is pure, so it is always a leaf.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
     /// Maximum depth (root is depth 0).
     pub max_depth: usize,
-    /// Minimum samples required to attempt a split.
-    pub min_samples_split: usize,
-    /// Minimum samples in each child.
-    pub min_samples_leaf: usize,
     /// Feature subsampling rule.
     pub max_features: MaxFeatures,
     /// RNG seed for feature subsampling.
@@ -79,8 +73,6 @@ impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
             max_depth: 12,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
             max_features: MaxFeatures::All,
             seed: 0,
         }
@@ -423,11 +415,7 @@ impl Builder<'_> {
         s.node_y.extend(s.node_rows.iter().map(|&r| self.y[r]));
 
         let node_impurity = self.impurity();
-        let should_split = positions.len() >= self.cfg.min_samples_split
-            && depth < self.cfg.max_depth
-            && node_impurity > 1e-12;
-
-        if should_split {
+        if depth < self.cfg.max_depth && node_impurity > 1e-12 {
             if let Some((feature, threshold, gain)) = self.best_split(node_impurity) {
                 // Stable partition, so both children stay ascending. A
                 // rejected split leaves `positions` permuted, which nothing
@@ -446,9 +434,8 @@ impl Builder<'_> {
                     }
                 }
                 positions[n_left..].copy_from_slice(spill);
-                if n_left >= self.cfg.min_samples_leaf
-                    && positions.len() - n_left >= self.cfg.min_samples_leaf
-                {
+                // A NaN threshold sends every row right.
+                if n_left > 0 && n_left < positions.len() {
                     self.importances[feature] +=
                         gain * positions.len() as f64 / self.rows.len() as f64;
                     let id = self.nodes.len();
@@ -557,11 +544,6 @@ impl Builder<'_> {
                         }
                         let nl = split as f64;
                         let nr = n - nl;
-                        if (split < self.cfg.min_samples_leaf)
-                            || (pairs.len() - split < self.cfg.min_samples_leaf)
-                        {
-                            continue;
-                        }
                         let var_l = left_sq / nl - (left_sum / nl).powi(2);
                         let right_sum = total_sum - left_sum;
                         let right_sq = total_sq - left_sq;
@@ -588,11 +570,6 @@ impl Builder<'_> {
                         left[y_prev as usize] += 1;
                         let v_cur = pairs[split].0;
                         if v_cur == v_prev {
-                            continue;
-                        }
-                        if (split < self.cfg.min_samples_leaf)
-                            || (pairs.len() - split < self.cfg.min_samples_leaf)
-                        {
                             continue;
                         }
                         let nl = split as f64;
@@ -704,17 +681,19 @@ mod tests {
         assert_eq!(tree.importances()[1], 0.0);
     }
 
+    /// Every child keeps at least one row: a split whose NaN threshold
+    /// would send every row one way is dropped, leaving a leaf.
     #[test]
     fn min_samples_leaf_respected() {
-        let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]).unwrap();
+        let x = Matrix::from_rows(&vec![vec![f64::NAN]; 4]).unwrap();
         let y = vec![0.0, 0.0, 1.0, 1.0];
-        let cfg = TreeConfig {
-            min_samples_leaf: 3,
-            ..Default::default()
-        };
-        let tree =
-            DecisionTree::fit_xy(&x, &y, Task::Classification { n_classes: 2 }, &cfg).unwrap();
-        // No split can give both children ≥ 3 samples with n=4.
+        let tree = DecisionTree::fit_xy(
+            &x,
+            &y,
+            Task::Classification { n_classes: 2 },
+            &TreeConfig::default(),
+        )
+        .unwrap();
         assert_eq!(tree.n_nodes(), 1);
     }
 
@@ -741,16 +720,14 @@ mod tests {
         assert_eq!(MaxFeatures::All.resolve(10), 10);
         assert_eq!(MaxFeatures::Sqrt.resolve(100), 10);
         assert_eq!(MaxFeatures::Third.resolve(10), 4);
-        assert_eq!(MaxFeatures::Exact(3).resolve(10), 3);
-        assert_eq!(MaxFeatures::Exact(99).resolve(10), 10);
-        assert_eq!(MaxFeatures::Exact(0).resolve(10), 1);
     }
 
     #[test]
     fn feature_subsampling_is_deterministic_per_seed() {
         let d = xor_dataset();
+        // ⌈2/3⌉ = 1 of the two features per split.
         let cfg = TreeConfig {
-            max_features: MaxFeatures::Exact(1),
+            max_features: MaxFeatures::Third,
             seed: 5,
             ..Default::default()
         };
@@ -761,28 +738,19 @@ mod tests {
 
     #[test]
     fn rank_ordering_grows_the_oracle_trees() {
-        let features = [
-            MaxFeatures::All,
-            MaxFeatures::Sqrt,
-            MaxFeatures::Third,
-            MaxFeatures::Exact(2),
-        ];
+        let features = [MaxFeatures::All, MaxFeatures::Sqrt, MaxFeatures::Third];
         for (ti, task) in oracle::TASKS.into_iter().enumerate() {
             for n in [1, 2, 9, 60, 300] {
                 let (x, y) = oracle::tricky_data(n, task, 10 * n as u64 + ti as u64);
                 for (fi, max_features) in features.into_iter().enumerate() {
-                    for min_samples_leaf in [1, 3] {
-                        let cfg = TreeConfig {
-                            min_samples_leaf,
-                            max_features,
-                            seed: (n * 7 + fi) as u64,
-                            ..Default::default()
-                        };
-                        let ctx =
-                            format!("{task:?} n={n} {max_features:?} leaf={min_samples_leaf}");
-                        let got = DecisionTree::fit_xy(&x, &y, task, &cfg).unwrap();
-                        oracle::assert_same_tree(&got, &oracle::fit_tree(&x, &y, task, &cfg), &ctx);
-                    }
+                    let cfg = TreeConfig {
+                        max_features,
+                        seed: (n * 7 + fi) as u64,
+                        ..Default::default()
+                    };
+                    let ctx = format!("{task:?} n={n} {max_features:?}");
+                    let got = DecisionTree::fit_xy(&x, &y, task, &cfg).unwrap();
+                    oracle::assert_same_tree(&got, &oracle::fit_tree(&x, &y, task, &cfg), &ctx);
                 }
             }
         }

@@ -58,8 +58,6 @@ pub(crate) fn fit_forest(
             let ys: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
             let tree_cfg = TreeConfig {
                 max_depth: cfg.max_depth,
-                min_samples_split: cfg.min_samples_split,
-                min_samples_leaf: cfg.min_samples_leaf,
                 max_features,
                 seed: *seed,
             };
@@ -156,11 +154,7 @@ pub(crate) const TASKS: [Task; 3] = [
 impl Builder<'_> {
     fn build(&mut self, indices: &mut [usize], depth: usize) -> usize {
         let node_impurity = self.impurity(indices);
-        let should_split = indices.len() >= self.cfg.min_samples_split
-            && depth < self.cfg.max_depth
-            && node_impurity > 1e-12;
-
-        if should_split {
+        if depth < self.cfg.max_depth && node_impurity > 1e-12 {
             if let Some((feature, threshold, gain)) = self.best_split(indices, node_impurity) {
                 let mut left: Vec<usize> = Vec::new();
                 let mut right: Vec<usize> = Vec::new();
@@ -171,9 +165,7 @@ impl Builder<'_> {
                         right.push(i);
                     }
                 }
-                if left.len() >= self.cfg.min_samples_leaf
-                    && right.len() >= self.cfg.min_samples_leaf
-                {
+                if !left.is_empty() && !right.is_empty() {
                     self.importances[feature] += gain * indices.len() as f64 / self.n_total as f64;
                     let id = self.nodes.len();
                     self.nodes.push(Node::Leaf { prediction: 0.0 });
@@ -280,11 +272,6 @@ impl Builder<'_> {
                         }
                         let nl = split as f64;
                         let nr = n - nl;
-                        if (split < self.cfg.min_samples_leaf)
-                            || (pairs.len() - split < self.cfg.min_samples_leaf)
-                        {
-                            continue;
-                        }
                         let var_l = left_sq / nl - (left_sum / nl).powi(2);
                         let right_sum = total_sum - left_sum;
                         let right_sq = total_sq - left_sq;
@@ -306,11 +293,6 @@ impl Builder<'_> {
                         left[y_prev as usize] += 1;
                         let v_cur = pairs[split].0;
                         if v_cur == v_prev {
-                            continue;
-                        }
-                        if (split < self.cfg.min_samples_leaf)
-                            || (pairs.len() - split < self.cfg.min_samples_leaf)
-                        {
                             continue;
                         }
                         let nl = split as f64;

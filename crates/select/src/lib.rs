@@ -63,32 +63,32 @@ impl std::error::Error for SelectError {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SelectError>;
 
-/// Shared evaluation protocol: a dataset with fixed train/holdout splits and
-/// the estimator used for wrapper evaluations.
+/// The estimator every selector refits to score a feature subset (the
+/// paper's random forest).
+const ESTIMATOR: ModelKind = ModelKind::RandomForest {
+    n_trees: 32,
+    max_depth: 10,
+};
+
+/// Shared evaluation protocol: a dataset with fixed train/holdout splits,
+/// scored by one random-forest estimator.
 #[derive(Debug, Clone)]
 pub struct SelectionContext {
     /// Train-split row indices.
     pub train: Vec<usize>,
     /// Holdout-split row indices.
     pub holdout: Vec<usize>,
-    /// Estimator refit during searches (paper default: random forest).
-    pub estimator: ModelKind,
     /// Master seed.
     pub seed: u64,
 }
 
 impl SelectionContext {
-    /// Standard context: the dataset's [`Dataset::holdout_split`] with the
-    /// paper's random-forest estimator.
+    /// Standard context: the dataset's [`Dataset::holdout_split`].
     pub fn standard(data: &Dataset, seed: u64) -> Self {
         let (train, holdout) = data.holdout_split(seed);
         SelectionContext {
             train,
             holdout,
-            estimator: ModelKind::RandomForest {
-                n_trees: 32,
-                max_depth: 10,
-            },
             seed,
         }
     }
@@ -101,7 +101,7 @@ impl SelectionContext {
         let sub = data.select_features(features)?;
         Ok(arda_ml::model::holdout_score(
             &sub,
-            &self.estimator,
+            &ESTIMATOR,
             &self.train,
             &self.holdout,
             self.seed,
@@ -175,20 +175,27 @@ pub fn run_selector(
         )));
     }
     let start = Instant::now();
-    let selected = match kind {
-        SelectorKind::AllFeatures => (0..data.n_features()).collect(),
-        SelectorKind::Rifs(cfg) => rifs::rifs_select(data, ctx, cfg)?.selected,
+    // RIFS scores its chosen subset itself, with the same `ctx.evaluate`.
+    let (selected, rifs_score) = match kind {
+        SelectorKind::AllFeatures => ((0..data.n_features()).collect(), None),
+        SelectorKind::Rifs(cfg) => {
+            let report = rifs::rifs_select(data, ctx, cfg)?;
+            (report.selected, Some(report.holdout_score))
+        }
         SelectorKind::Ranking(method) => {
             let train_data = data.select_rows(&ctx.train)?;
             let scores = rank_features(&train_data, *method, ctx.seed)?;
-            exponential_search(data, ctx, &scores)?
+            (exponential_search(data, ctx, &scores)?, None)
         }
-        SelectorKind::ForwardSelection => wrappers::forward_selection(data, ctx)?,
-        SelectorKind::BackwardSelection => wrappers::backward_elimination(data, ctx)?,
-        SelectorKind::Rfe => wrappers::rfe(data, ctx)?,
+        SelectorKind::ForwardSelection => (wrappers::forward_selection(data, ctx)?, None),
+        SelectorKind::BackwardSelection => (wrappers::backward_elimination(data, ctx)?, None),
+        SelectorKind::Rfe => (wrappers::rfe(data, ctx)?, None),
     };
     let seconds = start.elapsed().as_secs_f64();
-    let holdout_score = ctx.evaluate(data, &selected)?;
+    let holdout_score = match rifs_score {
+        Some(score) => score,
+        None => ctx.evaluate(data, &selected)?,
+    };
     Ok(SelectionResult {
         selected,
         holdout_score,
@@ -288,6 +295,21 @@ mod tests {
             assert!(r.selected.is_empty(), "{}: {:?}", kind.name(), r.selected);
             assert_eq!(r.holdout_score, f64::NEG_INFINITY, "{}", kind.name());
         }
+    }
+
+    #[test]
+    fn rifs_holdout_score_is_the_context_score_of_its_subset() {
+        let d = planted_classification(120, 5);
+        let ctx = SelectionContext::standard(&d, 5);
+        let kind = SelectorKind::Rifs(RifsConfig {
+            repeats: 4,
+            rf_trees: 12,
+            ..Default::default()
+        });
+        let r = run_selector(&d, &kind, &ctx).unwrap();
+        assert!(!r.selected.is_empty());
+        let again = ctx.evaluate(&d, &r.selected).unwrap();
+        assert_eq!(r.holdout_score.to_bits(), again.to_bits());
     }
 
     #[test]

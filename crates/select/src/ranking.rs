@@ -2,7 +2,7 @@
 //! (higher = better). Rankings feed the exponential search, the wrappers and
 //! the RIFS ensemble.
 
-use crate::relief::{relief_scores, ReliefConfig};
+use crate::relief::relief_scores;
 use crate::sparse_regression::{l21_solve, target_matrix, L21Config};
 use crate::{Result, SelectError};
 use arda_linalg::stats::standardize_columns;
@@ -92,7 +92,6 @@ pub fn rank_features(data: &Dataset, method: RankingMethod, seed: u64) -> Result
                 n_trees: 32,
                 max_depth: 10,
                 seed,
-                ..Default::default()
             };
             RandomForest::fit_xy(x, y, data.task, &cfg)?
                 .importances()
@@ -116,13 +115,7 @@ pub fn rank_features(data: &Dataset, method: RankingMethod, seed: u64) -> Result
         RankingMethod::LinearSvc => {
             LinearSvm::fit(x, y, data.task.n_classes(), 0.01, seed)?.coefficient_magnitudes()
         }
-        RankingMethod::Relief => {
-            let cfg = ReliefConfig {
-                seed,
-                ..Default::default()
-            };
-            relief_scores(x, y, data.task, &cfg)
-        }
+        RankingMethod::Relief => relief_scores(x, y, data.task, seed),
     };
     debug_assert_eq!(scores.len(), data.n_features());
     Ok(scores)

@@ -19,38 +19,24 @@ use rand::SeedableRng;
 /// sequential.
 const PAR_MIN_WORK: usize = 1 << 15;
 
-/// ReliefF configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReliefConfig {
-    /// Neighbours per hit/miss search.
-    pub k: usize,
-    /// Sampled anchor rows (`None` → all rows).
-    pub n_samples: Option<usize>,
-    /// Quantile bins for regression targets.
-    pub regression_bins: usize,
-    /// RNG seed for anchor sampling.
-    pub seed: u64,
-}
+/// Neighbours per hit/miss search.
+const K: usize = 5;
 
-impl Default for ReliefConfig {
-    fn default() -> Self {
-        ReliefConfig {
-            k: 5,
-            n_samples: Some(100),
-            regression_bins: 4,
-            seed: 0,
-        }
-    }
-}
+/// Anchor rows sampled (all rows when there are fewer).
+const N_ANCHORS: usize = 100;
 
-/// ReliefF weights for every feature (higher = more relevant).
-pub fn relief_scores(x: &Matrix, y: &[f64], task: Task, cfg: &ReliefConfig) -> Vec<f64> {
+/// Quantile bins for regression targets.
+const REGRESSION_BINS: usize = 4;
+
+/// ReliefF weights for every feature (higher = more relevant); `seed`
+/// draws the anchor rows.
+pub fn relief_scores(x: &Matrix, y: &[f64], task: Task, seed: u64) -> Vec<f64> {
     let n = x.rows();
     let d = x.cols();
     if n == 0 || d == 0 {
         return vec![0.0; d];
     }
-    let (classes, _) = discretize_target(y, task, cfg.regression_bins);
+    let (classes, _) = discretize_target(y, task, REGRESSION_BINS);
 
     // Per-feature ranges for distance normalisation (one reused gather
     // buffer across the column sweep).
@@ -64,11 +50,9 @@ pub fn relief_scores(x: &Matrix, y: &[f64], task: Task, cfg: &ReliefConfig) -> V
     }
 
     let mut anchors: Vec<usize> = (0..n).collect();
-    if let Some(m) = cfg.n_samples {
-        if m < n {
-            anchors.shuffle(&mut StdRng::seed_from_u64(cfg.seed));
-            anchors.truncate(m);
-        }
+    if N_ANCHORS < n {
+        anchors.shuffle(&mut StdRng::seed_from_u64(seed));
+        anchors.truncate(N_ANCHORS);
     }
 
     // Each anchor's hit/miss search and weight delta is independent; the
@@ -79,8 +63,8 @@ pub fn relief_scores(x: &Matrix, y: &[f64], task: Task, cfg: &ReliefConfig) -> V
         // Inner scans run on this anchor's split of the shared work budget:
         // sequential when the anchor fan-out is wide, parallel when few
         // anchors leave budget to spare — never oversubscribed.
-        let hits = nearest_neighbors(x, i, cfg.k, |j| classes[j] == classes[i]);
-        let misses = nearest_neighbors(x, i, cfg.k, |j| classes[j] != classes[i]);
+        let hits = nearest_neighbors(x, i, K, |j| classes[j] == classes[i]);
+        let misses = nearest_neighbors(x, i, K, |j| classes[j] != classes[i]);
         if hits.is_empty() || misses.is_empty() {
             return None;
         }
@@ -143,12 +127,7 @@ mod tests {
     #[test]
     fn signal_feature_outranks_noise() {
         let (x, y) = planted(200, 0);
-        let w = relief_scores(
-            &x,
-            &y,
-            Task::Classification { n_classes: 2 },
-            &ReliefConfig::default(),
-        );
+        let w = relief_scores(&x, &y, Task::Classification { n_classes: 2 }, 0);
         assert!(w[0] > 0.2, "signal weight {w:?}");
         assert!(w[0] > w[1] * 3.0, "{w:?}");
     }
@@ -162,7 +141,7 @@ mod tests {
             .collect();
         let y: Vec<f64> = rows.iter().map(|r| r[0] * 10.0).collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        let w = relief_scores(&x, &y, Task::Regression, &ReliefConfig::default());
+        let w = relief_scores(&x, &y, Task::Regression, 0);
         assert!(w[0] > w[1], "{w:?}");
     }
 
@@ -170,32 +149,23 @@ mod tests {
     fn single_class_gives_zero_weights() {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let y = vec![0.0, 0.0, 0.0];
-        let w = relief_scores(
-            &x,
-            &y,
-            Task::Classification { n_classes: 2 },
-            &ReliefConfig::default(),
-        );
+        let w = relief_scores(&x, &y, Task::Classification { n_classes: 2 }, 0);
         assert_eq!(w, vec![0.0]);
     }
 
     #[test]
     fn empty_input() {
         let x = Matrix::zeros(0, 3);
-        let w = relief_scores(&x, &[], Task::Regression, &ReliefConfig::default());
+        let w = relief_scores(&x, &[], Task::Regression, 0);
         assert_eq!(w, vec![0.0; 3]);
     }
 
     #[test]
     fn sampling_is_deterministic() {
+        // 120 rows > 100 anchors, so the seed draws a subset.
         let (x, y) = planted(120, 2);
-        let cfg = ReliefConfig {
-            n_samples: Some(30),
-            seed: 9,
-            ..Default::default()
-        };
-        let a = relief_scores(&x, &y, Task::Classification { n_classes: 2 }, &cfg);
-        let b = relief_scores(&x, &y, Task::Classification { n_classes: 2 }, &cfg);
+        let a = relief_scores(&x, &y, Task::Classification { n_classes: 2 }, 9);
+        let b = relief_scores(&x, &y, Task::Classification { n_classes: 2 }, 9);
         assert_eq!(a, b);
     }
 }

@@ -9,14 +9,14 @@
 //! subset whose holdout score still improved monotonically (Algorithm 3).
 //!
 //! Injection distributions: when features are mostly relevant, simple
-//! standard distributions (normal/uniform/Bernoulli/Poisson) suffice; the
-//! adversarial regime uses *moment-matched* noise `N(µ, Σ)` fitted to the
+//! standard distributions (normal/uniform) suffice; the adversarial regime
+//! uses *moment-matched* noise `N(µ, Σ)` fitted to the
 //! empirical feature mean/covariance (Algorithm 2) so the injected features
 //! "look like" the input.
 
 use crate::ranking::order_by_scores;
 use crate::sparse_regression::{l21_solve, target_matrix, L21Config};
-use crate::{Result, SelectError, SelectionContext};
+use crate::{Result, SelectionContext};
 use arda_linalg::random::{normal_vec, MomentMatchedSampler};
 use arda_linalg::stats::standardize_columns;
 use arda_linalg::Matrix;
@@ -34,15 +34,13 @@ pub enum InjectionDistribution {
     StandardNormal,
     /// i.i.d. `U(0, 1)` entries.
     Uniform,
-    /// i.i.d. Bernoulli(p) entries.
-    Bernoulli(f64),
-    /// i.i.d. Poisson(λ) entries (Knuth sampling).
-    Poisson(f64),
 }
 
+/// The wrapper's increasing threshold grid `T` (Algorithm 3).
+const THRESHOLDS: [f64; 6] = [0.3, 0.5, 0.6, 0.7, 0.8, 0.9];
+
 /// RIFS hyper-parameters. Defaults follow the paper's experiments: η = 0.2,
-/// k = 10 repeats, an even RF/SR ensemble weight and an increasing
-/// threshold grid.
+/// k = 10 repeats and an even RF/SR ensemble weight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RifsConfig {
     /// Fraction η of random features to inject.
@@ -51,8 +49,6 @@ pub struct RifsConfig {
     pub repeats: usize,
     /// Ensemble weight ν: aggregate = ν·RF + (1−ν)·SR (§6.3).
     pub nu: f64,
-    /// Increasing threshold grid `T` for the wrapper (Algorithm 3).
-    pub thresholds: Vec<f64>,
     /// Injected-feature distribution.
     pub distribution: InjectionDistribution,
     /// ℓ2,1 solver settings for the SR half of the ensemble.
@@ -67,7 +63,6 @@ impl Default for RifsConfig {
             eta: 0.2,
             repeats: 10,
             nu: 0.5,
-            thresholds: vec![0.3, 0.5, 0.6, 0.7, 0.8, 0.9],
             distribution: InjectionDistribution::MomentMatched,
             l21: L21Config::default(),
             rf_trees: 24,
@@ -118,43 +113,6 @@ pub fn inject_features(
             }
             m
         }
-        InjectionDistribution::Bernoulli(p) => {
-            let p = p.clamp(0.0, 1.0);
-            let mut m = Matrix::zeros(n, t);
-            for r in 0..n {
-                for c in 0..t {
-                    m.set(r, c, if rng.gen::<f64>() < p { 1.0 } else { 0.0 });
-                }
-            }
-            m
-        }
-        InjectionDistribution::Poisson(lambda) => {
-            let mut m = Matrix::zeros(n, t);
-            for r in 0..n {
-                for c in 0..t {
-                    m.set(r, c, poisson(rng, lambda.max(1e-9)));
-                }
-            }
-            m
-        }
-    }
-}
-
-/// Knuth Poisson sampler (normal approximation for large λ).
-fn poisson(rng: &mut StdRng, lambda: f64) -> f64 {
-    if lambda > 30.0 {
-        let g: f64 = arda_linalg::standard_normal(rng);
-        return (lambda + lambda.sqrt() * g).round().max(0.0);
-    }
-    let l = (-lambda).exp();
-    let mut k = 0.0;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1.0;
     }
 }
 
@@ -179,7 +137,6 @@ fn ensemble_scores(aug: &Dataset, cfg: &RifsConfig, seed: u64) -> Result<Vec<f64
         n_trees: cfg.rf_trees,
         max_depth: 10,
         seed,
-        ..Default::default()
     };
     let mut rf = RandomForest::fit_xy(&aug.x, &aug.y, aug.task, &rf_cfg)?
         .importances()
@@ -244,11 +201,6 @@ pub fn rifs_fractions(train_data: &Dataset, cfg: &RifsConfig, seed: u64) -> Resu
 
 /// Algorithms 1+3: full RIFS selection with the threshold wrapper.
 pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> Result<RifsReport> {
-    if cfg.thresholds.is_empty() {
-        return Err(SelectError::Invalid(
-            "RIFS needs a non-empty threshold grid".into(),
-        ));
-    }
     let train_data = data.select_rows(&ctx.train)?;
     let fractions = rifs_fractions(&train_data, cfg, ctx.seed)?;
 
@@ -257,10 +209,8 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
     //
     // Subsets shrink monotonically as τ grows, so everything past the first
     // empty subset is empty too — exactly where the sequential loop stopped.
-    let mut thresholds = cfg.thresholds.clone();
-    thresholds.sort_by(|a, b| a.total_cmp(b));
     let mut candidates: Vec<(f64, Vec<usize>)> = Vec::new(); // (τ, subset)
-    for &tau in &thresholds {
+    for tau in THRESHOLDS {
         let subset: Vec<usize> = (0..fractions.len())
             .filter(|&j| fractions[j] >= tau)
             .collect();
@@ -413,8 +363,6 @@ mod tests {
             InjectionDistribution::MomentMatched,
             InjectionDistribution::StandardNormal,
             InjectionDistribution::Uniform,
-            InjectionDistribution::Bernoulli(0.4),
-            InjectionDistribution::Poisson(3.0),
         ] {
             let m = inject_features(&d.x, 3, dist, &mut rng);
             assert_eq!(m.rows(), 80);
@@ -425,41 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_and_poisson_ranges() {
-        let d = planted(60, 2, 3);
-        let mut rng = StdRng::seed_from_u64(1);
-        let b = inject_features(&d.x, 2, InjectionDistribution::Bernoulli(0.5), &mut rng);
-        assert!(b.data().iter().all(|&v| v == 0.0 || v == 1.0));
-        let p = inject_features(&d.x, 2, InjectionDistribution::Poisson(2.0), &mut rng);
-        assert!(p.data().iter().all(|&v| v >= 0.0 && v.fract() == 0.0));
-    }
-
-    #[test]
-    fn empty_threshold_grid_rejected() {
-        let d = planted(60, 2, 4);
-        let ctx = SelectionContext::standard(&d, 4);
-        let cfg = RifsConfig {
-            thresholds: vec![],
-            ..fast_cfg()
-        };
-        assert!(rifs_select(&d, &ctx, &cfg).is_err());
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let d = planted(100, 5, 5);
         let fr1 = rifs_fractions(&d, &fast_cfg(), 7).unwrap();
         let fr2 = rifs_fractions(&d, &fast_cfg(), 7).unwrap();
         assert_eq!(fr1, fr2);
-    }
-
-    #[test]
-    fn poisson_sampler_mean() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let n = 3000;
-        let mean: f64 = (0..n).map(|_| poisson(&mut rng, 4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.3, "poisson mean {mean}");
-        let big: f64 = (0..500).map(|_| poisson(&mut rng, 100.0)).sum::<f64>() / 500.0;
-        assert!((big - 100.0).abs() < 3.0, "large-λ mean {big}");
     }
 }

@@ -32,6 +32,16 @@ use crate::{Result, SelectError};
 use arda_linalg::{cholesky_solve_multi, Matrix};
 use arda_ml::Task;
 
+/// Convergence tolerance on the relative objective change.
+const TOL: f64 = 1e-5;
+
+/// Norm smoothing ε.
+const EPS: f64 = 1e-8;
+
+/// Weight of the model's hardened labels when robust labels blend them
+/// into `Y`.
+const LABEL_BLEND: f64 = 0.3;
+
 /// Configuration for the IRLS solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct L21Config {
@@ -39,16 +49,10 @@ pub struct L21Config {
     pub gamma: f64,
     /// Maximum IRLS iterations.
     pub max_iter: usize,
-    /// Convergence tolerance on the relative objective change.
-    pub tol: f64,
-    /// Norm smoothing ε.
-    pub eps: f64,
     /// Re-estimate labels inside the loop (the "modified objective from
     /// \[56\]" the paper uses for corrupted classification labels): after each
     /// W update, blend Y towards the model's own consistent labelling.
     pub robust_labels: bool,
-    /// Blend factor for robust labels.
-    pub label_blend: f64,
 }
 
 impl Default for L21Config {
@@ -56,10 +60,7 @@ impl Default for L21Config {
         L21Config {
             gamma: 0.1,
             max_iter: 30,
-            tol: 1e-5,
-            eps: 1e-8,
             robust_labels: false,
-            label_blend: 0.3,
         }
     }
 }
@@ -75,7 +76,7 @@ pub struct L21Solution {
     pub objective: f64,
     /// Iterations performed.
     pub iterations: usize,
-    /// Whether the relative objective change met `tol` before `max_iter`
+    /// Whether the relative objective change met the tolerance before `max_iter`
     /// stopped the loop.
     pub converged: bool,
 }
@@ -246,8 +247,8 @@ fn solve_with(x: &Matrix, y: &Matrix, cfg: &L21Config, dual_step: DualStep) -> R
 
     for it in 0..cfg.max_iter {
         iterations = it + 1;
-        let r2 = clamped_twice_norms(&resid, cfg.eps);
-        let w2 = clamped_twice_norms(&w, cfg.eps);
+        let r2 = clamped_twice_norms(&resid, EPS);
+        let w2 = clamped_twice_norms(&w, EPS);
         w = match &xt {
             None => {
                 let d1: Vec<f64> = r2.iter().map(|v| 1.0 / v).collect();
@@ -271,18 +272,14 @@ fn solve_with(x: &Matrix, y: &Matrix, cfg: &L21Config, dual_step: DualStep) -> R
                 for c in 0..y.cols() {
                     let orig = y.get(r, c);
                     let hard = if c == best { 1.0 } else { 0.0 };
-                    y_work.set(
-                        r,
-                        c,
-                        (1.0 - cfg.label_blend) * orig + cfg.label_blend * hard,
-                    );
+                    y_work.set(r, c, (1.0 - LABEL_BLEND) * orig + LABEL_BLEND * hard);
                 }
             }
         }
 
         resid = pred.sub(&y_work).expect("dims");
         let obj = objective(&resid, &w);
-        let done = (prev_obj - obj).abs() <= cfg.tol * prev_obj.abs().max(1e-12);
+        let done = (prev_obj - obj).abs() <= TOL * prev_obj.abs().max(1e-12);
         prev_obj = obj;
         if done {
             converged = true;
@@ -349,12 +346,12 @@ mod tests {
             let d1: Vec<f64> = resid
                 .row_norms()
                 .iter()
-                .map(|r| 1.0 / (2.0 * r.max(cfg.eps)))
+                .map(|r| 1.0 / (2.0 * r.max(EPS)))
                 .collect();
             let d2: Vec<f64> = w
                 .row_norms()
                 .iter()
-                .map(|r| 1.0 / (2.0 * r.max(cfg.eps)))
+                .map(|r| 1.0 / (2.0 * r.max(EPS)))
                 .collect();
             let mut lhs = weighted_gram(x, &d1);
             for i in 0..d {
@@ -373,16 +370,12 @@ mod tests {
                     for c in 0..y.cols() {
                         let orig = y.get(r, c);
                         let hard = if c == best { 1.0 } else { 0.0 };
-                        y_work.set(
-                            r,
-                            c,
-                            (1.0 - cfg.label_blend) * orig + cfg.label_blend * hard,
-                        );
+                        y_work.set(r, c, (1.0 - LABEL_BLEND) * orig + LABEL_BLEND * hard);
                     }
                 }
             }
             let obj = objective(&w, &y_work);
-            if (prev_obj - obj).abs() <= cfg.tol * prev_obj.abs().max(1e-12) {
+            if (prev_obj - obj).abs() <= TOL * prev_obj.abs().max(1e-12) {
                 prev_obj = obj;
                 break;
             }
@@ -593,7 +586,7 @@ mod tests {
     }
 
     /// At γ = 2 the planted problem needs about two dozen iterations
-    /// (at γ = 0.1 the ridge start already meets `tol` after one).
+    /// (at γ = 0.1 the ridge start already meets `TOL` after one).
     #[test]
     fn converged_reports_whether_tol_was_met() {
         let (mut x, y) = planted(200, 8, 0);

@@ -165,15 +165,23 @@ impl Table {
         Ok(out)
     }
 
-    /// Horizontally concatenate `other`'s columns onto `self`. Row counts
-    /// must match, and a column name `self` already has is a
-    /// [`TableError::DuplicateColumn`] error: nothing is renamed.
+    /// Horizontally concatenate `other`'s columns onto a copy of `self`,
+    /// as [`Table::append`] does in place.
     pub fn hstack(&self, other: &Table) -> Result<Table> {
         let mut out = self.clone();
-        for col in &other.columns {
-            out.add_column(col.clone())?;
-        }
+        out.append(other.clone())?;
         Ok(out)
+    }
+
+    /// Move `other`'s columns onto the end of `self`. Row counts must
+    /// match, and a column name `self` already has is a
+    /// [`TableError::DuplicateColumn`] error: nothing is renamed. On error
+    /// the columns before the failing one stay appended.
+    pub fn append(&mut self, other: Table) -> Result<()> {
+        for col in other.columns {
+            self.add_column(col)?;
+        }
+        Ok(())
     }
 
     /// Total null count across all columns.
@@ -285,6 +293,15 @@ mod tests {
         let j = a.hstack(&c).unwrap();
         assert_eq!(j.n_cols(), 4);
         assert_eq!(j.column("y").unwrap(), c.column("y").unwrap());
+    }
+
+    #[test]
+    fn append_moves_columns_and_rejects_duplicates() {
+        let mut a = sample();
+        let y = Table::new("w", vec![Column::from_f64("y", vec![9.0, 8.0, 7.0])]).unwrap();
+        a.append(y.clone()).unwrap();
+        assert_eq!(a, sample().hstack(&y).unwrap());
+        assert_eq!(a.append(y), Err(TableError::DuplicateColumn("y".into())));
     }
 
     #[test]

@@ -41,10 +41,7 @@ fn main() {
 
     let strategies: Vec<(&str, JoinKind)> = vec![
         ("hard join (raw keys)", JoinKind::Hard),
-        (
-            "nearest neighbour",
-            JoinKind::Soft(SoftMethod::Nearest { tolerance: None }),
-        ),
+        ("nearest neighbour", JoinKind::Soft(SoftMethod::Nearest)),
         (
             "2-way nearest (interp.)",
             JoinKind::Soft(SoftMethod::TwoWayNearest),

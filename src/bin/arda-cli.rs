@@ -116,6 +116,9 @@ const USAGE: &str = "usage: arda-cli --base base.csv --target <column> --repo <d
 [--out augmented.csv] [--selector rifs|rf|ftest|mi|all] [--plan budget|table|full] \
 [--tr <tau>] [--seed <n>] [--cache-tables <n>] [--save-repo <dir>]
 
+  --plan <name>      how candidate joins are batched: budget (default;
+                     each batch holds as many features as the coreset
+                     size), table (one table per batch) or full (one batch)
   --repo <dir>       directory of .csv / .arda shards, ingested lazily:
                      headers are scanned up front (or, when a fresh
                      _catalog.arda covers the directory, skipped entirely),
@@ -143,7 +146,7 @@ fn selector_from(name: &str) -> Result<SelectorKind, String> {
 
 fn plan_from(name: &str) -> Result<JoinPlan, String> {
     Ok(match name {
-        "budget" => JoinPlan::Budget { budget: None },
+        "budget" => JoinPlan::Budget,
         "table" => JoinPlan::Table,
         "full" => JoinPlan::FullMaterialization,
         other => return Err(format!("unknown plan {other} (budget|table|full)")),

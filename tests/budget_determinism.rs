@@ -108,13 +108,7 @@ fn joins_identical_across_budgets() {
     .unwrap();
 
     let hard = JoinSpec::hard("k", "k");
-    let nearest = JoinSpec::soft(
-        "k",
-        "k",
-        SoftMethod::Nearest {
-            tolerance: Some(25.0),
-        },
-    );
+    let nearest = JoinSpec::soft("k", "k", SoftMethod::Nearest);
     let two_way = JoinSpec::soft("k", "k", SoftMethod::TwoWayNearest);
     assert_identical_across_budgets("joins", || {
         (

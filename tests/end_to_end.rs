@@ -75,7 +75,7 @@ fn poverty_co_predictors_need_budget_join() {
     let repo = Repository::from_tables(sc.repository.clone());
     let budget = Arda::new(ArdaConfig {
         selector: SelectorKind::Ranking(RankingMethod::RandomForest),
-        join_plan: JoinPlan::Budget { budget: None },
+        join_plan: JoinPlan::Budget,
         seed: 2,
         ..Default::default()
     })
@@ -126,7 +126,7 @@ fn all_join_plans_produce_valid_outputs() {
     let repo = Repository::from_tables(sc.repository.clone());
     for plan in [
         JoinPlan::Table,
-        JoinPlan::Budget { budget: Some(20) },
+        JoinPlan::Budget,
         JoinPlan::FullMaterialization,
     ] {
         let report = Arda::new(ArdaConfig {
@@ -152,7 +152,7 @@ fn all_join_plans_produce_valid_outputs() {
     let repo = Repository::from_tables(sc.repository.clone());
     let candidates = discover_joins(&sc.base, &repo, &DiscoveryConfig::default()).unwrap();
     let mut names_by_plan = Vec::new();
-    for plan in [JoinPlan::Table, JoinPlan::Budget { budget: None }] {
+    for plan in [JoinPlan::Table, JoinPlan::Budget] {
         let report = Arda::new(ArdaConfig {
             selector: fast_rifs(),
             join_plan: plan,

@@ -141,13 +141,7 @@ fn soft_joins_identical_across_thread_counts() {
         )
         .unwrap();
 
-        let nearest = JoinSpec::soft(
-            "k",
-            "k",
-            SoftMethod::Nearest {
-                tolerance: Some(40.0),
-            },
-        );
+        let nearest = JoinSpec::soft("k", "k", SoftMethod::Nearest);
         let two_way = JoinSpec::soft("k", "k", SoftMethod::TwoWayNearest);
         assert_identical_across_budgets(&format!("case {case}: nearest join"), || {
             execute_join(&base, &foreign, &nearest, case).unwrap()

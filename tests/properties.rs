@@ -67,7 +67,7 @@ fn hard_join_preserves_base_rows() {
     }
 }
 
-/// Soft nearest joins never null-fill (without tolerance) when the foreign
+/// Soft nearest joins never null-fill when the foreign
 /// table is non-empty, and always pick a key minimising the distance.
 #[test]
 fn nearest_join_minimises_distance() {
@@ -87,7 +87,7 @@ fn nearest_join_minimises_distance() {
             ],
         )
         .unwrap();
-        let out = arda::join::soft::nearest_join(&base, &foreign, "k", "k", None).unwrap();
+        let out = arda::join::soft::nearest_join(&base, &foreign, "k", "k").unwrap();
         for (i, &bk) in base_keys.iter().enumerate() {
             let joined_key = out.column("f[k:k].fkey_copy").unwrap().get_f64(i).unwrap();
             let best = fk
