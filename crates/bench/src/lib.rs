@@ -18,6 +18,10 @@
 //! | `table6` | Table 6 — micro-benchmark accuracy + time |
 //! | `ablation` | RIFS design choices (ν, injection, η, k) |
 //!
+//! The AutoML rows of Fig. 3 and Table 6 score a fixed model zoo with
+//! [`arda_ml::model::best_holdout_score`], as `Arda` scores its estimates;
+//! every configuration is fitted, so no score depends on machine speed.
+//!
 //! Scale: set `ARDA_BENCH_SCALE=full` for paper-sized repositories (School
 //! (L) gets 350 tables); the default `quick` profile keeps every artifact
 //! under a few minutes. Numbers are *shape*-comparable with the paper, not

@@ -19,15 +19,14 @@
 //! 5. **Imputation + featurization** — median/random imputation, categorical
 //!    binarisation.
 //! 6. **Feature selection** — RIFS by default, any [`arda_select`] method.
-//! 7. **Final estimate** — refit the estimator(s) on the augmented data and
-//!    report base-vs-augmented scores ([`automl`] supplies the AutoML-lite
-//!    comparator of Fig. 3 / Tables 1, 6).
+//! 7. **Final estimate** — refit the §7 estimators (random forest, plus an
+//!    RBF-SVM for classification) on the augmented data and report the
+//!    best base-vs-augmented holdout scores
+//!    ([`arda_ml::model::best_holdout_score`]).
 
-pub mod automl;
 pub mod pipeline;
 pub mod plan;
 
-pub use automl::{automl_search, AutomlReport};
 pub use pipeline::{join_kind_for, Arda, ArdaConfig, AugmentationReport, SelectedColumn};
 pub use plan::{plan_batches, JoinPlan};
 

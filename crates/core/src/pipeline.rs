@@ -7,8 +7,8 @@ use crate::{ArdaError, Result};
 use arda_coreset::{row_coreset, CoresetSpec};
 use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
 use arda_join::{execute_join, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod};
-use arda_ml::model::holdout_score;
-use arda_ml::{featurize, featurize_with_sources, Dataset, FeaturizeOptions, ModelKind};
+use arda_ml::model::best_holdout_score;
+use arda_ml::{featurize, featurize_with_sources, Dataset, FeaturizeOptions, MlError, ModelKind};
 use arda_select::{
     run_selector, tuple_ratio_filter, SelectionContext, SelectorKind, TupleRatioDecision,
 };
@@ -29,6 +29,7 @@ pub struct ArdaConfig {
     /// Feature-selection method (default: RIFS).
     pub selector: SelectorKind,
     /// Optional Tuple-Ratio prefilter threshold τ (Table 4); `None` = off.
+    /// A NaN or negative τ is an error.
     pub tr_threshold: Option<f64>,
     /// Featurization options.
     pub featurize: FeaturizeOptions,
@@ -144,6 +145,13 @@ impl Arda {
     ) -> Result<AugmentationReport> {
         let start = Instant::now();
         let cfg = &self.config;
+        // `ratio > τ` is never true for a NaN τ, so it would keep every
+        // candidate without a word.
+        if let Some(tau) = cfg.tr_threshold.filter(|t| t.is_nan() || *t < 0.0) {
+            return Err(ArdaError::Invalid(format!(
+                "Tuple-Ratio threshold τ = {tau} must be a non-negative number"
+            )));
+        }
         if base.column(target)?.distinct().len() < 2 {
             return Err(ArdaError::Invalid(format!(
                 "target `{target}` has fewer than two distinct non-null values"
@@ -371,7 +379,8 @@ pub fn join_kind_for(base: &Table, cand: &CandidateJoin, soft: SoftMethod) -> Jo
 
 /// Paper §7 evaluation protocol: random forest for both tasks, plus an
 /// RBF-kernel SVM for classification, "such that the best score achieved
-/// was reported".
+/// was reported". A split too small to score, or a constant regression
+/// holdout, is the caller's input at fault.
 fn best_estimate(data: &Dataset, seed: u64) -> Result<(f64, ModelKind)> {
     let mut estimators = vec![ModelKind::RandomForest {
         n_trees: 64,
@@ -380,33 +389,10 @@ fn best_estimate(data: &Dataset, seed: u64) -> Result<(f64, ModelKind)> {
     if data.task.is_classification() {
         estimators.push(ModelKind::RbfSvm { c: 1.0 });
     }
-    let (train, holdout) = data.holdout_split(seed);
-    if train.len() < 2 || holdout.len() < 2 {
-        return Err(ArdaError::Invalid(format!(
-            "{} rows split into {} train / {} holdout; each side needs at least 2",
-            data.n_samples(),
-            train.len(),
-            holdout.len()
-        )));
-    }
-    // R² is undefined on a constant holdout target (`r2` would score any
-    // exact prediction a perfect 1.0), so a regression holdout needs two
-    // distinct values.
-    let first = data.y[holdout[0]];
-    if !data.task.is_classification() && holdout.iter().all(|&i| data.y[i] == first) {
-        return Err(ArdaError::Invalid(format!(
-            "holdout target is constant: all {} holdout rows equal {first}, so R² is undefined",
-            holdout.len()
-        )));
-    }
-    let mut best: Option<(f64, ModelKind)> = None;
-    for kind in estimators {
-        let score = holdout_score(data, &kind, &train, &holdout, seed)?;
-        if best.as_ref().is_none_or(|(s, _)| score > *s) {
-            best = Some((score, kind));
-        }
-    }
-    Ok(best.expect("estimator list non-empty"))
+    best_holdout_score(data, &estimators, seed).map_err(|e| match e {
+        MlError::Invalid(msg) => ArdaError::Invalid(msg),
+        e => ArdaError::Ml(e),
+    })
 }
 
 #[cfg(test)]
@@ -487,6 +473,22 @@ mod tests {
         let arda = Arda::new(cfg);
         let report = arda.run(&sc.base, &repo, &sc.target).unwrap();
         assert!(report.tr_eliminated > 0);
+    }
+
+    #[test]
+    fn augment_rejects_a_nan_or_negative_tau() {
+        let (sc, repo, candidates) = taxi_candidates();
+        for tau in [f64::NAN, -1.0] {
+            let mut cfg = fast_config(2);
+            cfg.tr_threshold = Some(tau);
+            let err = Arda::new(cfg)
+                .augment(&sc.base, &repo, &candidates, &sc.target)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ArdaError::Invalid(msg) if msg.contains("τ")),
+                "τ = {tau}: {err}"
+            );
+        }
     }
 
     #[test]

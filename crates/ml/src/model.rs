@@ -4,6 +4,8 @@
 //! wrappers, the RIFS threshold search and the AutoML-lite comparator all
 //! just need *some* estimator they can refit repeatedly. [`ModelKind`] names
 //! a configuration; fitting yields a [`Model`] that predicts.
+//! [`best_holdout_score`] is the paper's best-of-estimators score, shared
+//! by the pipeline's estimates and the bench's AutoML-lite.
 
 use crate::forest::{ForestConfig, RandomForest};
 use crate::linear::{Lasso, LinearSvm, LogisticRegression, Ridge};
@@ -174,6 +176,46 @@ pub fn holdout_score(
     Ok(score_for_task(data.task, &pred, &te.y))
 }
 
+/// The paper's §7 protocol: score each of `kinds` on
+/// [`Dataset::holdout_split`] "such that the best score achieved was
+/// reported". A tie keeps the earlier kind.
+///
+/// Before fitting anything it rejects a split that leaves fewer than 2
+/// rows on a side, and a regression holdout whose target is constant: R²
+/// is undefined there, and `r2` would score any exact prediction a
+/// perfect 1.0.
+pub fn best_holdout_score(
+    data: &Dataset,
+    kinds: &[ModelKind],
+    seed: u64,
+) -> Result<(f64, ModelKind)> {
+    let (train, holdout) = data.holdout_split(seed);
+    if train.len() < 2 || holdout.len() < 2 {
+        return Err(MlError::Invalid(format!(
+            "{} rows split into {} train / {} holdout; each side needs at least 2",
+            data.n_samples(),
+            train.len(),
+            holdout.len()
+        )));
+    }
+    let first = data.y[holdout[0]];
+    if !data.task.is_classification() && holdout.iter().all(|&i| data.y[i] == first) {
+        return Err(MlError::Invalid(format!(
+            "holdout target is constant: all {} holdout rows equal {first}, so R² is undefined",
+            holdout.len()
+        )));
+    }
+    let mut best: Option<(f64, &ModelKind)> = None;
+    for kind in kinds {
+        let score = holdout_score(data, kind, &train, &holdout, seed)?;
+        if best.is_none_or(|(s, _)| score > s) {
+            best = Some((score, kind));
+        }
+    }
+    best.map(|(score, kind)| (score, kind.clone()))
+        .ok_or_else(|| MlError::Invalid("no estimator to score".into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +323,53 @@ mod tests {
         )
         .unwrap();
         assert!(s > 0.9, "score {s}");
+    }
+
+    #[test]
+    fn best_holdout_score_keeps_the_first_of_tied_kinds() {
+        let d = toy_classification();
+        let shallow = ModelKind::DecisionTree { max_depth: 2 };
+        let deep = ModelKind::DecisionTree { max_depth: 8 };
+        let (score, kind) = best_holdout_score(&d, &[shallow.clone(), deep], 0).unwrap();
+        assert_eq!(score, 1.0);
+        assert_eq!(kind, shallow);
+        assert!(best_holdout_score(&d, &[], 0).is_err(), "no kind to score");
+    }
+
+    #[test]
+    fn best_holdout_score_rejects_a_side_under_two_rows() {
+        for n in [2, 3] {
+            let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
+            let y = (0..n).map(|i| i as f64).collect();
+            let d = Dataset::new(
+                Matrix::from_rows(&rows).unwrap(),
+                y,
+                vec!["f".into()],
+                Task::Regression,
+            )
+            .unwrap();
+            let err = best_holdout_score(&d, &[ModelKind::Ridge { lambda: 1.0 }], 0).unwrap_err();
+            assert!(
+                matches!(&err, MlError::Invalid(msg) if msg.contains("each side needs at least 2")),
+                "{n} rows: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn best_holdout_score_rejects_a_constant_regression_holdout() {
+        let d = toy_regression();
+        let (train, _) = d.holdout_split(0);
+        // Only one training row differs, so every holdout row is 1.5.
+        let y = (0..d.n_samples())
+            .map(|i| if i == train[0] { 2.5 } else { 1.5 })
+            .collect();
+        let d = Dataset::new(d.x, y, d.feature_names, d.task).unwrap();
+        let err = best_holdout_score(&d, &[ModelKind::Ridge { lambda: 1.0 }], 0).unwrap_err();
+        assert!(
+            matches!(&err, MlError::Invalid(msg) if msg.contains("holdout target is constant")),
+            "{err}"
+        );
     }
 
     /// FNV-1a over the bit patterns of `values`.

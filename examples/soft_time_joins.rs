@@ -5,25 +5,26 @@
 //!
 //! Run with: `cargo run --release --example soft_time_joins`
 
-use arda::ml::metrics::rmse;
-use arda::ml::model::holdout_score;
+use arda::ml::metrics::{r2, rmse};
+use arda::ml::model::best_holdout_score;
 use arda::prelude::*;
 
+const FOREST: ModelKind = ModelKind::RandomForest {
+    n_trees: 48,
+    max_depth: 12,
+};
+
+/// R² and, for the error view of Fig. 5, RMSE of one forest fit on the
+/// holdout split.
 fn evaluate(joined: &Table, target: &str, seed: u64) -> (f64, f64) {
     let (imputed, _) = arda::join::impute::impute(joined, seed).unwrap();
     let ds = featurize(&imputed, target, false, &FeaturizeOptions::default()).unwrap();
-    let (train, test) = arda::ml::train_test_split(ds.n_samples(), 0.25, seed);
-    let kind = ModelKind::RandomForest {
-        n_trees: 48,
-        max_depth: 12,
-    };
-    let r2 = holdout_score(&ds, &kind, &train, &test, seed).unwrap();
-    // Also report RMSE for the error view used in Fig. 5.
+    let (train, test) = ds.holdout_split(seed);
     let tr = ds.select_rows(&train).unwrap();
     let te = ds.select_rows(&test).unwrap();
-    let model = kind.fit(&tr.x, &tr.y, ds.task, seed).unwrap();
+    let model = FOREST.fit(&tr.x, &tr.y, ds.task, seed).unwrap();
     let pred = model.predict(&te.x).unwrap();
-    (r2, rmse(&pred, &te.y))
+    (r2(&pred, &te.y), rmse(&pred, &te.y))
 }
 
 fn main() {
@@ -78,17 +79,6 @@ fn main() {
             &FeaturizeOptions::default(),
         )
         .unwrap();
-        let (train, test) = arda::ml::train_test_split(ds.n_samples(), 0.25, 5);
-        holdout_score(
-            &ds,
-            &ModelKind::RandomForest {
-                n_trees: 48,
-                max_depth: 12,
-            },
-            &train,
-            &test,
-            5,
-        )
-        .unwrap()
+        best_holdout_score(&ds, &[FOREST], 5).unwrap().0
     });
 }

@@ -35,13 +35,13 @@
 //! |---|---|
 //! | [`table`] | columnar tables, CSV, ARDA's mean/mode group-by, `.arda` shards, the lazy sharded [`Repository`](table::Repository) and its catalog (`arda-table`) |
 //! | [`linalg`] | dense matrix, Cholesky solves, MVN sampling, OSNAP sketches |
-//! | [`ml`] | trees, forests, linear models, SVMs, metrics, splits |
+//! | [`ml`] | trees, forests, linear models, SVMs, metrics, splits, the best-of-estimators holdout score |
 //! | [`join`] | hard/soft joins, time resampling, imputation |
 //! | [`coreset`] | uniform / stratified row coresets, post-join OSNAP sketching (`sketch_xy`) |
 //! | [`select`] | RIFS + all baseline feature selectors |
 //! | [`discovery`] | join-discovery simulator (Aurum/Auctus stand-in): mines a repository for ranked candidate joins, stores nothing |
 //! | [`synth`] | scenario generators with planted ground truth |
-//! | [`core`] | the end-to-end pipeline, join plans, AutoML-lite |
+//! | [`core`] | the end-to-end pipeline and its join plans |
 
 pub use arda_core as core;
 pub use arda_coreset as coreset;
@@ -55,7 +55,7 @@ pub use arda_table as table;
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use arda_core::{automl_search, Arda, ArdaConfig, AugmentationReport, JoinPlan};
+    pub use arda_core::{Arda, ArdaConfig, AugmentationReport, JoinPlan};
     pub use arda_coreset::{CoresetMethod, CoresetSpec};
     pub use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind};
     pub use arda_join::{execute_join, JoinKind, JoinSpec, SoftMethod};

@@ -348,6 +348,42 @@ fn degenerate_inputs_are_rejected_by_library_and_cli() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--tr nan` parses as a number, and a NaN τ would keep every candidate;
+/// it and a negative τ exit 1 naming τ.
+#[test]
+fn cli_rejects_a_nan_or_negative_tau() {
+    let dir = std::env::temp_dir().join(format!("arda_cli_tau_{}", std::process::id()));
+    let repo = dir.join("repo");
+    std::fs::create_dir_all(&repo).unwrap();
+    let mut base_csv = String::from("key,y\n");
+    let mut ext_csv = String::from("key,boost\n");
+    for i in 0..40 {
+        base_csv.push_str(&format!("{i},{}\n", i % 5));
+        ext_csv.push_str(&format!("{i},{}\n", i % 7));
+    }
+    write(&dir.join("base.csv"), &base_csv);
+    write(&repo.join("ext.csv"), &ext_csv);
+    for tau in ["nan", "-1"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_arda-cli"))
+            .args([
+                "--base",
+                dir.join("base.csv").to_str().unwrap(),
+                "--target",
+                "y",
+                "--repo",
+                repo.to_str().unwrap(),
+                "--tr",
+                tau,
+            ])
+            .output()
+            .expect("run arda-cli");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "--tr {tau}: stderr {stderr}");
+        assert!(stderr.contains("τ"), "--tr {tau}: CLI said {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Repository-side edge cases, through the library and the CLI: a ragged
 /// base or shard and a truncated `.arda` shard are errors that name the
 /// failing file once; a corrupt or garbage `_catalog.arda` is a cold

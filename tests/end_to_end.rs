@@ -318,37 +318,3 @@ fn csv_round_trip_through_pipeline() {
     .unwrap();
     assert!(report.augmented_score.is_finite());
 }
-
-#[test]
-fn automl_comparator_runs_on_augmented_output() {
-    let sc = arda::synth::school(
-        &ScenarioConfig {
-            n_rows: 150,
-            n_decoys: 2,
-            seed: 9,
-        },
-        false,
-    );
-    let repo = Repository::from_tables(sc.repository.clone());
-    let report = Arda::new(ArdaConfig {
-        selector: SelectorKind::Ranking(RankingMethod::MutualInfo),
-        seed: 9,
-        ..Default::default()
-    })
-    .run(&sc.base, &repo, &sc.target)
-    .unwrap();
-    let ds = featurize(
-        &report.augmented,
-        &sc.target,
-        false,
-        &FeaturizeOptions::default(),
-    )
-    .unwrap();
-    let automl = automl_search(&ds, std::time::Duration::from_secs(5), 9).unwrap();
-    assert!(
-        automl.best_score > 0.5,
-        "automl score {}",
-        automl.best_score
-    );
-    assert!(automl.evaluated >= 1);
-}

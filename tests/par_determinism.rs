@@ -1,8 +1,8 @@
 //! Parallel-vs-sequential determinism of the kernels and stages under the
 //! pipeline: blocked matmul, gram and transpose, soft joins, forest fits,
-//! featurization, RIFS fractions and the pipeline itself must produce
-//! output identical to their sequential run across random shapes, seeds
-//! and budgets {1, 2, 3, 8}.
+//! featurization and RIFS fractions must produce output identical to their
+//! sequential run across random shapes, seeds and budgets {1, 2, 3, 8}.
+//! `tests/budget_determinism.rs` covers the pipeline itself.
 //!
 //! The `arda-par` primitives hand each worker contiguous, ordered chunks
 //! and stitch results back in order, so these are *exact* equality
@@ -247,41 +247,5 @@ fn rifs_fractions_identical_across_thread_counts() {
     };
     assert_identical_across_budgets("rifs_fractions", || {
         arda::select::rifs_fractions(&ds, &cfg, 7).unwrap()
-    });
-}
-
-/// The full pipeline — coreset, parallel batch joins, imputation, parallel
-/// featurization, RIFS, final estimate — is deterministic in the seed at
-/// any budget.
-#[test]
-fn pipeline_identical_across_thread_counts() {
-    let sc = arda::synth::taxi(&ScenarioConfig {
-        n_rows: 140,
-        n_decoys: 3,
-        seed: 11,
-    });
-    let repo = Repository::from_tables(sc.repository.clone());
-    let config = ArdaConfig {
-        selector: SelectorKind::Rifs(RifsConfig {
-            repeats: 3,
-            rf_trees: 8,
-            ..Default::default()
-        }),
-        seed: 11,
-        ..Default::default()
-    };
-    assert_identical_across_budgets("pipeline", || {
-        let report = Arda::new(config.clone())
-            .run(&sc.base, &repo, &sc.target)
-            .unwrap();
-        (
-            report.base_score.to_bits(),
-            report.augmented_score.to_bits(),
-            report
-                .selected
-                .iter()
-                .map(|s| format!("{}.{}", s.table, s.column))
-                .collect::<Vec<_>>(),
-        )
     });
 }
