@@ -17,7 +17,9 @@ mod common;
 
 use arda::prelude::*;
 use arda_par::Budget;
-use common::{assert_identical_across_budgets, ragged, BUDGETS};
+use common::{
+    assert_identical_across_budgets, assert_pipeline_identical_across_budgets, ragged, BUDGETS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,41 +180,10 @@ fn discovery_identical_across_budgets() {
 
 /// The full pipeline — discovery, batch joins with per-candidate budget
 /// splits, group-by pre-aggregation, featurization, RIFS with the parallel
-/// τ-sweep, final estimate — is deterministic in the seed at any budget,
-/// on two taxi sizes and seeds.
+/// τ-sweep, final estimate — is deterministic in the seed at any budget.
 #[test]
 fn pipeline_identical_across_budgets() {
-    for (n_rows, seed) in [(130, 21), (140, 11)] {
-        let sc = arda::synth::taxi(&ScenarioConfig {
-            n_rows,
-            n_decoys: 3,
-            seed,
-        });
-        let repo = Repository::from_tables(sc.repository.clone());
-        let config = ArdaConfig {
-            selector: SelectorKind::Rifs(RifsConfig {
-                repeats: 3,
-                rf_trees: 8,
-                ..Default::default()
-            }),
-            seed,
-            ..Default::default()
-        };
-        assert_identical_across_budgets(&format!("pipeline taxi({n_rows}, {seed})"), || {
-            let report = Arda::new(config.clone())
-                .run(&sc.base, &repo, &sc.target)
-                .unwrap();
-            (
-                report.base_score.to_bits(),
-                report.augmented_score.to_bits(),
-                report
-                    .selected
-                    .iter()
-                    .map(|s| format!("{}.{}", s.table, s.column))
-                    .collect::<Vec<_>>(),
-            )
-        });
-    }
+    assert_pipeline_identical_across_budgets(130, 21);
 }
 
 /// CSV ingestion — the quote-aware cut into runs, parallel per-run type

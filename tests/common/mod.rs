@@ -1,5 +1,6 @@
 //! Budget sweep shared by the determinism suites.
 
+use arda::prelude::*;
 use arda_par::Budget;
 
 /// The budget widths every determinism sweep covers.
@@ -41,4 +42,39 @@ pub fn ragged(n: usize) -> bool {
     [2usize, 3, 8]
         .iter()
         .all(|&w| !n.is_multiple_of(n.div_ceil(w)))
+}
+
+/// Run the full pipeline with RIFS on a taxi scenario of `n_rows` rows and
+/// `seed` under every width in [`BUDGETS`], and assert the base score,
+/// augmented score and selected features are bit-identical.
+pub fn assert_pipeline_identical_across_budgets(n_rows: usize, seed: u64) {
+    let sc = arda::synth::taxi(&ScenarioConfig {
+        n_rows,
+        n_decoys: 3,
+        seed,
+    });
+    let repo = Repository::from_tables(sc.repository.clone());
+    let config = ArdaConfig {
+        selector: SelectorKind::Rifs(RifsConfig {
+            repeats: 3,
+            rf_trees: 8,
+            ..Default::default()
+        }),
+        seed,
+        ..Default::default()
+    };
+    assert_identical_across_budgets(&format!("pipeline taxi({n_rows}, {seed})"), || {
+        let report = Arda::new(config.clone())
+            .run(&sc.base, &repo, &sc.target)
+            .unwrap();
+        (
+            report.base_score.to_bits(),
+            report.augmented_score.to_bits(),
+            report
+                .selected
+                .iter()
+                .map(|s| format!("{}.{}", s.table, s.column))
+                .collect::<Vec<_>>(),
+        )
+    });
 }

@@ -1,8 +1,8 @@
 //! Parallel-vs-sequential determinism of the kernels and stages under the
 //! pipeline: blocked matmul, gram and transpose, soft joins, forest fits,
-//! featurization and RIFS fractions must produce output identical to their
-//! sequential run across random shapes, seeds and budgets {1, 2, 3, 8}.
-//! `tests/budget_determinism.rs` covers the pipeline itself.
+//! featurization, RIFS fractions and the pipeline itself must produce
+//! output identical to their sequential run across random shapes, seeds
+//! and budgets {1, 2, 3, 8}.
 //!
 //! The `arda-par` primitives hand each worker contiguous, ordered chunks
 //! and stitch results back in order, so these are *exact* equality
@@ -17,7 +17,7 @@ mod common;
 
 use arda::linalg::Matrix;
 use arda::prelude::*;
-use common::{assert_identical_across_budgets, ragged};
+use common::{assert_identical_across_budgets, assert_pipeline_identical_across_budgets, ragged};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -248,4 +248,12 @@ fn rifs_fractions_identical_across_thread_counts() {
     assert_identical_across_budgets("rifs_fractions", || {
         arda::select::rifs_fractions(&ds, &cfg, 7).unwrap()
     });
+}
+
+/// The full pipeline — coreset, parallel batch joins, imputation, parallel
+/// featurization, RIFS, final estimate — is deterministic in the seed at
+/// any budget, on a second taxi size and seed.
+#[test]
+fn pipeline_identical_across_thread_counts() {
+    assert_pipeline_identical_across_budgets(140, 11);
 }
