@@ -8,7 +8,9 @@ use arda_coreset::{row_coreset, CoresetSpec};
 use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
 use arda_join::{execute_join, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod};
 use arda_ml::model::best_holdout_score;
-use arda_ml::{featurize, featurize_with_sources, Dataset, FeaturizeOptions, MlError, ModelKind};
+use arda_ml::{
+    encode_target, featurize, featurize_with_sources, Dataset, FeaturizeOptions, MlError, ModelKind,
+};
 use arda_select::{
     run_selector, tuple_ratio_filter, SelectionContext, SelectorKind, TupleRatioDecision,
 };
@@ -127,11 +129,31 @@ impl Arda {
     /// discovery too.
     pub fn run(&self, base: &Table, repo: &Repository, target: &str) -> Result<AugmentationReport> {
         let start = Instant::now();
+        self.validate(base, target)?;
         let mut candidates = discover_joins(base, repo, &self.config.discovery)?;
         candidates.retain(|c| c.base_key != target);
         let mut report = self.augment(base, repo, &candidates, target)?;
         report.seconds = start.elapsed().as_secs_f64();
         Ok(report)
+    }
+
+    /// Reject a NaN or negative τ and a target with fewer than two
+    /// distinct non-null values. [`Arda::run`] checks before discovery, so
+    /// a bad input loads no shard.
+    fn validate(&self, base: &Table, target: &str) -> Result<()> {
+        // `ratio > τ` is never true for a NaN τ, so it would keep every
+        // candidate without a word.
+        if let Some(tau) = self.config.tr_threshold.filter(|t| t.is_nan() || *t < 0.0) {
+            return Err(ArdaError::Invalid(format!(
+                "Tuple-Ratio threshold τ = {tau} must be a non-negative number"
+            )));
+        }
+        if base.column(target)?.distinct().len() < 2 {
+            return Err(ArdaError::Invalid(format!(
+                "target `{target}` has fewer than two distinct non-null values"
+            )));
+        }
+        Ok(())
     }
 
     /// Augment `base` using a caller-provided (discovery-system) candidate
@@ -145,41 +167,11 @@ impl Arda {
     ) -> Result<AugmentationReport> {
         let start = Instant::now();
         let cfg = &self.config;
-        // `ratio > τ` is never true for a NaN τ, so it would keep every
-        // candidate without a word.
-        if let Some(tau) = cfg.tr_threshold.filter(|t| t.is_nan() || *t < 0.0) {
-            return Err(ArdaError::Invalid(format!(
-                "Tuple-Ratio threshold τ = {tau} must be a non-negative number"
-            )));
-        }
-        if base.column(target)?.distinct().len() < 2 {
-            return Err(ArdaError::Invalid(format!(
-                "target `{target}` has fewer than two distinct non-null values"
-            )));
-        }
+        self.validate(base, target)?;
 
         // ---- Coreset construction -------------------------------------
-        let labels: Option<Vec<f64>> = {
-            let tcol = base.column(target)?;
-            let is_cls = cfg.force_classification
-                || !tcol.dtype().is_numeric()
-                || tcol.dtype() == DataType::Bool;
-            if is_cls {
-                // Map labels to ids for stratification.
-                let mut ids: HashMap<String, usize> = HashMap::new();
-                Some(
-                    tcol.iter()
-                        .map(|v| {
-                            let key = v.to_string();
-                            let next = ids.len();
-                            *ids.entry(key).or_insert(next) as f64
-                        })
-                        .collect(),
-                )
-            } else {
-                None
-            }
-        };
+        let (y, task) = encode_target(base.column(target)?, cfg.force_classification);
+        let labels = task.is_classification().then_some(y);
         let coreset_idx = row_coreset(base.n_rows(), labels.as_deref(), &cfg.coreset);
         let mut kept = base.take(&coreset_idx)?;
         let base_columns: HashSet<String> = kept
@@ -489,6 +481,45 @@ mod tests {
                 "τ = {tau}: {err}"
             );
         }
+    }
+
+    /// `run` checks τ and the target before discovery, so a bad input
+    /// leaves every CSV shard of a sharded repository unloaded.
+    #[test]
+    fn run_rejects_bad_inputs_before_loading_a_shard() {
+        let sc = taxi(&ScenarioConfig {
+            n_rows: 60,
+            n_decoys: 2,
+            seed: 4,
+        });
+        let dir = std::env::temp_dir().join(format!("arda_core_validate_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for t in &sc.repository {
+            let file = std::fs::File::create(dir.join(format!("{}.csv", t.name()))).unwrap();
+            arda_table::write_csv(t, file).unwrap();
+        }
+        let mut nan_tau = fast_config(4);
+        nan_tau.tr_threshold = Some(f64::NAN);
+        let features: Vec<&str> = (sc.base.columns().iter())
+            .map(|c| c.name())
+            .filter(|name| *name != sc.target)
+            .collect();
+        let mut constant = sc.base.select(&features).unwrap();
+        let n = constant.n_rows();
+        constant
+            .add_column(arda_table::Column::from_f64(&sc.target, vec![1.5; n]))
+            .unwrap();
+        for (label, arda, base) in [
+            ("NaN τ", Arda::new(nan_tau), &sc.base),
+            ("constant target", Arda::new(fast_config(4)), &constant),
+        ] {
+            let repo = Repository::from_dir(&dir).unwrap();
+            let err = arda.run(base, &repo, &sc.target).unwrap_err();
+            assert!(matches!(err, ArdaError::Invalid(_)), "{label}: {err}");
+            assert_eq!(repo.resident_shards(), 0, "{label}: no shard loaded");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! Missing-value imputation (ARDA §4 "Imputation").
 //!
 //! LEFT joins introduce nulls for unmatched base rows. Following the paper,
-//! imputation is deliberately simple and fast: numeric nulls take the column
-//! median, categorical nulls take a uniform random draw from the observed
-//! values of the column.
+//! imputation is deliberately simple and fast. A column with some (but not
+//! all) nulls is filled in its own type from its non-null values:
+//!
+//! * `Float` takes the median;
+//! * `Int` and `Timestamp` take the median rounded to the nearest integer
+//!   (halves away from zero);
+//! * `Bool` takes `median >= 0.5` over false = 0 / true = 1, so an even
+//!   split fills `true`;
+//! * `Str` takes a uniform random draw from the observed values, one draw
+//!   per null in row order, columns in table order.
 
 use crate::Result;
-use arda_table::{Column, ColumnData, Table, Value};
+use arda_table::{Column, ColumnData, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,59 +26,45 @@ pub fn impute(table: &Table, seed: u64) -> Result<(Table, usize)> {
     let mut filled = 0usize;
 
     for col in table.columns() {
-        let n = col.len();
-        if col.null_count() == 0 || col.null_count() == n {
+        let nulls = col.null_count();
+        if nulls == 0 || nulls == col.len() {
             out.add_column(col.clone())?;
             continue;
         }
-        let new_col = match col.data() {
-            ColumnData::Float(_)
-            | ColumnData::Int(_)
-            | ColumnData::Timestamp(_)
-            | ColumnData::Bool(_) => {
-                let median = col.median().expect("non-null values exist");
-                let values: Vec<Value> = (0..n)
-                    .map(|i| {
-                        let v = col.get(i);
-                        if v.is_null() {
-                            filled += 1;
-                            match col.data() {
-                                ColumnData::Float(_) => Value::Float(median),
-                                ColumnData::Bool(_) => Value::Bool(median >= 0.5),
-                                ColumnData::Timestamp(_) => Value::Timestamp(median.round() as i64),
-                                _ => Value::Int(median.round() as i64),
-                            }
-                        } else {
-                            v
-                        }
-                    })
-                    .collect();
-                Column::from_values(col.name(), col.dtype(), values)?
-            }
-            ColumnData::Str(_) => {
-                let observed: Vec<Value> = col.iter().filter(|v| !v.is_null()).collect();
-                let values: Vec<Value> = (0..n)
-                    .map(|i| {
-                        let v = col.get(i);
-                        if v.is_null() {
-                            filled += 1;
-                            observed[rng.gen_range(0..observed.len())].clone()
-                        } else {
-                            v
-                        }
-                    })
-                    .collect();
-                Column::from_values(col.name(), col.dtype(), values)?
+        filled += nulls;
+        let median = || col.median().expect("non-null values exist");
+        let data = match col.data() {
+            ColumnData::Float(v) => ColumnData::Float(fill(v, median())),
+            ColumnData::Int(v) => ColumnData::Int(fill(v, median().round() as i64)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(fill(v, median().round() as i64)),
+            ColumnData::Bool(v) => ColumnData::Bool(fill(v, median() >= 0.5)),
+            ColumnData::Str(v) => {
+                let observed: Vec<&String> = v.iter().flatten().collect();
+                let mut draw = || observed[rng.gen_range(0..observed.len())].clone();
+                ColumnData::Str(
+                    v.iter()
+                        .map(|x| Some(x.clone().unwrap_or_else(&mut draw)))
+                        .collect(),
+                )
             }
         };
-        out.add_column(new_col)?;
+        out.add_column(Column::new(col.name(), data))?;
     }
     Ok((out, filled))
+}
+
+/// `values` with every null replaced by `with`.
+fn fill<T: Clone>(values: &[Option<T>], with: T) -> Vec<Option<T>> {
+    values
+        .iter()
+        .map(|x| Some(x.clone().unwrap_or_else(|| with.clone())))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arda_table::Value;
 
     #[test]
     fn numeric_nulls_take_median() {
@@ -99,6 +92,36 @@ mod tests {
         let (out, _) = impute(&t, 0).unwrap();
         // median of {1,2} = 1.5 → rounds to 2.
         assert_eq!(out.column("x").unwrap().get(1), Value::Int(2));
+    }
+
+    #[test]
+    fn bool_and_timestamp_nulls_fill_in_their_own_type() {
+        let t = Table::new(
+            "t",
+            vec![
+                // Observed {false, true}: the median is exactly 0.5.
+                Column::new(
+                    "b",
+                    ColumnData::Bool(vec![Some(false), None, Some(true), None]),
+                ),
+                // Observed {10, 11}: the median 10.5 rounds up.
+                Column::new(
+                    "ts",
+                    ColumnData::Timestamp(vec![Some(11), None, Some(10), None]),
+                ),
+            ],
+        )
+        .unwrap();
+        let (out, filled) = impute(&t, 0).unwrap();
+        assert_eq!(filled, 4);
+        assert_eq!(
+            out.column("b").unwrap().data(),
+            &ColumnData::Bool(vec![Some(false), Some(true), Some(true), Some(true)])
+        );
+        assert_eq!(
+            out.column("ts").unwrap().data(),
+            &ColumnData::Timestamp(vec![Some(11), Some(11), Some(10), Some(11)])
+        );
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl MomentMatchedSampler {
         self.mu.len()
     }
 
-    /// The fitted empirical mean µ.
-    pub fn mean(&self) -> &[f64] {
-        &self.mu
-    }
-
     /// Draw one sample from `N(µ, Σ)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let g = normal_vec(rng, self.centered.cols());
@@ -122,7 +117,7 @@ mod tests {
         ])
         .unwrap();
         let s = MomentMatchedSampler::fit(&a);
-        assert_eq!(s.mean(), &[2.5, 10.0, 0.0]);
+        assert_eq!(s.mu, [2.5, 10.0, 0.0]);
         let mut rng = StdRng::seed_from_u64(7);
         let k = 4000;
         let mut sums = [0.0; 3];
@@ -131,7 +126,7 @@ mod tests {
                 *acc += v;
             }
         }
-        for (acc, mu) in sums.iter().zip(s.mean()) {
+        for (acc, mu) in sums.iter().zip(&s.mu) {
             let emp = acc / k as f64;
             assert!((emp - mu).abs() < 0.15, "empirical {emp} vs {mu}");
         }

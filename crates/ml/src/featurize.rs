@@ -67,42 +67,7 @@ pub fn featurize_with_sources(
         return Err(MlError::Invalid("cannot featurize an empty table".into()));
     }
 
-    // ----- target -----
-    let (y, task) = match target_col.dtype() {
-        DataType::Float if !force_classification => {
-            let mut y = Vec::with_capacity(n);
-            let median = target_col.median().unwrap_or(0.0);
-            for i in 0..n {
-                y.push(target_col.get_f64(i).unwrap_or(median));
-            }
-            (y, Task::Regression)
-        }
-        DataType::Int | DataType::Timestamp if !force_classification => {
-            let median = target_col.median().unwrap_or(0.0);
-            let y = (0..n)
-                .map(|i| target_col.get_f64(i).unwrap_or(median))
-                .collect();
-            (y, Task::Regression)
-        }
-        _ => {
-            // Map distinct label values to contiguous class ids.
-            let mut ids: HashMap<String, usize> = HashMap::new();
-            let mut y = Vec::with_capacity(n);
-            for i in 0..n {
-                let v = target_col.get(i);
-                let label = if v.is_null() {
-                    "__null__".to_string()
-                } else {
-                    v.to_string()
-                };
-                let next = ids.len();
-                let id = *ids.entry(label).or_insert(next);
-                y.push(id as f64);
-            }
-            let k = ids.len();
-            (y, Task::Classification { n_classes: k })
-        }
-    };
+    let (y, task) = encode_target(target_col, force_classification);
 
     // ----- features -----
     // Each source column encodes independently, so the per-column work runs
@@ -135,6 +100,39 @@ pub fn featurize_with_sources(
     // row-major matrix (no per-cell indirection).
     let x = Matrix::from_columns(n, &columns).map_err(|e| MlError::ShapeMismatch(e.to_string()))?;
     Ok((Dataset::new(x, y, names, task)?, sources))
+}
+
+/// ARDA's target rule: a Float, Int or Timestamp target (unless
+/// `force_classification`) is a regression target, its nulls taking the
+/// median; any other target is a classification target, its labels mapped
+/// to contiguous class ids in order of first appearance. Nulls form their
+/// own class, labelled `__null__`, apart from any `"null"` string.
+pub fn encode_target(target: &Column, force_classification: bool) -> (Vec<f64>, Task) {
+    let n = target.len();
+    match target.dtype() {
+        DataType::Float | DataType::Int | DataType::Timestamp if !force_classification => {
+            let median = target.median().unwrap_or(0.0);
+            let y = (0..n)
+                .map(|i| target.get_f64(i).unwrap_or(median))
+                .collect();
+            (y, Task::Regression)
+        }
+        _ => {
+            let mut ids: HashMap<String, usize> = HashMap::new();
+            let mut y = Vec::with_capacity(n);
+            for v in target.iter() {
+                let label = if v.is_null() {
+                    "__null__".to_string()
+                } else {
+                    v.to_string()
+                };
+                let next = ids.len();
+                y.push(*ids.entry(label).or_insert(next) as f64);
+            }
+            let n_classes = ids.len();
+            (y, Task::Classification { n_classes })
+        }
+    }
 }
 
 /// Encode one feature column into zero or more named numeric columns,
@@ -323,6 +321,41 @@ mod tests {
         let (d, sources) = featurize_with_sources(&t, "y", false, &Default::default()).unwrap();
         assert_eq!(d.feature_names, ["a=b", "c=k=1", "c=k=2"]);
         assert_eq!(sources, [0, 2, 2]);
+    }
+
+    #[test]
+    fn encode_target_rule() {
+        // A null is its own class, apart from the string "null".
+        let labels = Column::from_str_opt(
+            "y",
+            vec![
+                Some("null".into()),
+                None,
+                Some("a".into()),
+                None,
+                Some("null".into()),
+            ],
+        );
+        let (y, task) = encode_target(&labels, false);
+        assert_eq!(task, Task::Classification { n_classes: 3 });
+        assert_eq!(y, vec![0.0, 1.0, 2.0, 1.0, 0.0]);
+
+        let (y, task) = encode_target(&Column::from_bool("b", vec![true, false, true]), false);
+        assert_eq!(
+            (y, task),
+            (vec![0.0, 1.0, 0.0], Task::Classification { n_classes: 2 })
+        );
+        let ints = Column::from_i64_opt("i", vec![Some(7), None, Some(5), Some(9)]);
+        let (y, task) = encode_target(&ints, false);
+        assert_eq!((y, task), (vec![7.0, 7.0, 5.0, 9.0], Task::Regression));
+        let (y, task) = encode_target(&ints, true);
+        assert_eq!(
+            (y, task),
+            (
+                vec![0.0, 1.0, 2.0, 3.0],
+                Task::Classification { n_classes: 4 }
+            )
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod svm;
 pub mod tree;
 
 pub use dataset::{Dataset, Task};
-pub use featurize::{featurize, featurize_with_sources, FeaturizeOptions};
+pub use featurize::{encode_target, featurize, featurize_with_sources, FeaturizeOptions};
 pub use forest::{ForestConfig, RandomForest};
 pub use knn::nearest_neighbors;
 pub use linear::{Lasso, LinearSvm, LogisticRegression, Ridge};

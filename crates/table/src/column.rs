@@ -1,6 +1,6 @@
 //! Typed, named columns with null masks.
 
-use crate::{DataType, Result, TableError, Value};
+use crate::{DataType, Value};
 
 /// Physical storage for one column. Each variant stores values alongside an
 /// implicit null mask via `Option`.
@@ -126,89 +126,6 @@ impl Column {
         )
     }
 
-    /// Build a column of `dtype` from dynamically typed values, converting
-    /// where lossless and erroring otherwise. Nulls pass through.
-    ///
-    /// The coercion matrix is the same one [`Self::push`] enforces (see
-    /// its docs), with one constructor-only extension: `DataType::Str`
-    /// accepts any value via its `Display` form, because building a text
-    /// column from mixed values is an explicit, caller-visible request.
-    pub fn from_values(
-        name: impl Into<String>,
-        dtype: DataType,
-        values: Vec<Value>,
-    ) -> Result<Self> {
-        let name = name.into();
-        let mismatch = |v: &Value| TableError::TypeMismatch {
-            column: name.clone(),
-            expected: dtype.to_string(),
-            actual: format!("{v:?}"),
-        };
-        let data = match dtype {
-            DataType::Int => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in &values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Int(x) | Value::Timestamp(x) => Some(*x),
-                        // Bool is deliberately rejected: `Value::total_cmp`
-                        // keeps Bool outside the Int/Float/Timestamp numeric
-                        // family, and the storage coercions mirror that.
-                        _ => return Err(mismatch(v)),
-                    });
-                }
-                ColumnData::Int(out)
-            }
-            DataType::Float => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in &values {
-                    out.push(match v {
-                        Value::Null => None,
-                        other => match other.as_f64() {
-                            Some(x) => Some(x),
-                            None => return Err(mismatch(v)),
-                        },
-                    });
-                }
-                ColumnData::Float(out)
-            }
-            DataType::Str => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Str(s) => Some(s),
-                        other => Some(other.to_string()),
-                    });
-                }
-                ColumnData::Str(out)
-            }
-            DataType::Bool => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in &values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Bool(b) => Some(*b),
-                        _ => return Err(mismatch(v)),
-                    });
-                }
-                ColumnData::Bool(out)
-            }
-            DataType::Timestamp => {
-                let mut out = Vec::with_capacity(values.len());
-                for v in &values {
-                    out.push(match v {
-                        Value::Null => None,
-                        Value::Timestamp(x) | Value::Int(x) => Some(*x),
-                        _ => return Err(mismatch(v)),
-                    });
-                }
-                ColumnData::Timestamp(out)
-            }
-        };
-        Ok(Column { name, data })
-    }
-
     /// Column name.
     pub fn name(&self) -> &str {
         &self.name
@@ -310,78 +227,9 @@ impl Column {
         }
     }
 
-    /// All values as `f64` with nulls/non-numerics as `None`.
-    pub fn to_f64_vec(&self) -> Vec<Option<f64>> {
-        (0..self.len()).map(|i| self.get_f64(i)).collect()
-    }
-
     /// Iterator over dynamically typed values.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Append a single dynamically typed value (must match the column type or
-    /// be null).
-    ///
-    /// ## Coercion matrix
-    ///
-    /// Aligned with [`Value::total_cmp`]'s numeric ordering, where
-    /// `Int`/`Float`/`Timestamp` form one numeric family and `Bool` sits
-    /// outside it. `✓` = accepted (plus `Null` into every column):
-    ///
-    /// | column \ value | Int | Float | Timestamp | Bool | Str |
-    /// |----------------|-----|-------|-----------|------|-----|
-    /// | Int            | ✓   |       | ✓         |      |     |
-    /// | Timestamp      | ✓   |       | ✓         |      |     |
-    /// | Float          | ✓   | ✓     | ✓         | ✓    |     |
-    /// | Bool           |     |       |           | ✓    |     |
-    /// | Str            |     |       |           |      | ✓   |
-    ///
-    /// Int↔Timestamp is symmetric (both are `i64` ticks; discovery and
-    /// soft joins already treat the pair as compatible). Float accepts the
-    /// whole family through [`Value::as_f64`] — including `Bool`'s one-way
-    /// 0/1 embedding, which is lossy to reverse and therefore *not*
-    /// mirrored by Int/Timestamp/Bool columns.
-    pub fn push(&mut self, value: Value) -> Result<()> {
-        let mismatch = |v: &Value, dtype: DataType| TableError::TypeMismatch {
-            column: self.name.clone(),
-            expected: dtype.to_string(),
-            actual: format!("{v:?}"),
-        };
-        match (&mut self.data, &value) {
-            (ColumnData::Int(v), Value::Null) => v.push(None),
-            (ColumnData::Int(v), Value::Int(x) | Value::Timestamp(x)) => v.push(Some(*x)),
-            (ColumnData::Float(v), Value::Null) => v.push(None),
-            (ColumnData::Float(v), other) => match other.as_f64() {
-                Some(x) => v.push(Some(x)),
-                None => return Err(mismatch(&value, DataType::Float)),
-            },
-            (ColumnData::Str(v), Value::Null) => v.push(None),
-            (ColumnData::Str(v), Value::Str(s)) => v.push(Some(s.clone())),
-            (ColumnData::Bool(v), Value::Null) => v.push(None),
-            (ColumnData::Bool(v), Value::Bool(b)) => v.push(Some(*b)),
-            (ColumnData::Timestamp(v), Value::Null) => v.push(None),
-            (ColumnData::Timestamp(v), Value::Timestamp(x) | Value::Int(x)) => v.push(Some(*x)),
-            (data, v) => return Err(mismatch(v, data.dtype())),
-        }
-        Ok(())
-    }
-
-    /// Mean of the non-null numeric values (None for all-null or non-numeric).
-    pub fn mean(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for i in 0..self.len() {
-            if let Some(x) = self.get_f64(i) {
-                sum += x;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
     }
 
     /// Median of the non-null numeric values.
@@ -449,30 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn push_type_checked() {
-        let mut c = Column::from_i64("a", vec![1]);
-        c.push(Value::Int(2)).unwrap();
-        c.push(Value::Null).unwrap();
-        assert!(c.push(Value::Str("no".into())).is_err());
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn float_column_accepts_ints_on_push() {
-        let mut c = Column::from_f64("f", vec![1.0]);
-        c.push(Value::Int(2)).unwrap();
-        assert_eq!(c.get_f64(1), Some(2.0));
-    }
-
-    #[test]
     fn mean_median() {
         let c = Column::from_f64_opt("x", vec![Some(1.0), Some(3.0), None, Some(2.0)]);
-        assert_eq!(c.mean(), Some(2.0));
         assert_eq!(c.median(), Some(2.0));
         let even = Column::from_f64("y", vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(even.median(), Some(2.5));
         let empty = Column::from_f64_opt("z", vec![None, None]);
-        assert_eq!(empty.mean(), None);
         assert_eq!(empty.median(), None);
     }
 
@@ -487,111 +317,9 @@ mod tests {
     }
 
     #[test]
-    fn from_values_conversions() {
-        let c = Column::from_values(
-            "v",
-            DataType::Float,
-            vec![Value::Int(1), Value::Float(2.5), Value::Null],
-        )
-        .unwrap();
-        assert_eq!(c.get_f64(0), Some(1.0));
-        assert_eq!(c.get_f64(1), Some(2.5));
-        assert!(c.get(2).is_null());
-        let err = Column::from_values("v", DataType::Int, vec![Value::Str("x".into())]);
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn timestamp_numeric_view() {
         let c = Column::from_timestamps("t", vec![100, 200]);
         assert_eq!(c.dtype(), DataType::Timestamp);
         assert_eq!(c.get_f64(1), Some(200.0));
-    }
-
-    /// Pin the full `push` coercion matrix (see the method docs). The
-    /// Int↔Timestamp pair is symmetric — the PR 5 audit found `push`
-    /// accepted Int into Timestamp builders but not the reverse, at odds
-    /// with `Value::total_cmp` treating them as one numeric family.
-    #[test]
-    fn push_coercion_matrix() {
-        let empty = |dt: DataType| -> Column { Column::from_values("c", dt, vec![]).unwrap() };
-        let probes = [
-            Value::Int(3),
-            Value::Float(2.5),
-            Value::Timestamp(9),
-            Value::Bool(true),
-            Value::Str("s".into()),
-        ];
-        // (column dtype, accepted probe indices into `probes`).
-        let matrix: [(DataType, &[usize]); 5] = [
-            (DataType::Int, &[0, 2]),
-            (DataType::Timestamp, &[0, 2]),
-            (DataType::Float, &[0, 1, 2, 3]),
-            (DataType::Bool, &[3]),
-            (DataType::Str, &[4]),
-        ];
-        for (dt, accepted) in matrix {
-            for (i, probe) in probes.iter().enumerate() {
-                let mut col = empty(dt);
-                let res = col.push(probe.clone());
-                assert_eq!(
-                    res.is_ok(),
-                    accepted.contains(&i),
-                    "push {probe:?} into {dt} column"
-                );
-            }
-            // Null goes everywhere.
-            let mut col = empty(dt);
-            col.push(Value::Null).unwrap();
-            assert_eq!(col.null_count(), 1);
-        }
-        // The accepted coercions preserve the numeric value.
-        let mut int_col = empty(DataType::Int);
-        int_col.push(Value::Timestamp(42)).unwrap();
-        assert_eq!(int_col.get(0), Value::Int(42));
-        let mut ts_col = empty(DataType::Timestamp);
-        ts_col.push(Value::Int(42)).unwrap();
-        assert_eq!(ts_col.get(0), Value::Timestamp(42));
-    }
-
-    /// `from_values` enforces the same matrix, except `Str` which also
-    /// stringifies (the documented constructor-only conversion). Bool into
-    /// Int is rejected on both paths — it used to slip through
-    /// `from_values` only.
-    #[test]
-    fn from_values_matches_push_matrix() {
-        for dt in [DataType::Int, DataType::Timestamp] {
-            assert!(Column::from_values("c", dt, vec![Value::Int(1)]).is_ok());
-            assert!(Column::from_values("c", dt, vec![Value::Timestamp(1)]).is_ok());
-            assert!(Column::from_values("c", dt, vec![Value::Bool(true)]).is_err());
-            assert!(Column::from_values("c", dt, vec![Value::Float(1.0)]).is_err());
-            assert!(Column::from_values("c", dt, vec![Value::Str("1".into())]).is_err());
-        }
-        assert!(Column::from_values("c", DataType::Bool, vec![Value::Int(1)]).is_err());
-        let f = Column::from_values(
-            "c",
-            DataType::Float,
-            vec![
-                Value::Int(1),
-                Value::Timestamp(2),
-                Value::Bool(true),
-                Value::Float(0.5),
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            f.to_f64_vec(),
-            vec![Some(1.0), Some(2.0), Some(1.0), Some(0.5)]
-        );
-        // Constructor-only: Str stringifies anything.
-        let s = Column::from_values(
-            "c",
-            DataType::Str,
-            vec![Value::Int(7), Value::Timestamp(5), Value::Null],
-        )
-        .unwrap();
-        assert_eq!(s.get(0), Value::Str("7".into()));
-        assert_eq!(s.get(1), Value::Str("@5".into()));
-        assert!(s.get(2).is_null());
     }
 }

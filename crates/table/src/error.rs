@@ -15,12 +15,6 @@ pub enum TableError {
         actual: usize,
         context: String,
     },
-    /// The operation required a different column type.
-    TypeMismatch {
-        column: String,
-        expected: String,
-        actual: String,
-    },
     /// A row index was out of bounds.
     RowOutOfBounds { index: usize, len: usize },
     /// CSV parsing failed.
@@ -45,16 +39,6 @@ impl fmt::Display for TableError {
                 write!(
                     f,
                     "length mismatch in {context}: expected {expected}, got {actual}"
-                )
-            }
-            TableError::TypeMismatch {
-                column,
-                expected,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "type mismatch for column {column}: expected {expected}, got {actual}"
                 )
             }
             TableError::RowOutOfBounds { index, len } => {

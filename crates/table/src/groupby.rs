@@ -6,7 +6,7 @@
 //! (§4 "Time-Resampling"). Both aggregate one way: numeric columns take
 //! the group mean, other columns the group mode.
 
-use crate::{Column, ColumnData, Key, Result, Table, Value};
+use crate::{Column, ColumnData, Key, Result, Table};
 use std::collections::HashMap;
 
 /// Cells (rows × aggregated columns) below which aggregation stays
@@ -57,7 +57,8 @@ impl<'a> GroupBy<'a> {
     /// ARDA's pre-aggregation: one output row per group. Key columns
     /// carry their first-row values; every other column keeps its name and
     /// takes the group mean of its non-null values if numeric, else the
-    /// group mode (ties broken by first appearance).
+    /// group mode (ties broken by first appearance; null for a group of
+    /// nulls).
     pub fn aggregate(&self) -> Result<Table> {
         let (_, groups) = self.groups()?;
         let first_rows: Vec<usize> = groups.iter().map(|g| g[0]).collect();
@@ -81,18 +82,16 @@ impl<'a> GroupBy<'a> {
         let agg_cols = arda_par::sequential_below(cells, PAR_MIN_AGG_CELLS, || {
             arda_par::par_map(&values, |_, src| aggregate_column(src, &groups))
         });
-        for col in agg_cols {
-            out_cols.push(col?);
-        }
+        out_cols.extend(agg_cols);
 
         Table::new(self.table.name().to_string(), out_cols)
     }
 }
 
-fn aggregate_column(src: &Column, groups: &[Vec<usize>]) -> Result<Column> {
-    if !src.dtype().is_numeric() {
-        let modes = groups.iter().map(|g| mode_of(src, g)).collect();
-        return Column::from_values(src.name(), src.dtype(), modes);
+fn aggregate_column(src: &Column, groups: &[Vec<usize>]) -> Column {
+    if let ColumnData::Str(values) = src.data() {
+        let modes: Vec<Option<usize>> = groups.iter().map(|g| mode_row(values, g)).collect();
+        return src.take_opt(&modes);
     }
     let means = groups
         .iter()
@@ -101,30 +100,28 @@ fn aggregate_column(src: &Column, groups: &[Vec<usize>]) -> Result<Column> {
             (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
         })
         .collect();
-    Ok(Column::new(src.name(), ColumnData::Float(means)))
+    Column::new(src.name(), ColumnData::Float(means))
 }
 
-fn mode_of(src: &Column, rows: &[usize]) -> Value {
-    let mut counts: HashMap<Key, (usize, usize)> = HashMap::new(); // key -> (count, first_pos)
-    let mut values: HashMap<Key, Value> = HashMap::new();
-    for (pos, &i) in rows.iter().enumerate() {
-        let v = src.get(i);
-        if let Some(k) = v.key() {
-            let e = counts.entry(k.clone()).or_insert((0, pos));
-            e.0 += 1;
-            values.entry(k).or_insert(v);
+/// The first of `rows` holding their most frequent non-null value (ties go
+/// to the value seen first), or `None` when every value is null.
+fn mode_row(values: &[Option<String>], rows: &[usize]) -> Option<usize> {
+    let mut counts: HashMap<&str, (usize, usize)> = HashMap::new(); // value -> (count, first row)
+    for &i in rows {
+        if let Some(v) = &values[i] {
+            counts.entry(v).or_insert((0, i)).0 += 1;
         }
     }
     counts
-        .into_iter()
-        .max_by(|a, b| a.1 .0.cmp(&b.1 .0).then(b.1 .1.cmp(&a.1 .1)))
-        .and_then(|(k, _)| values.remove(&k))
-        .unwrap_or(Value::Null)
+        .into_values()
+        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+        .map(|(_, row)| row)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     fn sample() -> Table {
         Table::new(
@@ -169,6 +166,25 @@ mod tests {
         let t = sample();
         let out = GroupBy::new(&t, &["store"]).unwrap().aggregate().unwrap();
         assert_eq!(out.column("clerk").unwrap().get(0), Value::Str("x".into()));
+
+        // Group 1 ties "q" and "p" twice each: "q" is seen first. Group 2
+        // holds only nulls, so its mode is null.
+        let some = |s: &str| Some(s.to_string());
+        let t = Table::new(
+            "t",
+            vec![
+                Column::from_i64("k", vec![1, 1, 2, 1, 2, 1]),
+                Column::from_str_opt(
+                    "c",
+                    vec![some("q"), some("p"), None, some("p"), None, some("q")],
+                ),
+            ],
+        )
+        .unwrap();
+        let out = GroupBy::new(&t, &["k"]).unwrap().aggregate().unwrap();
+        let c = out.column("c").unwrap();
+        assert_eq!(c.get(0), Value::Str("q".into()));
+        assert!(c.get(1).is_null());
     }
 
     #[test]

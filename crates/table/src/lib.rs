@@ -8,8 +8,10 @@
 //! converts the augmented table into a numeric feature matrix. This crate
 //! provides exactly that relational substrate, built from scratch:
 //!
-//! * [`Value`] — a dynamically typed cell, including `Null`.
-//! * [`Column`] — a typed, named column with a null mask (`Vec<Option<T>>`).
+//! * [`Value`] — a read-only, dynamically typed view of one cell,
+//!   including `Null`. Nothing builds a column from `Value`s.
+//! * [`Column`] — a typed, named column with a null mask, built from its
+//!   typed storage [`ColumnData`] (`Vec<Option<T>>` per [`DataType`]).
 //! * [`Schema`] / [`Field`] — column names and [`DataType`]s.
 //! * [`Table`] — a collection of equal-length columns with relational
 //!   operations: projection, row `take`, sorting and horizontal

@@ -6,8 +6,9 @@ use std::hash::{Hash, Hasher};
 
 /// A single dynamically typed cell in a table.
 ///
-/// `Value` is used at API boundaries (row access, join keys, imputation);
-/// bulk storage lives in typed [`crate::Column`]s.
+/// `Value` is a read-only view of one cell (row access, join keys,
+/// display). Columns are never built from `Value`s: storage is the typed
+/// [`crate::ColumnData`] inside each [`crate::Column`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Missing value (SQL NULL).
@@ -113,32 +114,6 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Timestamp(v) => write!(f, "@{v}"),
         }
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
     }
 }
 
@@ -268,13 +243,5 @@ mod tests {
         assert_eq!(Value::Str("hi".into()).to_string(), "hi");
         assert_eq!(Value::Null.to_string(), "null");
         assert_eq!(Value::Timestamp(9).to_string(), "@9");
-    }
-
-    #[test]
-    fn conversions() {
-        assert_eq!(Value::from(3i64), Value::Int(3));
-        assert_eq!(Value::from(2.0f64), Value::Float(2.0));
-        assert_eq!(Value::from("s"), Value::Str("s".into()));
-        assert_eq!(Value::from(true), Value::Bool(true));
     }
 }
