@@ -148,7 +148,10 @@ impl Arda {
                 "Tuple-Ratio threshold τ = {tau} must be a non-negative number"
             )));
         }
-        if base.column(target)?.distinct().len() < 2 {
+        let keys = base.column(target)?.keys();
+        let mut present = keys.iter().flatten();
+        let first = present.next();
+        if !first.is_some_and(|first| present.any(|k| k != first)) {
             return Err(ArdaError::Invalid(format!(
                 "target `{target}` has fewer than two distinct non-null values"
             )));

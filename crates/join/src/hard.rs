@@ -16,19 +16,35 @@ const PAR_MIN_ROWS: usize = 4_096;
 /// [`GroupBy::aggregate`]. Tables whose keys are already unique are
 /// borrowed as-is (cheap check first).
 pub fn pre_aggregate<'a>(foreign: &'a Table, keys: &[&str]) -> Result<Cow<'a, Table>> {
-    let key_values = foreign.keys(keys)?;
-    let mut seen: std::collections::HashSet<&Key> = std::collections::HashSet::new();
-    let mut duplicated = false;
-    for k in key_values.iter().flatten() {
-        if !seen.insert(k) {
-            duplicated = true;
-            break;
+    Ok(unique_rows(foreign, keys)?.0)
+}
+
+/// [`pre_aggregate`], plus the map from each key to its one row. The keys
+/// of a table whose keys are already unique are built only once.
+fn unique_rows<'a>(
+    foreign: &'a Table,
+    keys: &[&str],
+) -> Result<(Cow<'a, Table>, HashMap<Key, usize>)> {
+    if let Some(index) = row_index(foreign, keys)? {
+        return Ok((Cow::Borrowed(foreign), index));
+    }
+    let aggregated = GroupBy::new(foreign, keys)?.aggregate()?;
+    let index = row_index(&aggregated, keys)?.expect("aggregated keys are unique");
+    Ok((Cow::Owned(aggregated), index))
+}
+
+/// Map each non-null key of `table` to its row, or `None` when a key
+/// repeats.
+fn row_index(table: &Table, keys: &[&str]) -> Result<Option<HashMap<Key, usize>>> {
+    let mut index = HashMap::with_capacity(table.n_rows());
+    for (row, key) in table.keys(keys)?.into_iter().enumerate() {
+        if let Some(k) = key {
+            if index.insert(k, row).is_some() {
+                return Ok(None);
+            }
         }
     }
-    if !duplicated {
-        return Ok(Cow::Borrowed(foreign));
-    }
-    Ok(Cow::Owned(GroupBy::new(foreign, keys)?.aggregate()?))
+    Ok(Some(index))
 }
 
 /// LEFT join `base` with `foreign` on exact key equality.
@@ -46,16 +62,7 @@ pub fn left_hard_join(
     base_keys: &[&str],
     foreign_keys: &[&str],
 ) -> Result<Table> {
-    let foreign = pre_aggregate(foreign, foreign_keys)?;
-
-    // Map foreign key → row index (keys are unique after pre-aggregation).
-    let fkeys = foreign.keys(foreign_keys)?;
-    let mut index: HashMap<Key, usize> = HashMap::with_capacity(fkeys.len());
-    for (row, key) in fkeys.into_iter().enumerate() {
-        if let Some(k) = key {
-            index.entry(k).or_insert(row);
-        }
-    }
+    let (foreign, index) = unique_rows(foreign, foreign_keys)?;
 
     // Probe scan: each base row's lookup is independent, so large bases
     // fan out on the ambient work budget (results stay in row order).
@@ -222,6 +229,35 @@ mod tests {
         let agg = pre_aggregate(&foreign, &["k"]).unwrap();
         assert_eq!(agg.n_rows(), 1);
         assert_eq!(agg.column("c").unwrap().get(0), Value::Str("x".into()));
+    }
+
+    #[test]
+    fn negative_zero_key_matches_zero() {
+        let b = Table::new("b", vec![Column::from_f64("k", vec![-0.0, 1.0])]).unwrap();
+        let f = Table::new(
+            "f",
+            vec![
+                Column::from_f64("k", vec![0.0, 1.0]),
+                Column::from_f64("v", vec![5.0, 7.0]),
+            ],
+        )
+        .unwrap();
+        let out = left_hard_join(&b, &f, &["k"], &["k"]).unwrap();
+        assert_eq!(out.column("f[k:k].v").unwrap().get_f64(0), Some(5.0));
+
+        // The two zeros are one group, so they join as one row.
+        let dup = Table::new(
+            "g",
+            vec![
+                Column::from_f64("k", vec![0.0, -0.0]),
+                Column::from_f64("v", vec![2.0, 4.0]),
+            ],
+        )
+        .unwrap();
+        let (keys, rows) = GroupBy::new(&dup, &["k"]).unwrap().groups().unwrap();
+        assert_eq!((keys.len(), rows), (1, vec![vec![0, 1]]));
+        let out = left_hard_join(&b, &dup, &["k"], &["k"]).unwrap();
+        assert_eq!(out.column("g[k:k].v").unwrap().get_f64(0), Some(3.0));
     }
 
     #[test]

@@ -146,9 +146,9 @@ mod tests {
     fn resample_aggregates_buckets() {
         let out = resample_to_granularity(&minute_weather(), "time", 100).unwrap();
         assert_eq!(out.n_rows(), 2);
-        let t = out.sort_by("time").unwrap();
-        assert_eq!(t.column("temp").unwrap().get_f64(0), Some(2.0)); // mean(1,2,3)
-        assert_eq!(t.column("temp").unwrap().get_f64(1), Some(20.0)); // mean(10,20,30)
+        // Buckets come out in order of first appearance.
+        assert_eq!(out.column("temp").unwrap().get_f64(0), Some(2.0)); // mean(1,2,3)
+        assert_eq!(out.column("temp").unwrap().get_f64(1), Some(20.0)); // mean(10,20,30)
     }
 
     #[test]
@@ -199,11 +199,11 @@ mod tests {
         )
         .unwrap();
         let out = resample_to_granularity(&f, "k", 10).unwrap();
-        let sorted = out.sort_by("k").unwrap();
-        // -15 → -20, -5 → -10, 5 → 0 (floor division).
-        assert_eq!(sorted.column("k").unwrap().get_f64(0), Some(-20.0));
-        assert_eq!(sorted.column("k").unwrap().get_f64(1), Some(-10.0));
-        assert_eq!(sorted.column("k").unwrap().get_f64(2), Some(0.0));
+        // -15 → -20, -5 → -10, 5 → 0 (floor division), in row order.
+        let k = out.column("k").unwrap();
+        assert_eq!(k.get_f64(0), Some(-20.0));
+        assert_eq!(k.get_f64(1), Some(-10.0));
+        assert_eq!(k.get_f64(2), Some(0.0));
     }
 
     #[test]

@@ -10,8 +10,6 @@
 
 use crate::hard::pre_aggregate;
 use crate::{joined_block, value_columns, JoinError, Result};
-#[cfg(test)]
-use arda_table::Value;
 use arda_table::{Column, ColumnData, DataType, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -232,6 +230,7 @@ pub fn two_way_nearest_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arda_table::Value;
 
     fn weather() -> Table {
         Table::new(

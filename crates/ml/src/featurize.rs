@@ -10,7 +10,7 @@
 
 use crate::{Dataset, MlError, Result, Task};
 use arda_linalg::Matrix;
-use arda_table::{Column, ColumnData, DataType, Table};
+use arda_table::{Column, ColumnData, DataType, Key, Table};
 use std::collections::HashMap;
 
 /// Cells (rows × columns) below which encoding stays sequential.
@@ -22,7 +22,8 @@ pub struct FeaturizeOptions {
     /// Maximum one-hot categories per string column; less frequent values
     /// share an `__other__` indicator.
     pub max_categories: usize,
-    /// Drop numeric columns that are entirely null instead of erroring.
+    /// Drop numeric columns that are entirely null; `false` keeps each as
+    /// an all-zero feature.
     pub drop_all_null: bool,
 }
 
@@ -104,31 +105,30 @@ pub fn featurize_with_sources(
 
 /// ARDA's target rule: a Float, Int or Timestamp target (unless
 /// `force_classification`) is a regression target, its nulls taking the
-/// median; any other target is a classification target, its labels mapped
-/// to contiguous class ids in order of first appearance. Nulls form their
-/// own class, labelled `__null__`, apart from any `"null"` string.
+/// median; any other target is a classification target. A class is a key
+/// of [`Column::keys`], and class ids count keys in order of first
+/// appearance. The rows without a key (nulls, and a NaN label under
+/// `force_classification`) form one class of their own, apart from every
+/// string, `"null"` and `"__null__"` included.
 pub fn encode_target(target: &Column, force_classification: bool) -> (Vec<f64>, Task) {
-    let n = target.len();
     match target.dtype() {
         DataType::Float | DataType::Int | DataType::Timestamp if !force_classification => {
             let median = target.median().unwrap_or(0.0);
-            let y = (0..n)
+            let y = (0..target.len())
                 .map(|i| target.get_f64(i).unwrap_or(median))
                 .collect();
             (y, Task::Regression)
         }
         _ => {
-            let mut ids: HashMap<String, usize> = HashMap::new();
-            let mut y = Vec::with_capacity(n);
-            for v in target.iter() {
-                let label = if v.is_null() {
-                    "__null__".to_string()
-                } else {
-                    v.to_string()
-                };
-                let next = ids.len();
-                y.push(*ids.entry(label).or_insert(next) as f64);
-            }
+            let mut ids: HashMap<Option<Key>, usize> = HashMap::new();
+            let y = target
+                .keys()
+                .into_iter()
+                .map(|key| {
+                    let next = ids.len();
+                    *ids.entry(key).or_insert(next) as f64
+                })
+                .collect();
             let n_classes = ids.len();
             (y, Task::Classification { n_classes })
         }
@@ -136,8 +136,7 @@ pub fn encode_target(target: &Column, force_classification: bool) -> (Vec<f64>, 
 }
 
 /// Encode one feature column into zero or more named numeric columns,
-/// reading the columnar storage directly (no per-cell [`arda_table::Value`]
-/// boxing).
+/// reading the typed columnar storage directly.
 fn encode_column(col: &Column, n: usize, opts: &FeaturizeOptions) -> Vec<(String, Vec<f64>)> {
     match col.data() {
         ColumnData::Str(values) => {
@@ -339,6 +338,34 @@ mod tests {
         let (y, task) = encode_target(&labels, false);
         assert_eq!(task, Task::Classification { n_classes: 3 });
         assert_eq!(y, vec![0.0, 1.0, 2.0, 1.0, 0.0]);
+
+        // Nor does the string "__null__" share the null class.
+        let labels = Column::from_str_opt(
+            "y",
+            vec![Some("__null__".into()), None, Some("a".into()), None],
+        );
+        let (y, task) = encode_target(&labels, false);
+        assert_eq!(
+            (y, task),
+            (
+                vec![0.0, 1.0, 2.0, 1.0],
+                Task::Classification { n_classes: 3 }
+            )
+        );
+        // Forced classification keys a Timestamp by its tick, and a NaN
+        // label joins the null class.
+        let ticks = Column::from_timestamps("t", vec![30, 10, 30]);
+        let (y, task) = encode_target(&ticks, true);
+        assert_eq!(
+            (y, task),
+            (vec![0.0, 1.0, 0.0], Task::Classification { n_classes: 2 })
+        );
+        let floats = Column::from_f64_opt("f", vec![Some(f64::NAN), None, Some(1.0)]);
+        let (y, task) = encode_target(&floats, true);
+        assert_eq!(
+            (y, task),
+            (vec![0.0, 0.0, 1.0], Task::Classification { n_classes: 2 })
+        );
 
         let (y, task) = encode_target(&Column::from_bool("b", vec![true, false, true]), false);
         assert_eq!(

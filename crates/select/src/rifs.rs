@@ -221,13 +221,11 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
     }
 
     // The holdout evaluations per τ are independent given the fractions:
-    // fan them out on the ambient work budget. Consecutive thresholds often
-    // select the same subset, so only distinct subsets are evaluated; the
-    // estimator refit is deterministic in (subset, seed), which keeps the
-    // monotone walk below bit-identical to the sequential sweep. On a
-    // one-wide budget the fan-out would buy nothing, so scores stay unfilled
-    // here and the walk evaluates lazily, keeping the sequential sweep's
-    // early exit at the first score decrease.
+    // fan them out on the ambient work budget (a one-wide budget runs them
+    // in order). Consecutive thresholds often select the same subset, so
+    // only distinct subsets are evaluated; the estimator refit is
+    // deterministic in (subset, seed), which keeps the monotone walk below
+    // bit-identical to the sequential sweep.
     let mut distinct: Vec<Vec<usize>> = Vec::new();
     let mut subset_of: Vec<usize> = Vec::with_capacity(candidates.len());
     for (_, subset) in &candidates {
@@ -236,24 +234,13 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
         }
         subset_of.push(distinct.len() - 1);
     }
-    let mut scores: Vec<Option<f64>> = vec![None; distinct.len()];
-    if arda_par::current_budget().width() > 1 {
-        let evaluated = arda_par::par_map(&distinct, |_, subset| ctx.evaluate(data, subset));
-        for (slot, score) in scores.iter_mut().zip(evaluated) {
-            *slot = Some(score?);
-        }
-    }
+    let scores = arda_par::par_map(&distinct, |_, subset| ctx.evaluate(data, subset))
+        .into_iter()
+        .collect::<Result<Vec<f64>>>()?;
 
     let mut best: Option<(Vec<usize>, f64, f64)> = None; // (subset, τ, score)
-    for (i, (tau, subset)) in candidates.into_iter().enumerate() {
-        let score = match scores[subset_of[i]] {
-            Some(s) => s,
-            None => {
-                let s = ctx.evaluate(data, &subset)?;
-                scores[subset_of[i]] = Some(s);
-                s
-            }
-        };
+    for ((tau, subset), d) in candidates.into_iter().zip(subset_of) {
+        let score = scores[d];
         match &best {
             Some((_, _, prev)) if score < *prev => break,
             _ => best = Some((subset, tau, score)),

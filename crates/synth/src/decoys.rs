@@ -4,50 +4,32 @@
 //! joins are semantically meaningless and will not improve a predictive
 //! model").
 
-use arda_table::{Column, Table, Value};
+use arda_table::{Column, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Build a decoy table named `name` keyed by `key_name` over the given key
-/// domain (so discovery *will* find it and the join *will* succeed), with
-/// `n_cols` random value columns of mixed types.
+/// Build a decoy table named `name` keyed by `key_name` over the keys of
+/// `key_domain` (so discovery *will* find it and the join *will* succeed),
+/// with `n_cols` random value columns of mixed types.
 pub fn decoy_table(
     name: &str,
     key_name: &str,
-    key_domain: &[Value],
+    key_domain: &Column,
     n_cols: usize,
     seed: u64,
 ) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     // Random subset (~80%) of the key domain, shuffled — imperfect coverage
     // like real repository tables.
-    let mut keys: Vec<Value> = key_domain.to_vec();
-    for i in (1..keys.len()).rev() {
-        keys.swap(i, rng.gen_range(0..=i));
+    let mut rows: Vec<usize> = (0..key_domain.len()).collect();
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.gen_range(0..=i));
     }
-    let keep = ((keys.len() as f64) * 0.8).ceil() as usize;
-    keys.truncate(keep.max(1));
-    let n = keys.len();
-
-    let key_col = match keys.first() {
-        Some(Value::Str(_)) => Column::from_strings(
-            key_name,
-            keys.iter()
-                .map(|v| match v {
-                    Value::Str(s) => s.clone(),
-                    other => other.to_string(),
-                })
-                .collect(),
-        ),
-        Some(Value::Timestamp(_)) => Column::from_timestamps(
-            key_name,
-            keys.iter().map(|v| v.as_i64().unwrap_or(0)).collect(),
-        ),
-        _ => Column::from_i64(
-            key_name,
-            keys.iter().map(|v| v.as_i64().unwrap_or(0)).collect(),
-        ),
-    };
+    let keep = ((rows.len() as f64) * 0.8).ceil() as usize;
+    rows.truncate(keep.max(1));
+    let n = rows.len();
+    let mut key_col = key_domain.take(&rows);
+    key_col.set_name(key_name);
 
     let mut cols = vec![key_col];
     for c in 0..n_cols.max(1) {
@@ -81,40 +63,35 @@ pub fn decoy_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arda_table::DataType;
 
     #[test]
     fn decoy_joins_onto_key_domain() {
-        let domain: Vec<Value> = (0..50).map(Value::Int).collect();
+        let domain = Column::from_i64("domain", (0..50).collect());
         let d = decoy_table("noise_1", "id", &domain, 3, 0);
         assert_eq!(d.column("id").unwrap().name(), "id");
         assert_eq!(d.n_cols(), 4);
         assert!(d.n_rows() >= 40, "~80% of the domain: {}", d.n_rows());
         // All keys come from the domain.
-        for v in d.column("id").unwrap().iter() {
-            let k = v.as_i64().unwrap();
-            assert!((0..50).contains(&k));
+        let ids = d.column("id").unwrap();
+        for i in 0..ids.len() {
+            assert!((0.0..50.0).contains(&ids.get_f64(i).unwrap()));
         }
     }
 
     #[test]
     fn string_and_timestamp_domains() {
-        let sdomain: Vec<Value> = ["a", "b", "c"]
-            .iter()
-            .map(|s| Value::Str(s.to_string()))
-            .collect();
+        let sdomain = Column::from_str("s", vec!["a", "b", "c"]);
         let d = decoy_table("d", "k", &sdomain, 2, 1);
-        assert_eq!(d.column("k").unwrap().dtype(), arda_table::DataType::Str);
-        let tdomain: Vec<Value> = (0..10).map(|i| Value::Timestamp(i * 3600)).collect();
+        assert_eq!(d.column("k").unwrap().dtype(), DataType::Str);
+        let tdomain = Column::from_timestamps("t", (0..10).map(|i| i * 3600).collect());
         let d2 = decoy_table("d2", "t", &tdomain, 2, 2);
-        assert_eq!(
-            d2.column("t").unwrap().dtype(),
-            arda_table::DataType::Timestamp
-        );
+        assert_eq!(d2.column("t").unwrap().dtype(), DataType::Timestamp);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let domain: Vec<Value> = (0..20).map(Value::Int).collect();
+        let domain = Column::from_i64("k", (0..20).collect());
         assert_eq!(
             decoy_table("d", "k", &domain, 2, 7),
             decoy_table("d", "k", &domain, 2, 7)

@@ -4,7 +4,7 @@
 
 use crate::decoys::decoy_table;
 use crate::scenario::{Scenario, ScenarioConfig};
-use arda_table::{Column, Table, Value};
+use arda_table::{Column, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,9 +94,7 @@ pub fn taxi(cfg: &ScenarioConfig) -> Scenario {
     )
     .unwrap();
 
-    let key_domain: Vec<Value> = (0..day_count)
-        .map(|d| Value::Timestamp(d as i64 * DAY))
-        .collect();
+    let key_domain = weather.column("date").unwrap().clone();
     let mut repository = vec![weather, events];
     for k in 0..cfg.n_decoys {
         repository.push(decoy_table(
@@ -176,15 +174,13 @@ pub fn pickup(cfg: &ScenarioConfig) -> Scenario {
     )
     .unwrap();
 
-    let key_domain: Vec<Value> = (0..n)
-        .map(|i| Value::Timestamp(i as i64 * HOUR + 1_830))
-        .collect();
+    let key_domain = base.column("time").unwrap();
     let mut repository = vec![weather];
     for k in 0..cfg.n_decoys {
         repository.push(decoy_table(
             &format!("pickup_decoy_{k}"),
             "time",
-            &key_domain,
+            key_domain,
             2 + k % 3,
             cfg.seed.wrapping_add(500 + k as u64),
         ));
@@ -256,13 +252,13 @@ pub fn poverty(cfg: &ScenarioConfig) -> Scenario {
     )
     .unwrap();
 
-    let key_domain: Vec<Value> = county.iter().map(|&c| Value::Int(c)).collect();
+    let key_domain = base.column("county").unwrap();
     let mut repository = vec![education, employment];
     for k in 0..cfg.n_decoys {
         repository.push(decoy_table(
             &format!("poverty_decoy_{k}"),
             "county",
-            &key_domain,
+            key_domain,
             2 + k % 4,
             cfg.seed.wrapping_add(900 + k as u64),
         ));
@@ -341,13 +337,13 @@ pub fn school(cfg: &ScenarioConfig, large: bool) -> Scenario {
     } else {
         cfg.n_decoys.min(14)
     };
-    let key_domain: Vec<Value> = school_id.iter().map(|&s| Value::Int(s)).collect();
+    let key_domain = base.column("school_id").unwrap();
     let mut repository = vec![funding_table, demographics];
     for k in 0..n_decoys {
         repository.push(decoy_table(
             &format!("school_decoy_{k}"),
             "school_id",
-            &key_domain,
+            key_domain,
             1 + k % 3,
             cfg.seed.wrapping_add(1_300 + k as u64),
         ));
@@ -440,7 +436,8 @@ mod tests {
     #[test]
     fn school_labels_are_binary_strings() {
         let s = school(&cfg(2), false);
-        let distinct = s.base.column("result").unwrap().distinct();
+        let keys = s.base.column("result").unwrap().keys();
+        let distinct: std::collections::HashSet<_> = keys.iter().flatten().collect();
         assert!(distinct.len() <= 2 && !distinct.is_empty());
     }
 

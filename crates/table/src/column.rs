@@ -1,6 +1,6 @@
 //! Typed, named columns with null masks.
 
-use crate::{DataType, Value};
+use crate::{DataType, Key, Value};
 
 /// Physical storage for one column. Each variant stores values alongside an
 /// implicit null mask via `Option`.
@@ -247,18 +247,23 @@ impl Column {
         })
     }
 
-    /// Distinct non-null values (order of first appearance).
-    pub fn distinct(&self) -> Vec<Value> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for v in self.iter() {
-            if let Some(k) = v.key() {
-                if seen.insert(k) {
-                    out.push(v);
-                }
-            }
+    /// Each row's key: the one equality rule that hard joins, group-by,
+    /// join statistics and class ids share. A null or NaN has no key, a
+    /// Timestamp keys as [`Key::Int`], and a Float keys by its bits, with
+    /// −0.0 taken as +0.0 so the two zeros are one key.
+    pub fn keys(&self) -> Vec<Option<Key>> {
+        fn each<T>(v: &[Option<T>], key: impl Fn(&T) -> Option<Key>) -> Vec<Option<Key>> {
+            v.iter().map(|x| x.as_ref().and_then(&key)).collect()
         }
-        out
+        match &self.data {
+            ColumnData::Int(v) | ColumnData::Timestamp(v) => each(v, |&x| Some(Key::Int(x))),
+            ColumnData::Float(v) => each(v, |&x| {
+                let x = if x == 0.0 { 0.0 } else { x };
+                (!x.is_nan()).then(|| Key::Float(x.to_bits()))
+            }),
+            ColumnData::Str(v) => each(v, |s| Some(Key::Str(s.clone()))),
+            ColumnData::Bool(v) => each(v, |&b| Some(Key::Bool(b))),
+        }
     }
 }
 
@@ -307,13 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn distinct_skips_nulls() {
-        let c = Column::from_str_opt(
-            "s",
-            vec![Some("a".into()), None, Some("b".into()), Some("a".into())],
-        );
-        let d = c.distinct();
-        assert_eq!(d, vec![Value::Str("a".into()), Value::Str("b".into())]);
+    fn keys_skip_nulls_and_join_the_zeros() {
+        let s = Column::from_str_opt("s", vec![Some("a".into()), None, Some("a".into())]);
+        let a = Some(Key::Str("a".into()));
+        assert_eq!(s.keys(), [a.clone(), None, a]);
+        let f = Column::from_f64_opt("f", vec![Some(-0.0), Some(0.0), Some(f64::NAN), None]);
+        let zero = Some(Key::Float(0.0f64.to_bits()));
+        assert_eq!(f.keys(), [zero.clone(), zero, None, None]);
+        let b = Column::from_bool("b", vec![true]);
+        assert_eq!(b.keys(), [Some(Key::Bool(true))]);
     }
 
     #[test]

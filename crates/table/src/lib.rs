@@ -8,13 +8,15 @@
 //! converts the augmented table into a numeric feature matrix. This crate
 //! provides exactly that relational substrate, built from scratch:
 //!
-//! * [`Value`] — a read-only, dynamically typed view of one cell,
-//!   including `Null`. Nothing builds a column from `Value`s.
+//! * [`Value`] — the read-only text view of one cell, including `Null`.
+//!   Nothing builds a column from `Value`s.
 //! * [`Column`] — a typed, named column with a null mask, built from its
 //!   typed storage [`ColumnData`] (`Vec<Option<T>>` per [`DataType`]).
+//!   [`Column::keys`] gives each row's [`Key`]: the one equality rule of
+//!   joins, group-by, join statistics and class ids.
 //! * [`Schema`] / [`Field`] — column names and [`DataType`]s.
 //! * [`Table`] — a collection of equal-length columns with relational
-//!   operations: projection, row `take`, sorting and horizontal
+//!   operations: projection, row `take`, keys and horizontal
 //!   concatenation.
 //! * [`GroupBy`] — ARDA's pre-aggregation: group on key columns, take the
 //!   mean of numeric columns and the mode of the others.
@@ -24,9 +26,10 @@
 //!   round-trip-safe writer.
 //! * A typed binary columnar shard format (`.arda`): length-prefixed
 //!   little-endian columns with null bitmaps that round-trip every
-//!   [`DataType`] bit-exactly — including `Timestamp`, which CSV cannot
-//!   express — with budget-parallel per-column encode/decode and a cheap
-//!   header-only scan (see the [`store`] module docs for the byte layout).
+//!   [`DataType`] bit-exactly, including the non-finite floats that CSV
+//!   reads back as text (CSV keeps a `Timestamp` as `@<tick>`), with
+//!   budget-parallel per-column encode/decode and a cheap header-only scan
+//!   (see the [`store`] module docs for the byte layout).
 //! * [`Repository`] — the data repository ARDA mines: resident tables or
 //!   a directory of `.csv` / `.arda` shards indexed by a header-only
 //!   manifest scan, loaded lazily behind an LRU cache, with a persistent

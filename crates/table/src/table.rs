@@ -129,40 +129,20 @@ impl Table {
         self.take(&idx).expect("head indices in bounds")
     }
 
-    /// Row indices sorted ascending by the given column ([`crate::Value::total_cmp`];
-    /// nulls first). Stable.
-    pub fn sort_indices_by(&self, column: &str) -> Result<Vec<usize>> {
-        let col = self.column(column)?;
-        let mut idx: Vec<usize> = (0..self.n_rows()).collect();
-        idx.sort_by(|&a, &b| col.get(a).total_cmp(&col.get(b)));
-        Ok(idx)
-    }
-
-    /// New table sorted ascending by `column`.
-    pub fn sort_by(&self, column: &str) -> Result<Table> {
-        let idx = self.sort_indices_by(column)?;
-        self.take(&idx)
-    }
-
-    /// Join keys for the given key columns, one entry per row. `None` marks a
-    /// row whose key contains a null (it will never match).
+    /// Join keys for the given key columns, one entry per row, built by
+    /// [`Column::keys`]. Several columns make a [`Key::Composite`]; `None`
+    /// marks a row whose key contains a null or NaN (it never matches).
     pub fn keys(&self, key_columns: &[&str]) -> Result<Vec<Option<Key>>> {
-        let cols: Vec<&Column> = key_columns
+        let mut per_column = key_columns
             .iter()
-            .map(|n| self.column(n))
-            .collect::<Result<_>>()?;
-        let n = self.n_rows();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if cols.len() == 1 {
-                out.push(cols[0].get(i).key());
-            } else {
-                out.push(Key::composite(
-                    cols.iter().map(|c| c.get(i).key()).collect(),
-                ));
-            }
+            .map(|n| self.column(n).map(Column::keys))
+            .collect::<Result<Vec<_>>>()?;
+        if let [single] = per_column.as_mut_slice() {
+            return Ok(std::mem::take(single));
         }
-        Ok(out)
+        Ok((0..self.n_rows())
+            .map(|i| Key::composite(per_column.iter_mut().map(|c| c[i].take()).collect()))
+            .collect())
     }
 
     /// Horizontally concatenate `other`'s columns onto a copy of `self`,
@@ -256,14 +236,6 @@ mod tests {
         assert_eq!(sub.n_rows(), 2);
         assert_eq!(sub.column("id").unwrap().get(0), Value::Int(3));
         assert!(t.take(&[9]).is_err());
-    }
-
-    #[test]
-    fn sort_by_column() {
-        let t = Table::new("t", vec![Column::from_f64("v", vec![3.0, 1.0, 2.0])]).unwrap();
-        let s = t.sort_by("v").unwrap();
-        assert_eq!(s.column("v").unwrap().get_f64(0), Some(1.0));
-        assert_eq!(s.column("v").unwrap().get_f64(2), Some(3.0));
     }
 
     #[test]
