@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the performance-critical primitives: hard/soft join
 //! throughput, group-by pre-aggregation, OSNAP sketching, the ℓ2,1 IRLS
-//! solver, random-forest fitting, RIFS fractions and CSV / `.arda`
-//! ingestion.
+//! solver and its two dense kernels, random-forest fitting, RIFS fractions
+//! and CSV / `.arda` ingestion.
 //!
 //! Runs under `cargo bench -p arda-bench` with the in-repo timing harness
 //! (`harness = false`; the build is offline, so no criterion), at the
@@ -12,7 +12,7 @@ use arda_bench::timing::{print_measurements, time_op, Measurement};
 use arda_bench::{bench_rifs, Scale};
 use arda_coreset::sketch_xy;
 use arda_join::{execute_join, JoinSpec, SoftMethod};
-use arda_linalg::{stats::standardize_columns, Matrix};
+use arda_linalg::{cholesky_decompose, stats::standardize_columns, Matrix};
 use arda_ml::{Dataset, ForestConfig, RandomForest, Task};
 use arda_par::Budget;
 use arda_select::rifs_fractions;
@@ -121,6 +121,38 @@ fn bench_l21(out: &mut Vec<Measurement>) {
             }));
         }
     }
+}
+
+/// The two kernels of each dual ℓ2,1 step at a lake batch's shape (the
+/// lower triangle of `X·(A Xᵀ)` and the n×n Cholesky), and the Cholesky at
+/// taxi's primal size (288 features). All at width 1, as inside RIFS.
+fn bench_l21_kernels(out: &mut Vec<Measurement>) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut random = |rows: usize, cols: usize| {
+        let data = (0..rows * cols).map(|_| rng.gen::<f64>() - 0.5).collect();
+        Matrix::from_vec(rows, cols, data).unwrap()
+    };
+    let x = random(75, 228);
+    let axt = x.transpose();
+    let spd = |x: &Matrix| {
+        let mut k = x.matmul_lower(&x.transpose()).unwrap();
+        for i in 0..k.rows() {
+            k.set(i, i, k.get(i, i) + 0.1);
+        }
+        k
+    };
+    let (k75, k288) = (spd(&x), spd(&random(288, 300)));
+    Budget::isolated(1).install(|| {
+        out.push(time_op("matmul_lower_75x228_width1", WINDOW_SECS, || {
+            black_box(x.matmul_lower(&axt).unwrap());
+        }));
+        out.push(time_op("cholesky_75_width1", WINDOW_SECS, || {
+            black_box(cholesky_decompose(&k75).unwrap());
+        }));
+        out.push(time_op("cholesky_288_width1", WINDOW_SECS, || {
+            black_box(cholesky_decompose(&k288).unwrap());
+        }));
+    });
 }
 
 fn bench_forest(out: &mut Vec<Measurement>) {
@@ -299,6 +331,7 @@ fn main() {
     bench_groupby(&mut results);
     bench_sketch(&mut results);
     bench_l21(&mut results);
+    bench_l21_kernels(&mut results);
     bench_forest(&mut results);
     bench_forest_taxi_round(&mut results);
     bench_rifs_fractions(&mut results);

@@ -24,9 +24,9 @@
 //! [`discover_joins`] mines one. Mining only ever asks it for a table's
 //! dtypes (when the manifest knows them) and its body.
 
-use arda_join::stats::join_stats;
+use arda_join::stats::{key_set, match_stats};
 pub use arda_table::Repository;
-use arda_table::{DataType, Table, TableError};
+use arda_table::{Column, DataType, Key, Table, TableError};
 
 /// Hard vs soft key classification of a candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,28 +123,43 @@ fn range_overlap(base: &Table, bcol: &str, foreign: &Table, fcol: &str) -> f64 {
     }
 }
 
+/// A keyable base column and its join keys, built once per
+/// [`discover_joins`] and scored against every repository table.
+type BaseKey<'a> = (&'a Column, Vec<Option<Key>>);
+
 /// Mine and score every candidate of `base` against one repository table,
 /// returning that table's best candidates (descending score, capped).
+/// Each foreign column's key set is built once, and only when some base
+/// key column can pair with it.
 fn mine_table(
     base: &Table,
+    base_keys: &[BaseKey],
     ti: usize,
     foreign: &Table,
     cfg: &DiscoveryConfig,
-) -> Result<Vec<CandidateJoin>, TableError> {
+) -> Vec<CandidateJoin> {
+    let foreign_keys: Vec<Option<Vec<Option<Key>>>> = foreign
+        .columns()
+        .iter()
+        .map(|fcol| {
+            base_keys
+                .iter()
+                .any(|(bcol, _)| compatible(bcol.dtype(), fcol.dtype()))
+                .then(|| fcol.keys())
+        })
+        .collect();
+    let foreign_sets: Vec<_> = foreign_keys
+        .iter()
+        .map(|keys| keys.as_deref().map(key_set))
+        .collect();
     let mut per_table: Vec<CandidateJoin> = Vec::new();
-    for bcol in base.columns() {
-        if !keyable(bcol.dtype()) {
-            continue;
-        }
-        for fcol in foreign.columns() {
-            if !keyable(fcol.dtype()) || !compatible(bcol.dtype(), fcol.dtype()) {
+    for (bcol, bkeys) in base_keys {
+        for (fcol, fset) in foreign.columns().iter().zip(&foreign_sets) {
+            let Some(fset) = fset else { continue };
+            if !compatible(bcol.dtype(), fcol.dtype()) {
                 continue;
             }
-            let stats =
-                join_stats(base, foreign, &[bcol.name()], &[fcol.name()]).map_err(|e| match e {
-                    arda_join::JoinError::Table(t) => t,
-                    other => TableError::Invalid(other.to_string()),
-                })?;
+            let stats = match_stats(bkeys, fset);
             let exact = stats.intersection_score();
             let name_match = bcol.name().eq_ignore_ascii_case(fcol.name())
                 || bcol
@@ -194,7 +209,7 @@ fn mine_table(
     }
     per_table.sort_by(|a, b| b.score.total_cmp(&a.score));
     per_table.truncate(cfg.max_candidates_per_table);
-    Ok(per_table)
+    per_table
 }
 
 /// Mine, score and rank candidate joins of `base` against every repository
@@ -217,24 +232,24 @@ pub fn discover_joins(
     repo: &Repository,
     cfg: &DiscoveryConfig,
 ) -> Result<Vec<CandidateJoin>, TableError> {
-    let base_key_dtypes: Vec<DataType> = base
+    let base_keys: Vec<BaseKey> = base
         .columns()
         .iter()
-        .map(|c| c.dtype())
-        .filter(|&d| keyable(d))
+        .filter(|c| keyable(c.dtype()))
+        .map(|c| (c, c.keys()))
         .collect();
     let indices: Vec<usize> = (0..repo.len()).collect();
     let mined = arda_par::par_map(&indices, |_, &ti| {
         if let Some(dtypes) = repo.dtypes(ti) {
             let joinable = dtypes
                 .iter()
-                .any(|&fd| keyable(fd) && base_key_dtypes.iter().any(|&bd| compatible(bd, fd)));
+                .any(|&fd| base_keys.iter().any(|(b, _)| compatible(b.dtype(), fd)));
             if !joinable {
                 return Ok(Vec::new());
             }
         }
         let foreign = repo.table(ti)?;
-        mine_table(base, ti, &foreign, cfg)
+        Ok(mine_table(base, &base_keys, ti, &foreign, cfg))
     });
     let mut all = Vec::new();
     for per_table in mined {
@@ -319,6 +334,95 @@ mod tests {
         let p = cands.iter().find(|c| c.table_name == "population").unwrap();
         assert_eq!(p.kind, KeyKind::Hard);
         assert_eq!(p.base_key, "borough");
+    }
+
+    #[test]
+    fn hard_scores_equal_join_stats_per_pair() {
+        // Keys built once per discovery and once per shard column must
+        // score every pair as `join_stats` does on that pair alone. With
+        // soft keys off, no name bonus and no floor, every compatible pair
+        // is a candidate scored by its exact overlap.
+        let base = Table::new(
+            "base",
+            vec![
+                Column::from_i64("id", vec![1, 2, 3, 3, 7]),
+                Column::from_str_opt(
+                    "city",
+                    [Some("a"), None, Some("b"), Some("c"), Some("a")]
+                        .map(|v| v.map(String::from))
+                        .to_vec(),
+                ),
+                Column::from_timestamps("t", vec![2, 4, 6, 8, 10]),
+                Column::from_f64("y", vec![0.5; 5]),
+            ],
+        )
+        .unwrap();
+        let left = Table::new(
+            "left",
+            vec![
+                Column::from_i64("k", vec![3, 7, 7, 9]),
+                Column::from_str("name", vec!["b", "c", "z", "b"]),
+                Column::from_timestamps("when", vec![4, 6, 100, 200]),
+            ],
+        )
+        .unwrap();
+        let right = Table::new(
+            "right",
+            vec![
+                Column::from_str("city", vec!["a", "b"]),
+                Column::from_i64("n", vec![2, 10]),
+            ],
+        )
+        .unwrap();
+        let repo = Repository::from_tables(vec![left.clone(), right.clone()]);
+        let cfg = DiscoveryConfig {
+            min_score: 0.0,
+            max_candidates_per_table: usize::MAX,
+            enable_soft_keys: false,
+            name_bonus: 0.0,
+        };
+        let got = discover_joins(&base, &repo, &cfg).unwrap();
+        let mut want = Vec::new();
+        let tables = [left, right];
+        for (ti, foreign) in tables.iter().enumerate() {
+            let mut per_table = Vec::new();
+            for bcol in base.columns().iter().filter(|c| keyable(c.dtype())) {
+                for fcol in foreign.columns() {
+                    if compatible(bcol.dtype(), fcol.dtype()) {
+                        let stats = arda_join::stats::join_stats(
+                            &base,
+                            foreign,
+                            &[bcol.name()],
+                            &[fcol.name()],
+                        )
+                        .unwrap();
+                        let score = stats.intersection_score();
+                        per_table.push((ti, bcol.name(), fcol.name(), score.to_bits()));
+                    }
+                }
+            }
+            per_table.sort_by(|a, b| f64::from_bits(b.3).total_cmp(&f64::from_bits(a.3)));
+            want.extend(per_table);
+        }
+        want.sort_by(|a, b| {
+            f64::from_bits(b.3)
+                .total_cmp(&f64::from_bits(a.3))
+                .then(a.0.cmp(&b.0))
+        });
+        let got: Vec<_> = got
+            .iter()
+            .map(|c| {
+                assert_eq!(c.kind, KeyKind::Hard);
+                let (b, f) = (c.base_key.as_str(), c.foreign_key.as_str());
+                (c.table_index, b, f, c.score.to_bits())
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(
+            got.len(),
+            8,
+            "id×{{k, when}}, city×name, t×{{k, when}}; city×city, id×n, t×n"
+        );
     }
 
     #[test]

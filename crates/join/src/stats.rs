@@ -39,13 +39,29 @@ pub fn join_stats(
 ) -> Result<JoinStats> {
     let bkeys = base.keys(base_keys)?;
     let fkeys = foreign.keys(foreign_keys)?;
-    let fset: HashSet<&Key> = fkeys.iter().flatten().collect();
-    let matched_rows = bkeys.iter().flatten().filter(|k| fset.contains(k)).count();
-    Ok(JoinStats {
-        matched_rows,
-        base_rows: base.n_rows(),
-        foreign_distinct: fset.len(),
-    })
+    Ok(match_stats(&bkeys, &key_set(&fkeys)))
+}
+
+/// The distinct non-null keys of one key vector (as `Table::keys` or
+/// `Column::keys` builds it): the foreign side of [`match_stats`].
+pub fn key_set(keys: &[Option<Key>]) -> HashSet<&Key> {
+    keys.iter().flatten().collect()
+}
+
+/// [`JoinStats`] of base rows keyed `base_keys` (one entry per row)
+/// against the foreign key domain `foreign`. [`join_stats`] is this on
+/// freshly built keys; a caller that scores one key column against many
+/// builds each side once and calls this per pair.
+pub fn match_stats(base_keys: &[Option<Key>], foreign: &HashSet<&Key>) -> JoinStats {
+    JoinStats {
+        matched_rows: base_keys
+            .iter()
+            .flatten()
+            .filter(|k| foreign.contains(k))
+            .count(),
+        base_rows: base_keys.len(),
+        foreign_distinct: foreign.len(),
+    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,18 @@
 //! `matmul_lower` computes only the lower triangle of a square product
 //! (the half a Cholesky factorisation reads), banding rows by equal
 //! triangle area. And a `matmul` whose right-hand side is at most 4 wide
-//! keeps each output row in a register accumulator instead of paying the
+//! keeps its output rows in register accumulators instead of paying the
 //! blocked loop's per-`k` overhead on a 1–4 element slice.
+//!
+//! Both run on register tiles when the right-hand factor is all finite:
+//! four output rows at once, each row 4 (or the narrow width) elements
+//! wide, so one load of a `b` row feeds sixteen independent sums. A tile
+//! adds every term, with no zero skip. That is exact only because the
+//! factor is finite: a zero `a` entry then adds ±0.0, and a sum that
+//! starts at +0.0 can never be −0.0 (+0.0 + −0.0 is +0.0), so the term
+//! changes no bit. Against an infinite or NaN `b` entry a zero `a` entry
+//! would add `0 · inf = NaN`, so such a factor takes the skipping row
+//! loops instead. One O(k·m) scan of the factor picks the path.
 
 use crate::{LinalgError, Result};
 
@@ -80,21 +90,68 @@ fn blocked_product_rows(
     }
 }
 
+/// Rows and columns of one register tile.
+const TILE: usize = 4;
+
+/// The `TILE × C` block of `rows · b[.., j0..j0 + C]`, where `b` is
+/// row-major with row stride `stride` and has one row per entry of each
+/// of `rows`. Each element adds its `k` terms in ascending order from
+/// +0.0 with no zero skip, so `b` must be finite (see the module doc).
+#[inline]
+fn tile<const C: usize>(
+    rows: [&[f64]; TILE],
+    b: &[f64],
+    stride: usize,
+    j0: usize,
+) -> [[f64; C]; TILE] {
+    let kd = rows[0].len();
+    let rows = rows.map(|row| &row[..kd]);
+    let mut acc = [[0.0; C]; TILE];
+    for k in 0..kd {
+        let b_row: &[f64; C] = b[k * stride + j0..][..C]
+            .try_into()
+            .expect("the slice is C long");
+        for (acc_row, row) in acc.iter_mut().zip(&rows) {
+            let av = row[k];
+            for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+    acc
+}
+
 /// [`blocked_product_rows`] for an `M`-wide `b` (`M ≤ 4`): a `k` step over
 /// a slice that narrow costs more in loop overhead than in arithmetic, so
-/// each output row accumulates in registers instead, with the same
-/// ascending `k` order and zero skip.
+/// the output rows accumulate in registers instead, with the same
+/// ascending `k` order. With a finite `b` they go [`TILE`] rows at a time
+/// without the zero skip; the rows left over, and every row of a
+/// non-finite `b`, go one at a time with it.
 fn narrow_product_rows<const M: usize>(
     a: &[f64],
     b: &[f64],
     kd: usize,
     i0: usize,
     out: &mut [f64],
+    finite: bool,
 ) {
-    for (li, out_row) in out.chunks_exact_mut(M).enumerate() {
-        let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
+    let a_row = |i: usize| &a[i * kd..(i + 1) * kd];
+    let tiled_rows = if finite {
+        out.len() / M / TILE * TILE
+    } else {
+        0
+    };
+    let (tiled, rest) = out.split_at_mut(tiled_rows * M);
+    for (q, out_rows) in tiled.chunks_exact_mut(TILE * M).enumerate() {
+        let first = i0 + q * TILE;
+        let acc = tile::<M>(std::array::from_fn(|r| a_row(first + r)), b, M, 0);
+        for (out_row, acc_row) in out_rows.chunks_exact_mut(M).zip(&acc) {
+            out_row.copy_from_slice(acc_row);
+        }
+    }
+    for (li, out_row) in rest.chunks_exact_mut(M).enumerate() {
         let mut acc = [0.0; M];
-        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(M)) {
+        for (&av, b_row) in a_row(i0 + tiled_rows + li).iter().zip(b.chunks_exact(M)) {
             if av == 0.0 {
                 continue;
             }
@@ -103,6 +160,38 @@ fn narrow_product_rows<const M: usize>(
             }
         }
         out_row.copy_from_slice(&acc);
+    }
+}
+
+/// Rows `lo..` of the lower triangle of the n×n product `a * b` (`a`
+/// with `kd` columns, `b` finite, `n ≥ TILE`) into the zeroed row-major
+/// `out`, one [`TILE`]×[`TILE`] register tile at a time. A tile that would
+/// overhang the last row or column is moved back to end on it; the
+/// elements it computes again come out the same, and only those in this
+/// band on or below the diagonal are stored.
+fn lower_tiled_rows(a: &[f64], b: &[f64], kd: usize, n: usize, lo: usize, out: &mut [f64]) {
+    let hi = lo + out.len() / n;
+    for i in (lo..hi).step_by(TILE) {
+        let i0 = i.min(n - TILE);
+        let rows = std::array::from_fn(|r| &a[(i0 + r) * kd..(i0 + r + 1) * kd]);
+        // The block's last stored row bounds the columns it needs.
+        let last = (i + TILE).min(hi) - 1;
+        for j in (0..=last).step_by(TILE) {
+            let j0 = j.min(n - TILE);
+            let acc = tile::<TILE>(rows, b, n, j0);
+            for (r, acc_row) in acc.iter().enumerate() {
+                let row = i0 + r;
+                if row < lo || row >= hi {
+                    continue;
+                }
+                let out_row = &mut out[(row - lo) * n..(row - lo + 1) * n];
+                for (c, &v) in acc_row.iter().enumerate() {
+                    if j0 + c <= row {
+                        out_row[j0 + c] = v;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -314,10 +403,11 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`: cache-blocked over `k` and `j` (a
-    /// right-hand side at most 4 wide accumulates each output row in
-    /// registers instead), parallel over output row bands. Bit-identical
-    /// to the sequential naive i-k-j product at every budget because each
-    /// output element accumulates its `k` contributions in ascending order.
+    /// right-hand side at most 4 wide accumulates its output rows in
+    /// registers instead, four rows at a time when it is finite), parallel
+    /// over output row bands. Bit-identical to the sequential naive i-k-j
+    /// product at every budget because each output element accumulates
+    /// its `k` contributions in ascending order.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -334,6 +424,7 @@ impl Matrix {
         }
         let a = &self.data;
         let b = &other.data;
+        let finite = m <= TILE && b.iter().all(|v| v.is_finite());
         kernel(n * kd * m, |width| {
             // One contiguous row band per worker (par_chunks_mut assigns
             // contiguous spans statically, so finer bands would collapse
@@ -342,10 +433,10 @@ impl Matrix {
             arda_par::par_chunks_mut(&mut out.data, band_rows * m, |start, chunk| {
                 let i0 = start / m;
                 match m {
-                    1 => narrow_product_rows::<1>(a, b, kd, i0, chunk),
-                    2 => narrow_product_rows::<2>(a, b, kd, i0, chunk),
-                    3 => narrow_product_rows::<3>(a, b, kd, i0, chunk),
-                    4 => narrow_product_rows::<4>(a, b, kd, i0, chunk),
+                    1 => narrow_product_rows::<1>(a, b, kd, i0, chunk, finite),
+                    2 => narrow_product_rows::<2>(a, b, kd, i0, chunk, finite),
+                    3 => narrow_product_rows::<3>(a, b, kd, i0, chunk, finite),
+                    4 => narrow_product_rows::<4>(a, b, kd, i0, chunk, finite),
                     _ => blocked_product_rows(a, b, kd, m, i0, chunk, |_| m),
                 }
             })
@@ -361,7 +452,9 @@ impl Matrix {
     ///
     /// Row `i` holds `i + 1` elements, so the rows are cut into at most
     /// one band per worker of near-equal triangle area rather than equal
-    /// row count; the result does not depend on the bands.
+    /// row count; the result does not depend on the bands. With a finite
+    /// `other` and `n ≥ 4` each band runs on 4×4 register tiles (see the
+    /// module doc); otherwise on the blocked loop with its zero skip.
     pub fn matmul_lower(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows || self.rows != other.cols {
             return Err(LinalgError::DimensionMismatch {
@@ -377,6 +470,7 @@ impl Matrix {
         }
         let a = &self.data;
         let b = &other.data;
+        let tiled = n >= TILE && b.iter().all(|v| v.is_finite());
         let data = kernel(n * (n + 1) / 2 * kd, |width| {
             let bounds = triangle_bands(n, width);
             // Each band index range returns its rows, full width, in order,
@@ -384,7 +478,11 @@ impl Matrix {
             arda_par::par_for_rows(bounds.len() - 1, |bands| {
                 let (lo, hi) = (bounds[bands.start], bounds[bands.end]);
                 let mut rows = vec![0.0; (hi - lo) * n];
-                blocked_product_rows(a, b, kd, n, lo, &mut rows, |i| i + 1);
+                if tiled {
+                    lower_tiled_rows(a, b, kd, n, lo, &mut rows);
+                } else {
+                    blocked_product_rows(a, b, kd, n, lo, &mut rows, |i| i + 1);
+                }
                 rows
             })
         });
@@ -848,6 +946,114 @@ mod tests {
                     g_oracle.data(),
                 );
                 check("matvec", n * k, &|| a.matvec(&v).unwrap(), &mv_oracle);
+            }
+        }
+    }
+
+    /// `a`'s rows × `b`'s columns, with the strict upper triangle zeroed:
+    /// the `matmul_lower` oracle.
+    fn lower_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = a.matmul_naive(b).unwrap();
+        for i in 0..out.rows() {
+            for j in i + 1..out.cols() {
+                out.set(i, j, 0.0);
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn register_tiles_match_naive_oracles_at_every_remainder() {
+        // n = 4..=12 puts each row and column remainder at a tile edge
+        // (n < 4 takes the blocked loop); 75×228 is a lake batch's dual
+        // product and 300 rows cut into ragged bands at every width.
+        let shapes = [
+            (4, 3),
+            (5, 9),
+            (6, 1),
+            (7, 12),
+            (8, 5),
+            (9, 33),
+            (10, 7),
+            (11, 2),
+            (12, 20),
+            (75, 228),
+            (300, 40),
+        ];
+        for (si, &(n, k)) in shapes.iter().enumerate() {
+            let a = filled(n, k, 300 + si as u64);
+            let bt = filled(k, n, 400 + si as u64);
+            let lower = lower_naive(&a, &bt);
+            let narrow: Vec<(Matrix, Matrix)> = (1..=4)
+                .map(|m| {
+                    let b = filled(k, m, 500 + (si * 4 + m) as u64);
+                    let oracle = a.matmul_naive(&b).unwrap();
+                    (b, oracle)
+                })
+                .collect();
+            for width in [1, 2, 3, 8] {
+                Budget::isolated(width).install(|| {
+                    let what = format!("{n}x{k} width={width}");
+                    assert_eq!(bits(&a.matmul_lower(&bt).unwrap()), bits(&lower), "{what}");
+                    for (b, oracle) in &narrow {
+                        let got = a.matmul(b).unwrap();
+                        assert_eq!(bits(&got), bits(oracle), "{what} m={}", b.cols());
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_factors_keep_the_zero_skip() {
+        // Every row of `a` has a zero opposite each non-finite row of `b`,
+        // and every third row also a nonzero, so the oracle skips some
+        // `0 · inf` terms (finite outputs) and keeps others (inf or NaN
+        // outputs). Adding the skipped terms would turn the finite ones
+        // into NaN. 300 rows take the parallel bands at width > 1.
+        for (n, k) in [(9, 13), (300, 40)] {
+            let mut a = filled(n, k, 21);
+            for i in 0..n {
+                a.set(i, 2, if i % 3 == 0 { 1.5 } else { 0.0 });
+                a.set(i, 5, 0.0);
+                a.set(i, 7, -0.0);
+            }
+            let poison = |m: usize, salt: u64| {
+                let mut b = filled(k, m, salt);
+                for j in 0..m {
+                    b.set(2, j, [f64::INFINITY, f64::NAN, f64::NEG_INFINITY][j % 3]);
+                    b.set(5, j, f64::NAN);
+                    b.set(7, j, f64::NEG_INFINITY);
+                }
+                b
+            };
+            let bt = poison(n, 22);
+            let lower = lower_naive(&a, &bt);
+            assert!(lower.data().iter().any(|v| v.is_nan()));
+            assert!(
+                lower.get(1, 0).is_finite(),
+                "row 1 skips every poisoned term"
+            );
+            let narrow: Vec<(Matrix, Matrix)> = (1..=4)
+                .map(|m| {
+                    let b = poison(m, 30 + m as u64);
+                    let oracle = a.matmul_naive(&b).unwrap();
+                    (b, oracle)
+                })
+                .collect();
+            for width in [1, 2, 3, 8] {
+                Budget::isolated(width).install(|| {
+                    let what = format!("{n}x{k} width={width}");
+                    assert_eq!(bits(&a.matmul_lower(&bt).unwrap()), bits(&lower), "{what}");
+                    for (b, oracle) in &narrow {
+                        let got = a.matmul(b).unwrap();
+                        assert_eq!(bits(&got), bits(oracle), "{what} m={}", b.cols());
+                    }
+                });
             }
         }
     }
