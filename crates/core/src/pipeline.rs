@@ -264,12 +264,9 @@ impl Arda {
             // it adds, then fold the blocks in candidate order. A block's
             // names carry its candidate (`<table>[<keys>].<column>`), and
             // the checks above keep candidates distinct, so no two blocks
-            // share a name. Each
-            // candidate's join runs with its split of the shared `arda-par`
-            // work budget (installed by `par_map`): a multi-candidate batch
-            // spreads the budget across candidates, a lone candidate keeps
-            // all of it, and the permit pool guarantees the nested scans
-            // never oversubscribe.
+            // share a name. The batch fans out over its candidates on the
+            // shared `arda-par` work budget; each candidate's shard load runs
+            // under its split of the budget, and a join itself never spawns.
             let snapshot = &kept;
             let blocks: Vec<Result<Table>> = arda_par::par_map(batch, |_, cand| {
                 // On a sharded repository this is where the foreign shard

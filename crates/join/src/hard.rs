@@ -5,15 +5,11 @@ use arda_table::{GroupBy, Key, Table};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// Base rows below which the probe scan stays sequential.
-const PAR_MIN_ROWS: usize = 4_096;
-
 /// Pre-aggregate `foreign` on its key columns so every key maps to exactly
 /// one row (ARDA §4 "Join Cardinality": one-to-many / many-to-many joins are
 /// reduced to to-one joins by aggregating the foreign side). Numeric columns
-/// take group means, categoricals take the group mode; the per-column
-/// aggregation scans fan out on the ambient `arda-par` work budget inside
-/// [`GroupBy::aggregate`]. Tables whose keys are already unique are
+/// take group means, categoricals take the group mode
+/// ([`GroupBy::aggregate`]). Tables whose keys are already unique are
 /// borrowed as-is (cheap check first).
 pub fn pre_aggregate<'a>(foreign: &'a Table, keys: &[&str]) -> Result<Cow<'a, Table>> {
     Ok(unique_rows(foreign, keys)?.0)
@@ -63,15 +59,11 @@ pub fn left_hard_join(
     foreign_keys: &[&str],
 ) -> Result<Table> {
     let (foreign, index) = unique_rows(foreign, foreign_keys)?;
-
-    // Probe scan: each base row's lookup is independent, so large bases
-    // fan out on the ambient work budget (results stay in row order).
-    let bkeys = base.keys(base_keys)?;
-    let matches: Vec<Option<usize>> = arda_par::sequential_below(bkeys.len(), PAR_MIN_ROWS, || {
-        arda_par::par_map(&bkeys, |_, k| {
-            k.as_ref().and_then(|k| index.get(k).copied())
-        })
-    });
+    let matches: Vec<Option<usize>> = base
+        .keys(base_keys)?
+        .into_iter()
+        .map(|k| index.get(&k?).copied())
+        .collect();
 
     let values = value_columns(&foreign, foreign_keys)
         .into_iter()
@@ -122,18 +114,24 @@ mod tests {
         let foreign = Table::new(
             "sales",
             vec![
-                Column::from_str("city", vec!["nyc", "nyc", "bos"]),
-                Column::from_f64("amount", vec![10.0, 30.0, 5.0]),
+                Column::from_str("city", vec!["nyc", "nyc", "bos", "nyc"]),
+                Column::from_f64("amount", vec![10.0, 30.0, 5.0, 20.0]),
+                Column::from_i64("qty", vec![1, 2, 3, 6]),
+                Column::from_str("clerk", vec!["x", "y", "z", "y"]),
             ],
         )
         .unwrap();
         let out = left_hard_join(&base(), &foreign, &["city"], &["city"]).unwrap();
         assert_eq!(out.n_rows(), 4, "base rows must never fan out");
-        // nyc amount = mean(10, 30) = 20.
-        assert_eq!(
-            out.column("sales[city:city].amount").unwrap().get_f64(0),
-            Some(20.0)
-        );
+        // Every value column is aggregated per key: nyc amount =
+        // mean(10, 30, 20) = 20, qty = mean(1, 2, 6) = 3, clerk = mode y.
+        let col = |name: &str| out.column(&format!("sales[city:city].{name}")).unwrap();
+        let rows = |name: &str| col(name).iter().collect::<Vec<Value>>();
+        assert_eq!(col("amount").get_f64(0), Some(20.0));
+        let (three, null) = (Value::Float(3.0), Value::Null);
+        assert_eq!(rows("qty"), [three.clone(), three.clone(), three, null]);
+        let (y, z) = (Value::Str("y".into()), Value::Str("z".into()));
+        assert_eq!(rows("clerk"), [y.clone(), z, y, Value::Null]);
     }
 
     #[test]

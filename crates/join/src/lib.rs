@@ -137,8 +137,7 @@ pub type Result<T> = std::result::Result<T, JoinError>;
 /// it with [`Table::append`]. The foreign table is pre-aggregated on its
 /// keys first, so to-many joins cannot duplicate rows. `seed` drives the
 /// random choices of categorical interpolation. The join runs on the
-/// ambient `arda-par` work budget; under the pipeline's batch fan-out each
-/// join plans with its split, so nesting cannot oversubscribe.
+/// calling thread; the pipeline runs a batch's joins side by side.
 pub fn execute_join(base: &Table, foreign: &Table, spec: &JoinSpec, seed: u64) -> Result<Table> {
     if spec.base_keys.len() != spec.foreign_keys.len() || spec.base_keys.is_empty() {
         return Err(JoinError::InvalidSpec(format!(

@@ -2,25 +2,19 @@
 //! λ-interpolation (ARDA §4 "Key Matches").
 //!
 //! Both joins build one `SoftKeyIndex` over the (pre-aggregated) foreign
-//! key and reuse it across every base row; the per-row binary-search
-//! matching — the hot loop for large bases — runs in parallel row bands
-//! with deterministic output. Both return the foreign non-key columns as
-//! one block, row-aligned with the base and named as
-//! [`crate::execute_join`] describes.
+//! key and binary-search it once per base row, on the calling thread: in
+//! `Arda::run` the base is a coreset (at most 2 000 rows by default), and
+//! the pipeline runs a batch's joins side by side. Both return the foreign non-key columns as one block, row-aligned
+//! with the base and named as [`crate::execute_join`] describes.
 
 use crate::hard::pre_aggregate;
 use crate::{joined_block, value_columns, JoinError, Result};
-use arda_table::{Column, ColumnData, DataType, Table};
+use arda_table::{Column, ColumnData, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
-
-/// Base rows below which per-row matching stays sequential.
-const PAR_MIN_ROWS: usize = 4_096;
 
 /// A sorted index over a foreign table's soft (numeric) key: `(key value,
-/// row index)` pairs ordered by key then row. Built once per join and
-/// shared, read-only, by all matching workers.
+/// row index)` pairs ordered by key then row. Built once per join.
 struct SoftKeyIndex {
     sorted: Vec<(f64, usize)>,
 }
@@ -79,14 +73,6 @@ impl SoftKeyIndex {
     }
 }
 
-/// Per-base-row matching over `0..n_rows` in parallel row bands: small
-/// scans stay sequential and large ones plan with the ambient work budget
-/// (the pipeline's batch fan-out installs each candidate's split, so nested
-/// joins never oversubscribe).
-fn scan_rows<U: Send>(n_rows: usize, f: impl Fn(Range<usize>) -> Vec<U> + Sync) -> Vec<U> {
-    arda_par::sequential_below(n_rows, PAR_MIN_ROWS, || arda_par::par_for_rows(n_rows, f))
-}
-
 /// Nearest-neighbour soft LEFT join: each base row joins the foreign row
 /// whose key is numerically closest.
 pub fn nearest_join(
@@ -102,14 +88,12 @@ pub fn nearest_join(
     let foreign = pre_aggregate(foreign, &[foreign_key])?;
     let index = SoftKeyIndex::build(&foreign, foreign_key)?;
 
-    let matches: Vec<Option<usize>> = scan_rows(base.n_rows(), |range| {
-        range
-            .map(|i| {
-                let c = index.closest(base_col.get_f64(i)?)?;
-                Some(index.sorted[c].1)
-            })
-            .collect()
-    });
+    let matches: Vec<Option<usize>> = (0..base.n_rows())
+        .map(|i| {
+            let c = index.closest(base_col.get_f64(i)?)?;
+            Some(index.sorted[c].1)
+        })
+        .collect();
 
     let values = value_columns(&foreign, &[foreign_key])
         .into_iter()
@@ -138,92 +122,68 @@ pub fn two_way_nearest_join(
     let foreign = pre_aggregate(foreign, &[foreign_key])?;
     let index = SoftKeyIndex::build(&foreign, foreign_key)?;
 
-    // Interpolation plan per base row: (row_low, row_high, λ). Pure binary
-    // searches over the shared index → parallel row bands.
-    let plans: Vec<Option<(usize, usize, f64)>> = scan_rows(base.n_rows(), |range| {
-        range
-            .map(|i| {
-                let x = base_col.get_f64(i)?;
-                let (low, high) = index.bracketing(x);
-                match (low, high) {
-                    (Some(l), Some(h)) => {
-                        let (yl, rl) = index.sorted[l];
-                        let (yh, rh) = index.sorted[h];
-                        let lambda = if yh > yl { (yh - x) / (yh - yl) } else { 1.0 };
-                        Some((rl, rh, lambda))
-                    }
-                    (Some(l), None) => {
-                        let (_, rl) = index.sorted[l];
-                        Some((rl, rl, 1.0))
-                    }
-                    (None, Some(h)) => {
-                        let (_, rh) = index.sorted[h];
-                        Some((rh, rh, 1.0))
-                    }
-                    (None, None) => None,
+    // Interpolation plan per base row: (row_low, row_high, λ).
+    let plans: Vec<Option<(usize, usize, f64)>> = (0..base.n_rows())
+        .map(|i| {
+            let x = base_col.get_f64(i)?;
+            match index.bracketing(x) {
+                (Some(l), Some(h)) => {
+                    let (yl, rl) = index.sorted[l];
+                    let (yh, rh) = index.sorted[h];
+                    let lambda = if yh > yl { (yh - x) / (yh - yl) } else { 1.0 };
+                    Some((rl, rh, lambda))
                 }
-            })
-            .collect()
-    });
-
-    // Categorical neighbour picks consume the seeded RNG sequentially in
-    // (column, row) order — exactly the draws the old sequential loop made —
-    // so the parallel materialisation below stays deterministic.
-    let value_cols = value_columns(&foreign, &[foreign_key]);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let str_picks: Vec<Option<Vec<Option<usize>>>> = value_cols
-        .iter()
-        .map(|col| {
-            if col.dtype() != DataType::Str {
-                return None;
+                (Some(l), None) => {
+                    let (_, rl) = index.sorted[l];
+                    Some((rl, rl, 1.0))
+                }
+                (None, Some(h)) => {
+                    let (_, rh) = index.sorted[h];
+                    Some((rh, rh, 1.0))
+                }
+                (None, None) => None,
             }
-            Some(
-                plans
-                    .iter()
-                    .map(|p| {
-                        p.as_ref().map(|(rl, rh, _)| {
-                            if rl == rh || rng.gen::<bool>() {
-                                *rl
-                            } else {
-                                *rh
-                            }
-                        })
-                    })
-                    .collect(),
-            )
         })
         .collect();
 
-    // Each output column interpolates independently from the shared plans.
-    let jobs: Vec<(&Column, Option<Vec<Option<usize>>>)> =
-        value_cols.into_iter().zip(str_picks).collect();
-    let values: Vec<Column> =
-        arda_par::sequential_below(base.n_rows() * jobs.len().max(1), PAR_MIN_ROWS, || {
-            arda_par::par_map(&jobs, |_, (col, picks)| match (col.data(), picks) {
-                (ColumnData::Str(cells), Some(picks)) => {
-                    let values: Vec<Option<String>> = picks
-                        .iter()
-                        .map(|p| p.and_then(|row| cells[row].clone()))
-                        .collect();
-                    Column::from_str_opt(col.name(), values)
-                }
-                _ => {
-                    let values: Vec<Option<f64>> = plans
-                        .iter()
-                        .map(|p| {
-                            let (rl, rh, lambda) = (*p)?;
-                            match (col.get_f64(rl), col.get_f64(rh)) {
-                                (Some(a), Some(b)) => Some(lambda * a + (1.0 - lambda) * b),
-                                (Some(a), None) => Some(a),
-                                (None, Some(b)) => Some(b),
-                                (None, None) => None,
-                            }
-                        })
-                        .collect();
-                    Column::from_f64_opt(col.name(), values)
-                }
-            })
-        });
+    // Categorical neighbour picks consume the seeded RNG in (column, row)
+    // order.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values: Vec<Column> = value_columns(&foreign, &[foreign_key])
+        .into_iter()
+        .map(|col| match col.data() {
+            ColumnData::Str(cells) => {
+                let values: Vec<Option<String>> = plans
+                    .iter()
+                    .map(|p| {
+                        let (rl, rh, _) = (*p)?;
+                        let row = if rl == rh || rng.gen::<bool>() {
+                            rl
+                        } else {
+                            rh
+                        };
+                        cells[row].clone()
+                    })
+                    .collect();
+                Column::from_str_opt(col.name(), values)
+            }
+            _ => {
+                let values: Vec<Option<f64>> = plans
+                    .iter()
+                    .map(|p| {
+                        let (rl, rh, lambda) = (*p)?;
+                        match (col.get_f64(rl), col.get_f64(rh)) {
+                            (Some(a), Some(b)) => Some(lambda * a + (1.0 - lambda) * b),
+                            (Some(a), None) => Some(a),
+                            (None, Some(b)) => Some(b),
+                            (None, None) => None,
+                        }
+                    })
+                    .collect();
+                Column::from_f64_opt(col.name(), values)
+            }
+        })
+        .collect();
     joined_block(&foreign, &[base_key], &[foreign_key], values)
 }
 
@@ -330,14 +290,26 @@ mod tests {
         let f = Table::new(
             "f",
             vec![
-                Column::from_i64("time", vec![100, 100]),
-                Column::from_f64("temp", vec![10.0, 30.0]),
+                Column::from_i64("time", vec![100, 100, 100, 300]),
+                Column::from_f64("temp", vec![10.0, 30.0, 50.0, 70.0]),
+                Column::from_str("sky", vec!["rain", "snow", "rain", "clear"]),
             ],
         )
         .unwrap();
-        let base = Table::new("b", vec![Column::from_i64("t", vec![100])]).unwrap();
+        let base = Table::new("b", vec![Column::from_i64("t", vec![100, 200])]).unwrap();
         let out = nearest_join(&base, &f, "t", "time").unwrap();
-        assert_eq!(out.column("f[t:time].temp").unwrap().get_f64(0), Some(20.0));
+        assert_eq!(out.column("f[t:time].temp").unwrap().get_f64(0), Some(30.0));
+        assert_eq!(
+            out.column("f[t:time].sky").unwrap().get(0),
+            Value::Str("rain".into())
+        );
+        // t=200 sits halfway between the aggregated row at 100 and 300.
+        let out = two_way_nearest_join(&base, &f, "t", "time", 5).unwrap();
+        let temp = out.column("f[t:time].temp").unwrap();
+        assert_eq!((temp.get_f64(0), temp.get_f64(1)), (Some(30.0), Some(50.0)));
+        let sky = out.column("f[t:time].sky").unwrap();
+        assert_eq!(sky.get(0), Value::Str("rain".into()));
+        assert!(matches!(sky.get(1), Value::Str(s) if s == "rain" || s == "clear"));
     }
 
     #[test]

@@ -1,13 +1,8 @@
 //! k-nearest-neighbour queries (linear scan), used by the Relief feature
-//! selector's nearest-hit/nearest-miss searches. The distance scan runs in
-//! parallel row bands for large matrices; candidate order (and therefore
-//! the tie-break) is identical to the sequential scan at any budget.
+//! selector's nearest-hit/nearest-miss searches. A scan runs on the
+//! calling thread; Relief fans out over its anchors, one level up.
 
 use arda_linalg::Matrix;
-
-/// Row count below which the scan stays sequential (thread spawn would
-/// dominate the distance arithmetic).
-const PAR_MIN_ROWS: usize = 2_048;
 
 /// Squared Euclidean distance between two rows.
 #[inline]
@@ -19,26 +14,19 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 /// itself, optionally restricted by a row filter.
 ///
 /// `filter` receives each candidate row index; return `false` to skip it
-/// (Relief uses this to search hits and misses separately). The scan runs
-/// on the ambient `arda-par` work budget; callers running many scans
-/// concurrently (Relief's anchor loop) give each its split of the shared
-/// budget, so nesting cannot oversubscribe.
+/// (Relief uses this to search hits and misses separately). Ties go to the
+/// lower row index.
 pub fn nearest_neighbors(
     x: &Matrix,
     query: usize,
     k: usize,
-    filter: impl Fn(usize) -> bool + Sync,
+    filter: impl Fn(usize) -> bool,
 ) -> Vec<usize> {
     let q = x.row(query);
-    let mut candidates: Vec<(f64, usize)> =
-        arda_par::sequential_below(x.rows(), PAR_MIN_ROWS, || {
-            arda_par::par_for_rows(x.rows(), |range| {
-                range
-                    .filter(|&i| i != query && filter(i))
-                    .map(|i| (sq_dist(q, x.row(i)), i))
-                    .collect()
-            })
-        });
+    let mut candidates: Vec<(f64, usize)> = (0..x.rows())
+        .filter(|&i| i != query && filter(i))
+        .map(|i| (sq_dist(q, x.row(i)), i))
+        .collect();
     candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     candidates.truncate(k);
     candidates.into_iter().map(|(_, i)| i).collect()
@@ -95,8 +83,7 @@ mod tests {
 
     #[test]
     fn large_scan_matches_sequential_order() {
-        // Above the parallel threshold; ties broken by index exactly as in
-        // the sequential scan.
+        // Many exact ties, broken by index as in a plain sorted scan.
         let rows: Vec<Vec<f64>> = (0..3_000)
             .map(|i| vec![(i % 7) as f64, ((i * 13) % 5) as f64])
             .collect();

@@ -1,18 +1,21 @@
 //! # arda-par
 //!
 //! The workspace-wide parallel execution substrate. Every hot path in the
-//! ARDA reproduction — blocked matrix kernels (`arda-linalg`), forest and
-//! k-NN fitting (`arda-ml`), RIFS ensemble rounds and the τ-threshold sweep
-//! (`arda-select`), soft-join row matching and group-by pre-aggregation
-//! (`arda-join` / `arda-table`), join discovery (`arda-discovery`) and
+//! ARDA reproduction — blocked matrix kernels (`arda-linalg`), forest fit
+//! and predict and featurization (`arda-ml`), RIFS ensemble rounds, the
+//! τ-threshold sweep and Relief's anchors (`arda-select`), `.arda` encode
+//! and decode (`arda-table`), join discovery (`arda-discovery`) and
 //! join-plan batches (`arda-core`) — funnels through the primitives in this
-//! crate instead of hand-rolling threads.
+//! crate instead of hand-rolling threads. Joins, group-by, k-NN scans and
+//! CSV parsing run on the calling thread: in `Arda::run` they see a coreset
+//! of the base (at most 2 000 rows by default) or one shard, and their
+//! callers already fan out.
 //!
 //! ## The work-budget model
 //!
 //! ARDA's stages are embarrassingly parallel at several nesting levels at
-//! once: RIFS injection rounds × forest fits × blocked linalg kernels, or
-//! batch joins × per-row soft-join scans. Letting every level spawn its own
+//! once, e.g. RIFS injection rounds × forest fits × blocked linalg kernels.
+//! Letting every level spawn its own
 //! full complement of workers oversubscribes the machine; pinning inner
 //! levels to one worker (the pre-budget approach) starves them whenever the
 //! outer level happens to be narrow.
@@ -37,8 +40,8 @@
 //! this automatically: a worker executing the body of [`par_map`] sees an
 //! *ambient* budget of `width / slots` via [`current_budget`], which every
 //! nested primitive picks up. An 8-wide budget fanned over 4 RIFS rounds
-//! gives each round's forest fit a 2-wide budget, while a lone join in a
-//! batch keeps all 8. Never pin inner stages to 1 worker "to be safe": the
+//! gives each round's forest fit a 2-wide budget, while a stage with a
+//! single child keeps all 8. Never pin inner stages to 1 worker "to be safe": the
 //! pool already guarantees no oversubscription, and the pin wastes budget
 //! when the outer fan-out is narrow.
 //!
@@ -354,8 +357,8 @@ where
 /// the concatenation is deterministic for any budget. Each range body runs
 /// with the ambient budget set to `budget.split(chunks)`. Output indices
 /// line up with row indices only when `f` returns exactly one item per row;
-/// callers that filter rows (e.g. the k-NN scan) get the same *sequence* as
-/// a sequential scan, not a per-row mapping.
+/// a caller that filters rows gets the same *sequence* as a sequential
+/// scan, not a per-row mapping.
 pub fn par_for_rows<U, F>(n_rows: usize, f: F) -> Vec<U>
 where
     U: Send,

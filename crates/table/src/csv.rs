@@ -2,39 +2,30 @@
 //!
 //! ARDA's inputs are *repositories* of heterogeneous tables fed by a
 //! discovery system (§2, Figure 1); CSV is the lingua franca. This module
-//! implements a budget-parallel RFC-4180 reader plus per-column type
-//! inference with the priority
-//! `Timestamp(@tick) → Int → finite Float → Bool → Str`; empty fields
-//! become nulls.
+//! implements an RFC-4180 reader plus per-column type inference with the
+//! priority `Timestamp(@tick) → Int → finite Float → Bool → Str`; empty
+//! fields become nulls.
 //!
 //! ## One read, one parse
 //!
 //! [`read_csv`] reads the file into memory once, as an `.arda` shard read
-//! does ([`crate::store`]), and [`read_csv_str`] parses the text in three
-//! steps:
+//! does ([`crate::store`]), and [`read_csv_str`] parses the text on the
+//! calling thread in two passes over its records:
 //!
-//! 1. **Cut** — one quote-aware scan cuts the text into *runs* of whole
-//!    records. Records terminate only at newlines *outside* quoted fields,
-//!    which is what makes embedded `\n` / `\r\n` inside quoted cells parse
+//! 1. **Infer** — a quote-aware scan splits the text into records.
+//!    Records terminate only at newlines *outside* quoted fields, which is
+//!    what makes embedded `\n` / `\r\n` inside quoted cells parse
 //!    correctly (RFC 4180 §2.6) instead of erroring as ragged rows. Each
-//!    run knows the index of its first record, so ragged-row errors name
-//!    the right row.
-//! 2. **Infer** — runs are fanned out on the ambient [`arda_par`] work
-//!    budget; each worker accumulates per-column [`Inferred`] types for its
-//!    run, folded back *in run order* with the widen-merge [`unify`]
-//!    (`Int ∪ Float → Float`, anything else mixed → `Str`). Ragged rows
-//!    surface the earliest offending row, exactly like a sequential scan.
-//! 3. **Build** — runs are fanned out again, this time materializing
-//!    *typed* columnar builders directly (no intermediate per-cell `String`
-//!    table); partial columns are appended in run order.
+//!    data record widens its columns' [`Inferred`] types with [`unify`]
+//!    (`Int ∪ Float → Float`, anything else mixed → `Str`); the first
+//!    ragged record is an error naming its row.
+//! 2. **Build** — a second scan materializes *typed* columnar builders
+//!    directly (no intermediate per-cell `String` table).
 //!
-//! The run count is the budget width; text under 64 KiB (every lake
-//! shard) is one run on the calling thread. The output does not depend on
-//! where the text is cut: [`unify`] is associative and commutative,
-//! columns append in order and the earliest ragged row wins. The resulting
-//! [`Table`] is therefore **bit-identical** at any `ARDA_THREADS` / budget;
-//! `tests/csv_stream.rs` and the unit tests below assert it. A read holds
-//! the file's text while the columns are built.
+//! A read holds the file's text while the columns are built. The reader
+//! never spawns: a repository is many small shards, and the parallelism
+//! sits one level up, where discovery mines (and so loads) shards side by
+//! side.
 //!
 //! ## Semantics
 //!
@@ -65,9 +56,6 @@
 use crate::{Column, ColumnData, Result, Table, TableError};
 use std::io::BufRead;
 use std::path::Path;
-
-/// Text shorter than this parses as one run on the calling thread.
-const PAR_MIN_BYTES: usize = 64 * 1024;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Inferred {
@@ -109,10 +97,8 @@ fn infer_one(s: &str) -> Inferred {
     }
 }
 
-/// Widen `a` to cover `b`. Associative and commutative, so where the text
-/// is cut cannot change the merged type (the fold still runs in run order
-/// for determinism by construction). `Timestamp` only unifies with itself
-/// — `@tick` mixed with anything else is text.
+/// Widen `a` to cover `b`. `Timestamp` only unifies with itself — `@tick`
+/// mixed with anything else is text.
 fn unify(a: Inferred, b: Inferred) -> Inferred {
     use Inferred::*;
     match (a, b) {
@@ -161,105 +147,39 @@ fn for_each_field(record: &str, mut f: impl FnMut(usize, &str)) -> usize {
     idx + 1
 }
 
-/// A run of whole records cut from the input text.
-struct Run<'a> {
-    text: &'a str,
-    /// Global index (header = 0) of this run's first record.
-    first_record: usize,
-}
-
-/// Cut `text` into at most `runs` runs of whole records in one
-/// quote-aware scan: each run ends at the first record terminator at least
-/// `text.len() / runs` bytes past its start, so `runs >= text.len()` makes
-/// every record its own run. Quote *parity* decides which newlines
-/// terminate records, which is equivalent to the field parser's toggling
-/// for `""` escapes.
+/// The records of `text` in order, each without its `\n` terminator and
+/// one trailing `\r`; a final unterminated record (EOF without a newline)
+/// is included. Quote *parity* decides which newlines terminate records,
+/// which is equivalent to the field parser's toggling for `""` escapes.
 ///
 /// A lone `\r` after the last terminator is the `\r` of a `\r\n`-style
 /// trailing empty line (the original parser stripped it to an empty last
-/// line and popped it), so it is dropped here, before the header is
-/// parsed: it is not a record.
-fn cut_runs(text: &str, runs: usize) -> Vec<Run<'_>> {
-    let min_len = text.len().div_ceil(runs.max(1)).max(1);
-    let mut out = Vec::new();
-    let (mut start, mut first_record) = (0usize, 0usize);
-    let (mut records, mut last_end, mut in_quotes) = (0usize, 0usize, false);
-    for (i, &b) in text.as_bytes().iter().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b'\n' if !in_quotes => {
-                records += 1;
-                last_end = i + 1;
-                if last_end - start >= min_len {
-                    out.push(Run {
-                        text: &text[start..last_end],
-                        first_record,
-                    });
-                    start = last_end;
-                    first_record = records;
-                }
-            }
-            _ => {}
+/// line and popped it), so it is not a record.
+fn records(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = text;
+    std::iter::from_fn(move || {
+        if rest.is_empty() || rest == "\r" {
+            return None;
         }
-    }
-    let end = if &text[last_end..] == "\r" {
-        last_end
-    } else {
-        text.len()
-    };
-    if start < end {
-        out.push(Run {
-            text: &text[start..end],
-            first_record,
-        });
-    }
-    out
-}
-
-/// Call `f(record, text)` for each data record of `run`, where `record` is
-/// the global record index; the header (record 0) is skipped. The `\n`
-/// terminator and one trailing `\r` per record are stripped, and a final
-/// unterminated record (EOF without a newline) is included.
-fn for_each_record(run: &Run, mut f: impl FnMut(usize, &str) -> Result<()>) -> Result<()> {
-    let mut emit = |record: usize, text: &str| match record {
-        0 => Ok(()),
-        _ => f(record, text.strip_suffix('\r').unwrap_or(text)),
-    };
-    let (mut start, mut record, mut in_quotes) = (0usize, run.first_record, false);
-    for (i, &b) in run.text.as_bytes().iter().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b'\n' if !in_quotes => {
-                emit(record, &run.text[start..i])?;
-                record += 1;
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < run.text.len() {
-        emit(record, &run.text[start..])?;
-    }
-    Ok(())
-}
-
-/// The column names: the first record of the first run, its terminator
-/// and one trailing `\r` stripped.
-fn header(runs: &[Run]) -> Result<Vec<String>> {
-    let Some(first) = runs.first() else {
-        return Err(TableError::Csv("empty input".into()));
-    };
-    let mut in_quotes = false;
-    let end = first
-        .text
-        .bytes()
-        .position(|b| {
+        let mut in_quotes = false;
+        let end = rest.bytes().position(|b| {
             in_quotes ^= b == b'"';
             b == b'\n' && !in_quotes
-        })
-        .unwrap_or(first.text.len());
-    let record = &first.text[..end];
-    let record = record.strip_suffix('\r').unwrap_or(record);
+        });
+        let (record, next) = match end {
+            Some(i) => (&rest[..i], &rest[i + 1..]),
+            None => (rest, ""),
+        };
+        rest = next;
+        Some(record.strip_suffix('\r').unwrap_or(record))
+    })
+}
+
+/// The column names, parsed from the first record of `text`.
+fn header(text: &str) -> Result<Vec<String>> {
+    let Some(record) = records(text).next() else {
+        return Err(TableError::Csv("empty input".into()));
+    };
     if record.trim().is_empty() {
         return Err(TableError::Csv("empty header".into()));
     }
@@ -282,14 +202,18 @@ fn ragged(record: usize, got: usize, width: usize) -> TableError {
 // Type inference
 // ---------------------------------------------------------------------------
 
-/// Infer per-column types and count the data records of one run.
-fn infer_run(run: &Run, width: usize) -> Result<(Vec<Option<Inferred>>, usize)> {
+/// Infer per-column types (`Str` for a column of nulls) and count the data
+/// records, `(record index, text)` with the header as record 0.
+fn infer<'a>(
+    data: impl Iterator<Item = (usize, &'a str)>,
+    width: usize,
+) -> Result<(Vec<Inferred>, usize)> {
     let mut types: Vec<Option<Inferred>> = vec![None; width];
     let mut rows = 0usize;
-    for_each_record(run, |record, rec| {
+    for (record, rec) in data {
         rows += 1;
         if rec.is_empty() {
-            return Ok(()); // full-width null row
+            continue; // full-width null row
         }
         let n = for_each_field(rec, |c, field| {
             if c < width && !field.is_empty() {
@@ -303,8 +227,11 @@ fn infer_run(run: &Run, width: usize) -> Result<(Vec<Option<Inferred>>, usize)> 
         if n != width {
             return Err(ragged(record, n, width));
         }
-        Ok(())
-    })?;
+    }
+    let types = types
+        .into_iter()
+        .map(|t| t.unwrap_or(Inferred::Str))
+        .collect();
     Ok((types, rows))
 }
 
@@ -364,25 +291,18 @@ fn push_field(data: &mut ColumnData, field: &str) -> Result<()> {
     Ok(())
 }
 
-fn append_data(dst: &mut ColumnData, src: ColumnData) {
-    match (dst, src) {
-        (ColumnData::Int(d), ColumnData::Int(mut s)) => d.append(&mut s),
-        (ColumnData::Float(d), ColumnData::Float(mut s)) => d.append(&mut s),
-        (ColumnData::Str(d), ColumnData::Str(mut s)) => d.append(&mut s),
-        (ColumnData::Bool(d), ColumnData::Bool(mut s)) => d.append(&mut s),
-        (ColumnData::Timestamp(d), ColumnData::Timestamp(mut s)) => d.append(&mut s),
-        _ => unreachable!("builders share one inferred type per column"),
-    }
-}
-
-/// Materialize one run's records into typed partial columns. Inference
-/// already rejected ragged rows.
-fn build_run(run: &Run, types: &[Inferred]) -> Result<Vec<ColumnData>> {
-    let mut cols: Vec<ColumnData> = types.iter().map(|&t| new_builder(t, 0)).collect();
-    for_each_record(run, |_, rec| {
+/// Materialize the data records into typed columns. Inference already
+/// rejected ragged rows.
+fn build<'a>(
+    data: impl Iterator<Item = &'a str>,
+    types: &[Inferred],
+    n_rows: usize,
+) -> Result<Vec<ColumnData>> {
+    let mut cols: Vec<ColumnData> = types.iter().map(|&t| new_builder(t, n_rows)).collect();
+    for rec in data {
         if rec.is_empty() {
             cols.iter_mut().for_each(push_null);
-            return Ok(());
+            continue;
         }
         let mut res = Ok(());
         for_each_field(rec, |c, field| {
@@ -390,8 +310,8 @@ fn build_run(run: &Run, types: &[Inferred]) -> Result<Vec<ColumnData>> {
                 res = push_field(&mut cols[c], field);
             }
         });
-        res
-    })?;
+        res?;
+    }
     Ok(cols)
 }
 
@@ -399,54 +319,18 @@ fn build_run(run: &Run, types: &[Inferred]) -> Result<Vec<ColumnData>> {
 // Public API
 // ---------------------------------------------------------------------------
 
-/// Parse `text` cut into at most `runs` runs. The table does not depend
-/// on `runs`; only unit tests choose it.
-fn parse(name: &str, text: &str, runs: usize) -> Result<Table> {
-    let runs = cut_runs(text, runs);
-    let names = header(&runs)?;
-    let width = names.len();
-
-    // Fold in run order; `unify` is order-insensitive but the fold order
-    // is fixed anyway, and the *earliest* ragged row wins just like a
-    // sequential scan.
-    let mut types: Vec<Option<Inferred>> = vec![None; width];
-    let mut n_rows = 0usize;
-    for res in arda_par::par_map(&runs, |_, run| infer_run(run, width)) {
-        let (run_types, rows) = res?;
-        n_rows += rows;
-        for (slot, t) in types.iter_mut().zip(run_types) {
-            *slot = match (*slot, t) {
-                (prev, None) => prev,
-                (None, got) => got,
-                (Some(prev), Some(got)) => Some(unify(prev, got)),
-            };
-        }
-    }
-
-    let types: Vec<Inferred> = types
-        .into_iter()
-        .map(|t| t.unwrap_or(Inferred::Str))
-        .collect();
-    let mut columns: Vec<ColumnData> = types.iter().map(|&t| new_builder(t, n_rows)).collect();
-    for part in arda_par::par_map(&runs, |_, run| build_run(run, &types)) {
-        for (dst, src) in columns.iter_mut().zip(part?) {
-            append_data(dst, src);
-        }
-    }
+/// Read a table from CSV text. The first record is the header; an empty
+/// record is a row of nulls; quoted fields may span lines.
+pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
+    let names = header(text)?;
+    let (types, n_rows) = infer(records(text).enumerate().skip(1), names.len())?;
+    let columns = build(records(text).skip(1), &types, n_rows)?;
     let columns: Vec<Column> = names
         .into_iter()
         .zip(columns)
         .map(|(n, data)| Column::new(n, data))
         .collect();
     Table::new(name, columns)
-}
-
-/// Read a table from CSV text. The first record is the header; an empty
-/// record is a row of nulls; quoted fields may span lines.
-pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
-    arda_par::sequential_below(text.len(), PAR_MIN_BYTES, || {
-        parse(name, text, arda_par::current_budget().width())
-    })
 }
 
 fn not_utf8() -> TableError {
@@ -487,7 +371,7 @@ pub(crate) fn read_csv_header(path: impl AsRef<Path>) -> Result<Vec<String>> {
         }
     }
     let text = String::from_utf8(bytes).map_err(|_| not_utf8())?;
-    header(&cut_runs(&text, 1))
+    header(&text)
 }
 
 fn escape(field: &str) -> String {
@@ -562,6 +446,12 @@ mod tests {
             t.column("b").unwrap().get(0),
             Value::Str("he said \"hi\"".into())
         );
+        // Multi-byte UTF-8, quoted and bare.
+        let t = read_csv_str("t", "u,v\nαβ,\"日🦀\"\né,🦀\n").unwrap();
+        let u: Vec<Value> = t.column("u").unwrap().iter().collect();
+        let v: Vec<Value> = t.column("v").unwrap().iter().collect();
+        assert_eq!(u, [Value::Str("αβ".into()), Value::Str("é".into())]);
+        assert_eq!(v, [Value::Str("日🦀".into()), Value::Str("🦀".into())]);
     }
 
     #[test]
@@ -574,6 +464,9 @@ mod tests {
     fn ragged_error_reports_earliest_row() {
         let err = read_csv_str("t", "a,b\n1,2\n3\n4,5\n6\n").unwrap_err();
         assert_eq!(err.to_string(), "csv error: row 3 has 1 fields, expected 2");
+        // A ragged last record is found after every well-formed one.
+        let err = read_csv_str("t", "a,b\n1,2\n3,4\n5,6\n7,8\n9\n").unwrap_err();
+        assert_eq!(err.to_string(), "csv error: row 6 has 1 fields, expected 2");
     }
 
     #[test]
@@ -634,6 +527,21 @@ mod tests {
         );
         assert_eq!(back.column("s").unwrap().get(2), Value::Str("e,f".into()));
         assert_eq!(back.column("k").unwrap().get(3), Value::Int(4));
+
+        // Hand-written: `\n` and `\r\n` inside quotes, a quoted empty
+        // field (null), an escaped quote and a CRLF-terminated last record
+        // with a trailing null.
+        let t = read_csv_str("t", "a,note\n1,\"x\ny\"\n2,\"p\r\nq\"\n3,\"\"\n").unwrap();
+        let note: Vec<Value> = t.column("note").unwrap().iter().collect();
+        let x_y = Value::Str("x\ny".into());
+        assert_eq!(note, [x_y, Value::Str("p\r\nq".into()), Value::Null]);
+        assert_eq!(t.column("a").unwrap().dtype(), DataType::Int);
+        let text = "name,x,note\nαβγ,1,\"line one\nline two\"\nplain,2,\"q\"\"uote\"\nlast,3,\r\n";
+        let t = read_csv_str("t", text).unwrap();
+        let note: Vec<Value> = t.column("note").unwrap().iter().collect();
+        let lines = Value::Str("line one\nline two".into());
+        assert_eq!(note, [lines, Value::Str("q\"uote".into()), Value::Null]);
+        assert_eq!(t.column("name").unwrap().get(0), Value::Str("αβγ".into()));
     }
 
     /// Bugfix: an interior blank line is a full-width record of nulls, as
@@ -654,6 +562,18 @@ mod tests {
         let t = read_csv_str("t", "a,b\n1,2\n\n").unwrap();
         assert_eq!(t.n_rows(), 2);
         assert!(t.column("a").unwrap().get(1).is_null());
+        // So does a blank line after a quoted field, and a blank CRLF line.
+        for (text, first, last) in [
+            ("a,b\n1,\"q\"\"q\"\n\n2,z\n", "q\"q", "z"),
+            ("a,b\r\n1,x\r\n\r\n2,y\r\n", "x", "y"),
+        ] {
+            let t = read_csv_str("t", text).unwrap();
+            let a: Vec<Value> = t.column("a").unwrap().iter().collect();
+            let b: Vec<Value> = t.column("b").unwrap().iter().collect();
+            assert_eq!(a, [Value::Int(1), Value::Null, Value::Int(2)], "{text:?}");
+            let (first, last) = (Value::Str(first.into()), Value::Str(last.into()));
+            assert_eq!(b, [first, Value::Null, last], "{text:?}");
+        }
     }
 
     /// Bugfix: a field with a bare `\r` must be quoted on write; unquoted
@@ -683,23 +603,6 @@ mod tests {
         assert_eq!(back.column("s").unwrap().get(2), Value::Str("\r".into()));
     }
 
-    /// The table does not depend on where the text is cut: every run
-    /// count, from one run to one run per record, parses identically.
-    #[test]
-    fn chunk_size_invariance() {
-        let text = "name,x,note\nαβγ,1,\"line one\nline two\"\nplain,2,\"q\"\"uote\"\nlast,3,\r\n";
-        let whole = parse("t", text, 1).unwrap();
-        for runs in 2..=text.len() + 1 {
-            assert_eq!(parse("t", text, runs).unwrap(), whole, "runs={runs}");
-        }
-        assert_eq!(whole.n_rows(), 3);
-        assert_eq!(
-            whole.column("note").unwrap().get(0),
-            Value::Str("line one\nline two".into())
-        );
-        assert!(whole.column("note").unwrap().get(2).is_null());
-    }
-
     /// A lone `\r` after the final newline (a `\r\n`-style trailing empty
     /// line truncated at the `\r`) is not a record — the seed parser
     /// stripped it to an empty last line and popped it.
@@ -707,58 +610,15 @@ mod tests {
     fn lone_cr_tail_is_not_a_record() {
         let t = read_csv_str("t", "a,b\n1,2\n\r").unwrap();
         assert_eq!(t.n_rows(), 1);
-        assert!(read_csv_str("t", "\r").is_err(), "empty input");
+        let t = read_csv_str("t", "a,b\n1,2\n3,4\n\r").unwrap();
+        assert_eq!(t.column("a").unwrap().get(1), Value::Int(3));
+        assert_eq!(t.n_rows(), 2);
+        let err = read_csv_str("t", "\r").unwrap_err();
+        assert_eq!(err.to_string(), "csv error: empty input");
         // A `\r` tail *with* content stays a (stripped) record.
         let t = read_csv_str("t", "a,b\n1,2\n3,4\r").unwrap();
         assert_eq!(t.n_rows(), 2);
         assert_eq!(t.column("a").unwrap().get(1), Value::Int(3));
-    }
-
-    /// Byte offsets at which `cut_runs(text, runs)` ends a run (the text
-    /// end excluded). Runs are contiguous from offset 0.
-    fn cuts(text: &str, runs: usize) -> Vec<usize> {
-        let mut end = 0;
-        cut_runs(text, runs)
-            .iter()
-            .map(|r| {
-                end += r.text.len();
-                end
-            })
-            .filter(|&end| end < text.len())
-            .collect()
-    }
-
-    /// Sweeping the run count cuts the text at every record boundary at
-    /// least once, and every cut parses to the same table — or, for
-    /// ragged input, to the same earliest-row error.
-    #[test]
-    fn every_record_boundary_is_a_cut() {
-        let fixtures = [
-            "a,note\n1,\"x\ny\"\n2,\"p\r\nq\"\n3,\"\"\n",
-            "a,b\n1,\"q\"\"q\"\n\n2,z\n",
-            "u,v\nαβ,\"日🦀\"\né,🦀\n",
-            "a,b\n1,2\n3,4\r",
-            "a,b\n1,2\n3,4\n\r",
-            "a,b\r\n1,x\r\n\r\n2,y\r\n",
-            "@t,n\n@5,1.5\n,2\n@-7,\n",
-            "a,b\n1,2\n3\n4,5\n6\n",
-            "a,b\n1,2\n3,4\n5,6\n7,8\n9\n",
-        ];
-        for text in fixtures {
-            // One run per record: its ends are exactly the terminators.
-            let boundaries = cuts(text, text.len());
-            let mut seen = std::collections::BTreeSet::new();
-            let whole = parse("t", text, 1).map_err(|e| e.to_string());
-            for runs in 1..=text.len() + 1 {
-                seen.extend(cuts(text, runs));
-                let got = parse("t", text, runs).map_err(|e| e.to_string());
-                assert_eq!(got, whole, "{text:?} runs={runs}");
-            }
-            assert!(
-                boundaries.iter().all(|b| seen.contains(b)),
-                "{text:?}: cuts {seen:?} miss a boundary of {boundaries:?}"
-            );
-        }
     }
 
     // ---- PR 5 regression tests -------------------------------------------
@@ -784,12 +644,10 @@ mod tests {
         write_csv(&t, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("@86400"), "@tick syntax written: {text:?}");
-        for runs in [1usize, 2, 3, text.len()] {
-            let back = parse("t", &text, runs).unwrap();
-            assert_eq!(back, t, "runs={runs}");
-            assert_eq!(back.column("ts").unwrap().dtype(), DataType::Timestamp);
-            assert_eq!(back.column("k").unwrap().dtype(), DataType::Int);
-        }
+        let back = read_csv_str("t", &text).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(back.column("ts").unwrap().dtype(), DataType::Timestamp);
+        assert_eq!(back.column("k").unwrap().dtype(), DataType::Int);
     }
 
     /// `@tick` mixed with non-timestamp values (or malformed `@` tokens)
@@ -805,6 +663,12 @@ mod tests {
         assert_eq!(t.column("x").unwrap().dtype(), DataType::Timestamp);
         assert_eq!(t.column("x").unwrap().get(1), Value::Null);
         assert_eq!(t.column("x").unwrap().get(2), Value::Timestamp(-6));
+        // Beside a Float column, with nulls in both, under an `@` name.
+        let t = read_csv_str("t", "@t,n\n@5,1.5\n,2\n@-7,\n").unwrap();
+        let ts: Vec<Value> = t.column("@t").unwrap().iter().collect();
+        let n: Vec<Value> = t.column("n").unwrap().iter().collect();
+        assert_eq!(ts, [Value::Timestamp(5), Value::Null, Value::Timestamp(-7)]);
+        assert_eq!(n, [Value::Float(1.5), Value::Float(2.0), Value::Null]);
     }
 
     /// Bugfix: non-finite float literals no longer infer as `Float`. An

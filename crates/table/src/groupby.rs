@@ -9,10 +9,6 @@
 use crate::{Column, ColumnData, Key, Result, Table};
 use std::collections::HashMap;
 
-/// Cells (rows × aggregated columns) below which aggregation stays
-/// sequential.
-const PAR_MIN_AGG_CELLS: usize = 1 << 14;
-
 /// Group-by on key columns of a table, aggregated by ARDA's mean/mode rule.
 pub struct GroupBy<'a> {
     table: &'a Table,
@@ -66,23 +62,13 @@ impl<'a> GroupBy<'a> {
         for key_name in &self.key_columns {
             out_cols.push(self.table.column(key_name)?.take(&first_rows));
         }
-
-        // Each aggregated column computes independently: the scan over all
-        // groups × columns — ARDA's pre-aggregation hot loop for
-        // high-cardinality foreign tables — fans out per column on the
-        // ambient `arda-par` work budget, with results folded back in
-        // column order (identical to the sequential loop at any budget).
-        let values: Vec<&Column> = self
-            .table
-            .columns()
-            .iter()
-            .filter(|c| !self.key_columns.iter().any(|k| k == c.name()))
-            .collect();
-        let cells = self.table.n_rows() * values.len().max(1);
-        let agg_cols = arda_par::sequential_below(cells, PAR_MIN_AGG_CELLS, || {
-            arda_par::par_map(&values, |_, src| aggregate_column(src, &groups))
-        });
-        out_cols.extend(agg_cols);
+        out_cols.extend(
+            self.table
+                .columns()
+                .iter()
+                .filter(|c| !self.key_columns.iter().any(|k| k == c.name()))
+                .map(|src| aggregate_column(src, &groups)),
+        );
 
         Table::new(self.table.name().to_string(), out_cols)
     }

@@ -21,8 +21,8 @@
 //! * [`GroupBy`] — ARDA's pre-aggregation: group on key columns, take the
 //!   mean of numeric columns and the mode of the others.
 //! * CSV ingestion with type inference: a quote-aware RFC-4180 reader
-//!   that reads each file once and parses and infers on the ambient
-//!   [`arda_par`] work budget (see the `csv` module docs), plus a
+//!   that reads each file once and infers and builds typed columns in two
+//!   passes on the calling thread (see the `csv` module docs), plus a
 //!   round-trip-safe writer.
 //! * A typed binary columnar shard format (`.arda`): length-prefixed
 //!   little-endian columns with null bitmaps that round-trip every

@@ -19,7 +19,7 @@
 //!
 //! * `*.csv` — a header-only scan (names and width known, dtypes unknown
 //!   until a full parse); a load reads the file once and parses it with
-//!   the budget-parallel CSV reader;
+//!   the CSV reader;
 //! * `*.arda` — the typed binary columnar store (see [`crate::store`]):
 //!   the header scan also yields exact dtypes, so planning can be
 //!   dtype-aware without loading anything, and every [`DataType`]

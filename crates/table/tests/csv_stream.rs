@@ -1,6 +1,6 @@
 //! CSV property suite for the reader.
 //!
-//! Three families of properties:
+//! Two families of properties:
 //!
 //! 1. **Round-trip**: random tables over all dtypes — with nulls and
 //!    hostile strings (embedded `\n`, `\r\n`, bare `\r`, `,`, `"`,
@@ -15,18 +15,11 @@
 //!    `Timestamp`) and non-finite float literals like `inf` / `NaN`
 //!    (seed: `Float`, now `Str`) — both have dedicated regression tests
 //!    in the `csv` module instead.
-//! 3. **Budget invariance**: text of 64 KiB and more is cut into one run
-//!    of whole records per budget slot and parsed in parallel; the table
-//!    is bit-identical across work budgets because it does not depend on
-//!    where the text is cut.
 //!
-//! Cut placement itself is swept in the `csv` module's unit tests
-//! (`every_record_boundary_is_a_cut`), which can choose the run count;
-//! nothing outside the crate can. `tests/budget_determinism.rs` at the
-//! workspace root additionally drives ingestion through the full pipeline
-//! across budgets.
+//! The reader runs on the calling thread. `tests/budget_determinism.rs` at
+//! the workspace root drives ingestion of a sharded repository through the
+//! full pipeline across budgets.
 
-use arda_par::Budget;
 use arda_table::{read_csv_str, write_csv, Column, ColumnData, Table, TableError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,18 +264,6 @@ fn to_csv(table: &Table) -> String {
     String::from_utf8(buf).unwrap()
 }
 
-/// `text`'s header followed by its body repeated until the whole exceeds
-/// 64 KiB. Generated headers hold no quotes, so the body starts after the
-/// first newline.
-fn past_64_kib(text: &str) -> String {
-    let (header, body) = text.split_at(text.find('\n').unwrap() + 1);
-    let mut out = header.to_string();
-    while out.len() <= 64 * 1024 {
-        out.push_str(body);
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
@@ -304,7 +285,7 @@ fn random_tables_round_trip_exactly() {
 /// On seed-parsable inputs (no `@tick` / non-finite tokens — those are
 /// typed more precisely now), the reader is bit-identical to the seed
 /// parser. (The name predates the one-read parser, which has no chunk
-/// size; its cuts are swept by the `csv` module's unit tests.)
+/// size.)
 #[test]
 fn streaming_matches_seed_parser_on_every_chunk_size() {
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
@@ -372,38 +353,4 @@ fn all_null_column_matches_seed_fallback() {
         got.column("empty").unwrap().data(),
         &ColumnData::Str(vec![None, None])
     );
-}
-
-/// Parsing is bit-identical across work budgets {1, 2, 3, 8}: each width
-/// cuts the text into its own number of runs, and per-run results merge
-/// in run order regardless of how many workers the pool grants. Each
-/// budget is installed in scope with its own permit pool, and every width
-/// above 1 must have spawned somewhere in the sweep. The parser keeps text
-/// under 64 KiB on the calling thread, so each random table's body is
-/// repeated past that size.
-#[test]
-fn ingestion_identical_across_budgets() {
-    let mut rng = StdRng::seed_from_u64(0xbadc0de);
-    let texts: Vec<String> = (0..6)
-        .map(|_| past_64_kib(&to_csv(&random_table(&mut rng, true, true))))
-        .collect();
-    let budgets = [1usize, 2, 3, 8].map(Budget::isolated);
-    for text in &texts {
-        let mut reference: Option<Table> = None;
-        for budget in &budgets {
-            let got = budget.install(|| read_csv_str("t", text).unwrap());
-            match &reference {
-                None => reference = Some(got),
-                Some(r) => assert_eq!(&got, r, "budget {}\n{text:?}", budget.width()),
-            }
-        }
-    }
-    for budget in &budgets {
-        assert_eq!(
-            budget.total_spawns() > 0,
-            budget.width() > 1,
-            "budget {}",
-            budget.width()
-        );
-    }
 }

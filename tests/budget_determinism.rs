@@ -9,17 +9,16 @@
 //! `Budget::isolated(w).install(..)`, a scoped budget with its own permit
 //! pool, so tests running side by side cannot change each other's width,
 //! and every width above 1 must actually spawn (a sweep that silently ran
-//! sequentially would prove nothing). Row scans sit above their small-input
-//! thresholds, with row counts that leave a ragged last band at widths 2,
-//! 3 and 8. `tests/par_determinism.rs` covers the kernels underneath.
+//! sequentially would prove nothing). Joins, group-by and CSV parsing run
+//! on the calling thread; they are swept here inside the pipeline, whose
+//! batch and discovery fan-outs do spawn. `tests/par_determinism.rs`
+//! covers the kernels underneath.
 
 mod common;
 
 use arda::prelude::*;
 use arda_par::Budget;
-use common::{
-    assert_identical_across_budgets, assert_pipeline_identical_across_budgets, ragged, BUDGETS,
-};
+use common::{assert_identical_across_budgets, assert_pipeline_identical_across_budgets, BUDGETS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,61 +61,6 @@ fn rifs_with_tau_sweep_identical_across_budgets() {
             r.fractions,
             r.threshold_used.to_bits(),
             r.holdout_score.to_bits(),
-        )
-    });
-}
-
-/// Hard joins (with the parallel group-by pre-aggregation forced by
-/// duplicate foreign keys and many value columns) and both soft joins
-/// produce identical tables at every budget.
-#[test]
-fn joins_identical_across_budgets() {
-    let mut rng = StdRng::seed_from_u64(700);
-    // Above the 4096-row scan threshold, ragged bands at every width.
-    let n_base = 6_007;
-    assert!(ragged(n_base));
-    let n_foreign = 9_000; // heavy duplication → pre-aggregation runs
-    let base = Table::new(
-        "b",
-        vec![Column::from_i64(
-            "k",
-            (0..n_base).map(|_| rng.gen_range(0i64..500)).collect(),
-        )],
-    )
-    .unwrap();
-    let foreign = Table::new(
-        "f",
-        vec![
-            Column::from_i64(
-                "k",
-                (0..n_foreign).map(|_| rng.gen_range(0i64..500)).collect(),
-            ),
-            Column::from_f64(
-                "v1",
-                (0..n_foreign).map(|_| rng.gen_range(-3.0..3.0)).collect(),
-            ),
-            Column::from_f64(
-                "v2",
-                (0..n_foreign).map(|_| rng.gen_range(0.0..1.0)).collect(),
-            ),
-            Column::from_str(
-                "c",
-                (0..n_foreign)
-                    .map(|i| ["x", "y", "z"][i % 3])
-                    .collect::<Vec<_>>(),
-            ),
-        ],
-    )
-    .unwrap();
-
-    let hard = JoinSpec::hard("k", "k");
-    let nearest = JoinSpec::soft("k", "k", SoftMethod::Nearest);
-    let two_way = JoinSpec::soft("k", "k", SoftMethod::TwoWayNearest);
-    assert_identical_across_budgets("joins", || {
-        (
-            execute_join(&base, &foreign, &hard, 9).unwrap(),
-            execute_join(&base, &foreign, &nearest, 9).unwrap(),
-            execute_join(&base, &foreign, &two_way, 9).unwrap(),
         )
     });
 }
@@ -184,29 +128,6 @@ fn discovery_identical_across_budgets() {
 #[test]
 fn pipeline_identical_across_budgets() {
     assert_pipeline_identical_across_budgets(130, 21);
-}
-
-/// CSV ingestion — the quote-aware cut into runs, parallel per-run type
-/// inference with the widen-merge, parallel typed build — yields a
-/// bit-identical table at every budget (budgets {1, 2, 8} required, {1, 2,
-/// 3, 8} swept). The reader keeps text under 64 KiB on the calling thread,
-/// so the hostile body is repeated past that size to make the parallel
-/// path engage at wide budgets.
-#[test]
-fn csv_ingestion_identical_across_budgets() {
-    // Hostile content: embedded newlines/CRLF in quoted cells, quotes,
-    // commas, blank interior line, type widening, trailing nulls.
-    let header = "id,score,who,note\n";
-    let body = "1,2.5,\"a,b\",\"line one\nline two\"\n\
-                2,,c d,\"q\"\"uote\"\n\
-                \n\
-                3,4,\"crlf\r\nin cell\",\n\
-                4,5.5,αβ🦀,end\r\n";
-    let text = format!("{header}{}", body.repeat(64 * 1024 / body.len() + 1));
-    assert!(text.len() > 64 * 1024);
-    assert_identical_across_budgets("csv_ingestion", || {
-        arda::table::read_csv_str("t", &text).unwrap()
-    });
 }
 
 /// Directory-sharded repositories: manifest scan + lazy parallel shard

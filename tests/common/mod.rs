@@ -36,14 +36,6 @@ pub fn assert_identical_across_budgets<T: PartialEq + std::fmt::Debug>(
     reference.expect("BUDGETS is not empty")
 }
 
-/// Whether `n` rows split into bands of `ceil(n / w)` leave a short last
-/// band at every width in {2, 3, 8}.
-pub fn ragged(n: usize) -> bool {
-    [2usize, 3, 8]
-        .iter()
-        .all(|&w| !n.is_multiple_of(n.div_ceil(w)))
-}
-
 /// Run the full pipeline with RIFS on a taxi scenario of `n_rows` rows and
 /// `seed` under every width in [`BUDGETS`], and assert the base score,
 /// augmented score and selected features are bit-identical.

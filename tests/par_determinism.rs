@@ -1,5 +1,5 @@
 //! Parallel-vs-sequential determinism of the kernels and stages under the
-//! pipeline: blocked matmul, gram and transpose, soft joins, forest fits,
+//! pipeline: blocked matmul, gram and transpose, forest fits,
 //! featurization, RIFS fractions and the pipeline itself must produce
 //! output identical to their sequential run across random shapes, seeds
 //! and budgets {1, 2, 3, 8}.
@@ -9,17 +9,24 @@
 //! assertions (no tolerances). Each sweep runs under
 //! `Budget::isolated(w).install(..)` and asserts that widths above 1
 //! spawned, so every input sits above its kernel's small-input threshold
-//! (32k scalar ops for the matrix kernels, 4096 base rows for soft-join
-//! scans, 16k cells for featurization), with row counts that leave a
-//! ragged last band at widths 2, 3 and 8.
+//! (32k scalar ops for the matrix kernels, 16k cells for featurization),
+//! with row counts that leave a ragged last band at widths 2, 3 and 8.
 
 mod common;
 
 use arda::linalg::Matrix;
 use arda::prelude::*;
-use common::{assert_identical_across_budgets, assert_pipeline_identical_across_budgets, ragged};
+use common::{assert_identical_across_budgets, assert_pipeline_identical_across_budgets};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Whether `n` rows split into bands of `ceil(n / w)` leave a short last
+/// band at every width in {2, 3, 8}.
+fn ragged(n: usize) -> bool {
+    [2usize, 3, 8]
+        .iter()
+        .all(|&w| !n.is_multiple_of(n.div_ceil(w)))
+}
 
 /// A row count in `lo..hi` whose bands are ragged at widths 2, 3 and 8.
 fn ragged_rows(rng: &mut StdRng, lo: usize, hi: usize) -> usize {
@@ -97,58 +104,6 @@ fn gram_matches_transpose_product_across_shapes_and_threads() {
                 "{what}: gram vs XᵀX"
             );
         }
-    }
-}
-
-/// Soft joins run their row scans in parallel above a 4096-row threshold;
-/// results must be identical at every budget.
-#[test]
-fn soft_joins_identical_across_thread_counts() {
-    for case in 0..3u64 {
-        let mut rng = StdRng::seed_from_u64(200 + case);
-        let n_base = 6_007;
-        let n_foreign = 500;
-        let base = Table::new(
-            "b",
-            vec![Column::from_i64(
-                "k",
-                (0..n_base)
-                    .map(|_| rng.gen_range(-10_000i64..10_000))
-                    .collect(),
-            )],
-        )
-        .unwrap();
-        let foreign = Table::new(
-            "f",
-            vec![
-                Column::from_i64(
-                    "k",
-                    (0..n_foreign)
-                        .map(|_| rng.gen_range(-10_000i64..10_000))
-                        .collect(),
-                ),
-                Column::from_f64(
-                    "v",
-                    (0..n_foreign).map(|_| rng.gen_range(-3.0..3.0)).collect(),
-                ),
-                Column::from_str(
-                    "c",
-                    (0..n_foreign)
-                        .map(|i| if i % 2 == 0 { "even" } else { "odd" })
-                        .collect(),
-                ),
-            ],
-        )
-        .unwrap();
-
-        let nearest = JoinSpec::soft("k", "k", SoftMethod::Nearest);
-        let two_way = JoinSpec::soft("k", "k", SoftMethod::TwoWayNearest);
-        assert_identical_across_budgets(&format!("case {case}: nearest join"), || {
-            execute_join(&base, &foreign, &nearest, case).unwrap()
-        });
-        assert_identical_across_budgets(&format!("case {case}: two-way join"), || {
-            execute_join(&base, &foreign, &two_way, case).unwrap()
-        });
     }
 }
 
