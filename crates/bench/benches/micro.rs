@@ -14,7 +14,6 @@ use arda_coreset::sketch_xy;
 use arda_join::{execute_join, JoinSpec, SoftMethod};
 use arda_linalg::{cholesky_decompose, stats::standardize_columns, Matrix};
 use arda_ml::{Dataset, ForestConfig, RandomForest, Task};
-use arda_par::Budget;
 use arda_select::rifs_fractions;
 use arda_select::sparse_regression::{l21_solve, target_matrix, L21Config};
 use arda_synth::{taxi, ScenarioConfig};
@@ -94,9 +93,7 @@ fn bench_sketch(out: &mut Vec<Measurement>) {
 }
 
 /// One tall solve (primal form, d×d system) and one wide solve shaped like
-/// a School (L) lake batch (dual form, n×n system). The wide solve also
-/// runs at width 1, as inside RIFS, whose rounds split the budget over
-/// their repeats.
+/// a School (L) lake batch (dual form, n×n system).
 fn bench_l21(out: &mut Vec<Measurement>) {
     let mut rng = StdRng::seed_from_u64(3);
     let cfg = L21Config {
@@ -113,19 +110,12 @@ fn bench_l21(out: &mut Vec<Measurement>) {
         out.push(time_op(&name, WINDOW_SECS, || {
             black_box(l21_solve(&x, &ym, &cfg).unwrap());
         }));
-        if d > n {
-            out.push(Budget::isolated(1).install(|| {
-                time_op(&format!("{name}_width1"), WINDOW_SECS, || {
-                    black_box(l21_solve(&x, &ym, &cfg).unwrap());
-                })
-            }));
-        }
     }
 }
 
 /// The two kernels of each dual ℓ2,1 step at a lake batch's shape (the
 /// lower triangle of `X·(A Xᵀ)` and the n×n Cholesky), and the Cholesky at
-/// taxi's primal size (288 features). All at width 1, as inside RIFS.
+/// taxi's primal size (288 features).
 fn bench_l21_kernels(out: &mut Vec<Measurement>) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut random = |rows: usize, cols: usize| {
@@ -142,17 +132,15 @@ fn bench_l21_kernels(out: &mut Vec<Measurement>) {
         k
     };
     let (k75, k288) = (spd(&x), spd(&random(288, 300)));
-    Budget::isolated(1).install(|| {
-        out.push(time_op("matmul_lower_75x228_width1", WINDOW_SECS, || {
-            black_box(x.matmul_lower(&axt).unwrap());
-        }));
-        out.push(time_op("cholesky_75_width1", WINDOW_SECS, || {
-            black_box(cholesky_decompose(&k75).unwrap());
-        }));
-        out.push(time_op("cholesky_288_width1", WINDOW_SECS, || {
-            black_box(cholesky_decompose(&k288).unwrap());
-        }));
-    });
+    out.push(time_op("matmul_lower_75x228", WINDOW_SECS, || {
+        black_box(x.matmul_lower(&axt).unwrap());
+    }));
+    out.push(time_op("cholesky_75", WINDOW_SECS, || {
+        black_box(cholesky_decompose(&k75).unwrap());
+    }));
+    out.push(time_op("cholesky_288", WINDOW_SECS, || {
+        black_box(cholesky_decompose(&k288).unwrap());
+    }));
 }
 
 fn bench_forest(out: &mut Vec<Measurement>) {

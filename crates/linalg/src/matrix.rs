@@ -1,19 +1,18 @@
-//! Row-major dense matrix with cache-blocked, parallel hot-path kernels.
+//! Row-major dense matrix with cache-blocked hot-path kernels.
 //!
-//! `matmul`, `gram`, `transpose` and `matvec` split their *output* into
-//! contiguous row bands processed concurrently via [`arda_par`]; within a
-//! band the loops are blocked for cache reuse. Every kernel accumulates
-//! each output element in the same (ascending) order regardless of band
-//! size or budget, so results are **bit-identical** to the sequential
-//! naive versions — a property the test suite asserts across random shapes
-//! and budget widths.
+//! `matmul`, `gram` and `transpose` are blocked for cache reuse and run on
+//! the calling thread, inside stages that already fan out (RIFS rounds,
+//! forest fits, featurization). Every kernel accumulates each output
+//! element in the same (ascending) order as the naive loop, so results are
+//! **bit-identical** to the naive versions — a property the test suite
+//! asserts across shapes straddling every block and tile edge.
 //!
 //! Two variants of the product keep that order while doing less work.
 //! `matmul_lower` computes only the lower triangle of a square product
-//! (the half a Cholesky factorisation reads), banding rows by equal
-//! triangle area. And a `matmul` whose right-hand side is at most 4 wide
-//! keeps its output rows in register accumulators instead of paying the
-//! blocked loop's per-`k` overhead on a 1–4 element slice.
+//! (the half a Cholesky factorisation reads). And a `matmul` whose
+//! right-hand side is at most 4 wide keeps its output rows in register
+//! accumulators instead of paying the blocked loop's per-`k` overhead on a
+//! 1–4 element slice.
 //!
 //! Both run on register tiles when the right-hand factor is all finite:
 //! four output rows at once, each row 4 (or the narrow width) elements
@@ -35,43 +34,31 @@ const MATMUL_JC: usize = 256;
 const MATMUL_KC: usize = 128;
 /// Square tile edge for `transpose` (8 KiB per tile pair).
 const TRANSPOSE_TILE: usize = 32;
-/// Minimum scalar operations before a kernel bothers spawning workers;
-/// below this the scoped-thread setup dominates.
-const PAR_MIN_OPS: usize = 1 << 15;
 
-/// Run a kernel touching `ops` scalar operations under the shared
-/// `arda-par` small-input policy with this crate's op threshold. `f`
-/// receives the width its budget plans with, from which the kernels derive
-/// their band sizes.
-fn kernel<R>(ops: usize, f: impl FnOnce(usize) -> R) -> R {
-    arda_par::sequential_below(ops, PAR_MIN_OPS, || f(arda_par::current_budget().width()))
-}
-
-/// Accumulate rows `i0..` of the product `a * b` (`a` with `kd` columns,
-/// `b` and the output `m` wide) into the zeroed row-major `out`, row `i`
-/// over its first `row_len(i)` columns only. Blocked over `k` and `j`;
-/// every element adds its `k` terms in ascending order and skips a term
-/// whose `a` factor is zero.
+/// Accumulate the product `a * b` (`a` with `kd` columns, `b` and the
+/// output `m` wide) into the zeroed row-major `out`, row `i` over its first
+/// `row_len(i)` columns only. Blocked over `k` and `j`; every element adds
+/// its `k` terms in ascending order and skips a term whose `a` factor is
+/// zero.
 fn blocked_product_rows(
     a: &[f64],
     b: &[f64],
     kd: usize,
     m: usize,
-    i0: usize,
     out: &mut [f64],
     row_len: impl Fn(usize) -> usize,
 ) {
-    let rows_here = out.len() / m;
+    let rows = out.len() / m;
     for kk in (0..kd).step_by(MATMUL_KC) {
         let k_end = (kk + MATMUL_KC).min(kd);
         for jj in (0..m).step_by(MATMUL_JC) {
-            for li in 0..rows_here {
-                let j_end = (jj + MATMUL_JC).min(row_len(i0 + li));
+            for i in 0..rows {
+                let j_end = (jj + MATMUL_JC).min(row_len(i));
                 if j_end <= jj {
                     continue;
                 }
-                let a_row = &a[(i0 + li) * kd..(i0 + li) * kd + kd];
-                let out_row = &mut out[li * m + jj..li * m + j_end];
+                let a_row = &a[i * kd..i * kd + kd];
+                let out_row = &mut out[i * m + jj..i * m + j_end];
                 for k in kk..k_end {
                     let av = a_row[k];
                     // One-hot featurized matrices are mostly zeros; adding
@@ -131,7 +118,6 @@ fn narrow_product_rows<const M: usize>(
     a: &[f64],
     b: &[f64],
     kd: usize,
-    i0: usize,
     out: &mut [f64],
     finite: bool,
 ) {
@@ -143,7 +129,7 @@ fn narrow_product_rows<const M: usize>(
     };
     let (tiled, rest) = out.split_at_mut(tiled_rows * M);
     for (q, out_rows) in tiled.chunks_exact_mut(TILE * M).enumerate() {
-        let first = i0 + q * TILE;
+        let first = q * TILE;
         let acc = tile::<M>(std::array::from_fn(|r| a_row(first + r)), b, M, 0);
         for (out_row, acc_row) in out_rows.chunks_exact_mut(M).zip(&acc) {
             out_row.copy_from_slice(acc_row);
@@ -151,7 +137,7 @@ fn narrow_product_rows<const M: usize>(
     }
     for (li, out_row) in rest.chunks_exact_mut(M).enumerate() {
         let mut acc = [0.0; M];
-        for (&av, b_row) in a_row(i0 + tiled_rows + li).iter().zip(b.chunks_exact(M)) {
+        for (&av, b_row) in a_row(tiled_rows + li).iter().zip(b.chunks_exact(M)) {
             if av == 0.0 {
                 continue;
             }
@@ -163,28 +149,23 @@ fn narrow_product_rows<const M: usize>(
     }
 }
 
-/// Rows `lo..` of the lower triangle of the n×n product `a * b` (`a`
-/// with `kd` columns, `b` finite, `n ≥ TILE`) into the zeroed row-major
-/// `out`, one [`TILE`]×[`TILE`] register tile at a time. A tile that would
-/// overhang the last row or column is moved back to end on it; the
-/// elements it computes again come out the same, and only those in this
-/// band on or below the diagonal are stored.
-fn lower_tiled_rows(a: &[f64], b: &[f64], kd: usize, n: usize, lo: usize, out: &mut [f64]) {
-    let hi = lo + out.len() / n;
-    for i in (lo..hi).step_by(TILE) {
+/// The lower triangle of the n×n product `a * b` (`a` with `kd` columns,
+/// `b` finite, `n ≥ TILE`) into the zeroed row-major `out`, one
+/// [`TILE`]×[`TILE`] register tile at a time. A tile that would overhang
+/// the last row or column is moved back to end on it; the elements it
+/// computes again come out the same, and only those on or below the
+/// diagonal are stored.
+fn lower_tiled_rows(a: &[f64], b: &[f64], kd: usize, n: usize, out: &mut [f64]) {
+    for i in (0..n).step_by(TILE) {
         let i0 = i.min(n - TILE);
         let rows = std::array::from_fn(|r| &a[(i0 + r) * kd..(i0 + r + 1) * kd]);
-        // The block's last stored row bounds the columns it needs.
-        let last = (i + TILE).min(hi) - 1;
-        for j in (0..=last).step_by(TILE) {
+        // The block's last row bounds the columns it needs.
+        for j in (0..i0 + TILE).step_by(TILE) {
             let j0 = j.min(n - TILE);
             let acc = tile::<TILE>(rows, b, n, j0);
             for (r, acc_row) in acc.iter().enumerate() {
                 let row = i0 + r;
-                if row < lo || row >= hi {
-                    continue;
-                }
-                let out_row = &mut out[(row - lo) * n..(row - lo + 1) * n];
+                let out_row = &mut out[row * n..(row + 1) * n];
                 for (c, &v) in acc_row.iter().enumerate() {
                     if j0 + c <= row {
                         out_row[j0 + c] = v;
@@ -193,25 +174,6 @@ fn lower_tiled_rows(a: &[f64], b: &[f64], kd: usize, n: usize, lo: usize, out: &
             }
         }
     }
-}
-
-/// Row bounds `0 = r₀ < r₁ < … = n` cutting the lower triangle of an n×n
-/// output into at most `bands` runs of rows of near-equal area (row `i`
-/// holds `i + 1` elements).
-fn triangle_bands(n: usize, bands: usize) -> Vec<usize> {
-    let total = n * (n + 1) / 2;
-    let mut bounds = vec![0];
-    let mut area = 0;
-    for r in 1..n {
-        area += r;
-        // Close band `bounds.len() - 1` once it holds its share; since
-        // `area < total` here, at most `bands - 1` bounds are pushed.
-        if area * bands >= total * bounds.len() {
-            bounds.push(r);
-        }
-    }
-    bounds.push(n);
-    bounds
 }
 
 /// A dense `rows × cols` matrix of `f64` stored row-major.
@@ -340,9 +302,9 @@ impl Matrix {
     }
 
     /// Build from per-column buffers (all of length `rows`), scattering
-    /// directly into the row-major buffer in parallel row bands. This is
-    /// the fast path for columnar sources (featurization) that skips any
-    /// per-cell indirection.
+    /// directly into the row-major buffer. This is the fast path for
+    /// columnar sources (featurization) that skips any per-cell
+    /// indirection.
     pub fn from_columns(rows: usize, columns: &[Vec<f64>]) -> Result<Matrix> {
         let d = columns.len();
         if let Some(bad) = columns.iter().find(|c| c.len() != rows) {
@@ -354,60 +316,44 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(rows, d);
-        if d == 0 || rows == 0 {
+        if d == 0 {
             return Ok(out);
         }
-        kernel(rows * d, |width| {
-            let band = rows.div_ceil(width).max(1) * d;
-            arda_par::par_chunks_mut(&mut out.data, band, |start, chunk| {
-                let r0 = start / d;
-                for (local_r, out_row) in chunk.chunks_mut(d).enumerate() {
-                    let r = r0 + local_r;
-                    for (o, col) in out_row.iter_mut().zip(columns) {
-                        *o = col[r];
-                    }
-                }
-            })
-        });
+        for (r, out_row) in out.data.chunks_exact_mut(d).enumerate() {
+            for (o, col) in out_row.iter_mut().zip(columns) {
+                *o = col[r];
+            }
+        }
         Ok(out)
     }
 
-    /// Transposed copy: tiled to keep both the source and destination
-    /// access patterns cache-resident, parallel over output row bands.
+    /// Transposed copy, in 32×32 tiles that keep both the source and the
+    /// destination access patterns cache-resident.
     pub fn transpose(&self) -> Matrix {
         let (n, d) = (self.rows, self.cols);
         let mut out = Matrix::zeros(d, n);
-        if n == 0 || d == 0 {
-            return out;
-        }
-        let src = &self.data;
         let t = TRANSPOSE_TILE;
-        kernel(n * d, |width| {
-            // Output rows are input columns; hand each worker a band of them.
-            let band_rows = d.div_ceil(width).max(1).min(t);
-            arda_par::par_chunks_mut(&mut out.data, band_rows * n, |start, chunk| {
-                let c0 = start / n;
-                let c1 = c0 + chunk.len().div_ceil(n.max(1));
-                for rr in (0..n).step_by(t) {
-                    let r_end = (rr + t).min(n);
-                    for c in c0..c1 {
-                        let out_row = &mut chunk[(c - c0) * n..][..n];
-                        for r in rr..r_end {
-                            out_row[r] = src[r * d + c];
-                        }
+        // Output rows are input columns.
+        for cc in (0..d).step_by(t) {
+            let c_end = (cc + t).min(d);
+            for rr in (0..n).step_by(t) {
+                let r_end = (rr + t).min(n);
+                for c in cc..c_end {
+                    let out_row = &mut out.data[c * n..(c + 1) * n];
+                    for r in rr..r_end {
+                        out_row[r] = self.data[r * d + c];
                     }
                 }
-            })
-        });
+            }
+        }
         out
     }
 
-    /// Matrix product `self * other`: cache-blocked over `k` and `j` (a
+    /// Matrix product `self * other`, cache-blocked over `k` and `j` (a
     /// right-hand side at most 4 wide accumulates its output rows in
-    /// registers instead, four rows at a time when it is finite), parallel
-    /// over output row bands. Bit-identical to the sequential naive i-k-j
-    /// product at every budget because each output element accumulates
-    /// its `k` contributions in ascending order.
+    /// registers instead, four rows at a time when it is finite).
+    /// Bit-identical to the naive i-k-j product because each output element
+    /// accumulates its `k` contributions in ascending order.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -422,25 +368,15 @@ impl Matrix {
         if n == 0 || kd == 0 || m == 0 {
             return Ok(out);
         }
-        let a = &self.data;
-        let b = &other.data;
+        let (a, b, c) = (&self.data, &other.data, &mut out.data);
         let finite = m <= TILE && b.iter().all(|v| v.is_finite());
-        kernel(n * kd * m, |width| {
-            // One contiguous row band per worker (par_chunks_mut assigns
-            // contiguous spans statically, so finer bands would collapse
-            // into the same partition); results are band-size-independent.
-            let band_rows = n.div_ceil(width).max(1);
-            arda_par::par_chunks_mut(&mut out.data, band_rows * m, |start, chunk| {
-                let i0 = start / m;
-                match m {
-                    1 => narrow_product_rows::<1>(a, b, kd, i0, chunk, finite),
-                    2 => narrow_product_rows::<2>(a, b, kd, i0, chunk, finite),
-                    3 => narrow_product_rows::<3>(a, b, kd, i0, chunk, finite),
-                    4 => narrow_product_rows::<4>(a, b, kd, i0, chunk, finite),
-                    _ => blocked_product_rows(a, b, kd, m, i0, chunk, |_| m),
-                }
-            })
-        });
+        match m {
+            1 => narrow_product_rows::<1>(a, b, kd, c, finite),
+            2 => narrow_product_rows::<2>(a, b, kd, c, finite),
+            3 => narrow_product_rows::<3>(a, b, kd, c, finite),
+            4 => narrow_product_rows::<4>(a, b, kd, c, finite),
+            _ => blocked_product_rows(a, b, kd, m, c, |_| m),
+        }
         Ok(out)
     }
 
@@ -448,13 +384,9 @@ impl Matrix {
     /// `self * other`; the strict upper triangle is left `0.0`. Each kept
     /// element is bit-identical to the same element of [`Matrix::matmul`],
     /// at half its work. Suits a symmetric product consumed by a solver
-    /// that reads one triangle, like `cholesky_decompose`.
-    ///
-    /// Row `i` holds `i + 1` elements, so the rows are cut into at most
-    /// one band per worker of near-equal triangle area rather than equal
-    /// row count; the result does not depend on the bands. With a finite
-    /// `other` and `n ≥ 4` each band runs on 4×4 register tiles (see the
-    /// module doc); otherwise on the blocked loop with its zero skip.
+    /// that reads one triangle, like `cholesky_decompose`. With a finite
+    /// `other` and `n ≥ 4` it runs on 4×4 register tiles (see the module
+    /// doc); otherwise on the blocked loop with its zero skip.
     pub fn matmul_lower(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows || self.rows != other.cols {
             return Err(LinalgError::DimensionMismatch {
@@ -465,85 +397,46 @@ impl Matrix {
             });
         }
         let (n, kd) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(n, n);
         if n == 0 || kd == 0 {
-            return Ok(Matrix::zeros(n, n));
+            return Ok(out);
         }
-        let a = &self.data;
-        let b = &other.data;
-        let tiled = n >= TILE && b.iter().all(|v| v.is_finite());
-        let data = kernel(n * (n + 1) / 2 * kd, |width| {
-            let bounds = triangle_bands(n, width);
-            // Each band index range returns its rows, full width, in order,
-            // so the concatenation is the row-major output.
-            arda_par::par_for_rows(bounds.len() - 1, |bands| {
-                let (lo, hi) = (bounds[bands.start], bounds[bands.end]);
-                let mut rows = vec![0.0; (hi - lo) * n];
-                if tiled {
-                    lower_tiled_rows(a, b, kd, n, lo, &mut rows);
-                } else {
-                    blocked_product_rows(a, b, kd, n, lo, &mut rows, |i| i + 1);
-                }
-                rows
-            })
-        });
-        Matrix::from_vec(n, n, data)
-    }
-
-    /// Matrix-vector product, parallel over output rows.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: format!("matvec: {}x{} * len {}", self.rows, self.cols, v.len()),
-            });
+        let (a, b) = (&self.data, &other.data);
+        if n >= TILE && b.iter().all(|v| v.is_finite()) {
+            lower_tiled_rows(a, b, kd, n, &mut out.data);
+        } else {
+            blocked_product_rows(a, b, kd, n, &mut out.data, |i| i + 1);
         }
-        Ok(kernel(self.rows * self.cols, |_| {
-            arda_par::par_for_rows(self.rows, |range| {
-                range
-                    .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-                    .collect()
-            })
-        }))
+        Ok(out)
     }
 
     /// `selfᵀ * self` (Gram matrix), computed without materialising the
-    /// transpose, parallel over output rows.
-    ///
-    /// Each worker owns a band of output rows and streams the input once,
-    /// accumulating `out[i][j] += x[r][i] · x[r][j]` in ascending `r` for
-    /// both triangles. Since IEEE multiplication commutes exactly, the two
-    /// triangles come out bitwise symmetric and the result matches the
-    /// sequential upper-triangle + mirror oracle bit-for-bit at any budget
-    /// — for *finite* inputs. With `±inf`/`NaN` cells the per-row
-    /// zero-skip can produce `0 · inf = NaN` in the lower triangle where
-    /// the mirrored oracle skipped it; no workspace data path produces
-    /// non-finite features.
+    /// transpose: one pass over the rows accumulates
+    /// `out[i][j] += x[r][i] · x[r][j]` in ascending `r` for the upper
+    /// triangle only, skipping a zero `x[r][i]`, and the lower triangle is
+    /// its mirror. On finite input that is bit-identical to
+    /// `self.transpose().matmul(self)`, at half its multiply-adds.
     pub fn gram(&self) -> Matrix {
-        let (n, d) = (self.rows, self.cols);
+        let d = self.cols;
         let mut out = Matrix::zeros(d, d);
-        if n == 0 || d == 0 {
+        if d == 0 {
             return out;
         }
-        let x = &self.data;
-        kernel(n * d * d / 2, |width| {
-            let band_rows = d.div_ceil(width).max(1);
-            arda_par::par_chunks_mut(&mut out.data, band_rows * d, |start, chunk| {
-                let i0 = start / d;
-                let rows_here = chunk.len() / d;
-                for r in 0..n {
-                    let row = &x[r * d..(r + 1) * d];
-                    for li in 0..rows_here {
-                        let a = row[i0 + li];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let out_row = &mut chunk[li * d..(li + 1) * d];
-                        for (o, &v) in out_row.iter_mut().zip(row) {
-                            *o += a * v;
-                        }
-                    }
+        for row in self.data.chunks_exact(d) {
+            for (i, &a) in row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
                 }
-            })
-        });
+                for (o, &v) in out.data[i * d + i..(i + 1) * d].iter_mut().zip(&row[i..]) {
+                    *o += a * v;
+                }
+            }
+        }
+        for i in 0..d {
+            for j in 0..i {
+                out.data[i * d + j] = out.data[j * d + i];
+            }
+        }
         out
     }
 
@@ -649,8 +542,8 @@ impl Matrix {
     }
 }
 
-/// The original sequential kernels, kept verbatim as correctness oracles
-/// for the blocked/parallel versions above.
+/// The original naive kernels, kept verbatim as correctness oracles for
+/// the blocked and tiled versions above.
 #[cfg(test)]
 impl Matrix {
     pub(crate) fn matmul_naive(&self, other: &Matrix) -> Result<Matrix> {
@@ -686,47 +579,11 @@ impl Matrix {
         }
         out
     }
-
-    pub(crate) fn matvec_naive(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "matvec_naive".into(),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect())
-    }
-
-    pub(crate) fn gram_naive(&self) -> Matrix {
-        let d = self.cols;
-        let mut out = Matrix::zeros(d, d);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..d {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in i..d {
-                    let v = a * row[j];
-                    out.data[i * d + j] += v;
-                }
-            }
-        }
-        for i in 0..d {
-            for j in 0..i {
-                out.data[i * d + j] = out.data[j * d + i];
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arda_par::Budget;
 
     #[test]
     fn construction_and_access() {
@@ -777,13 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_works() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn select_columns_and_rows() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         let c = a.select_columns(&[2, 0]).unwrap();
@@ -821,16 +671,6 @@ mod tests {
     fn norms() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0], vec![0.0, 0.0]]).unwrap();
         assert_eq!(a.row_norms(), vec![5.0, 0.0]);
-    }
-
-    #[test]
-    fn kernel_width_follows_the_installed_budget() {
-        // Band sizes derive from this width, so a kernel must plan with the
-        // installed budget's width above the threshold and one band below.
-        Budget::isolated(6).install(|| {
-            assert_eq!(kernel(PAR_MIN_OPS * 2, |w| w), 6);
-            assert_eq!(kernel(10, |w| w), 1, "small inputs stay sequential");
-        });
     }
 
     #[test]
@@ -877,10 +717,8 @@ mod tests {
     fn blocked_kernels_match_naive_oracles_across_shapes_and_threads() {
         // Shapes straddling every block/tile boundary constant, then
         // right-hand sides 1 to 5 wide (the narrow `matmul` path and the
-        // first shape past it). `(131, 257, 31)` is above `PAR_MIN_OPS`
-        // for every kernel, and `(131, 257, 1)` and `(97, 130, 4)` for the
-        // narrow products; their 131 and 97 rows leave a ragged last band
-        // at widths 2, 3, 8.
+        // first shape past it), then an 89×299×89 product whose 299-long
+        // `k` spans three k-blocks.
         let shapes = [
             (1, 1, 1),
             (3, 7, 2),
@@ -895,59 +733,28 @@ mod tests {
             (33, 65, 5),
             (131, 257, 1),
             (97, 130, 4),
+            (89, 299, 89),
         ];
         for (si, &(n, k, m)) in shapes.iter().enumerate() {
             let a = filled(n, k, si as u64);
             let b = filled(k, m, si as u64 + 100);
             // `a * bt` is square, for the triangle kernel.
             let bt = filled(k, n, si as u64 + 200);
-            let v: Vec<f64> = (0..k).map(|i| (i as f64 * 0.37).sin()).collect();
-            let mm_oracle = a.matmul_naive(&b).unwrap();
-            let mut lower_oracle = a.matmul_naive(&bt).unwrap();
-            for i in 0..n {
-                for j in i + 1..n {
-                    lower_oracle.set(i, j, 0.0);
-                }
-            }
-            let t_oracle = a.transpose_naive();
-            let g_oracle = a.gram_naive();
-            let mv_oracle = a.matvec_naive(&v).unwrap();
-            for width in [1, 2, 3, 8] {
-                let budget = Budget::isolated(width);
-                // Runs one kernel against its oracle bit for bit, checking
-                // that it spawned exactly when the policy lets it fan out.
-                let check =
-                    |name: &str, ops: usize, kernel: &dyn Fn() -> Vec<f64>, oracle: &[f64]| {
-                        let what = format!("{name} {n}x{k}x{m} width={width}");
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        budget.reset_counters();
-                        assert_eq!(bits(&budget.install(kernel)), bits(oracle), "{what}");
-                        let parallel = width > 1 && ops >= PAR_MIN_OPS;
-                        assert_eq!(budget.total_spawns() > 0, parallel, "{what}");
-                    };
-                let matmul = || a.matmul(&b).unwrap().data().to_vec();
-                check("matmul", n * k * m, &matmul, mm_oracle.data());
-                check(
-                    "matmul_lower",
-                    n * (n + 1) / 2 * k,
-                    &|| a.matmul_lower(&bt).unwrap().data().to_vec(),
-                    lower_oracle.data(),
-                );
-                check(
-                    "transpose",
-                    n * k,
-                    &|| a.transpose().data().to_vec(),
-                    t_oracle.data(),
-                );
-                check(
-                    "gram",
-                    n * k * k / 2,
-                    &|| a.gram().data().to_vec(),
-                    g_oracle.data(),
-                );
-                check("matvec", n * k, &|| a.matvec(&v).unwrap(), &mv_oracle);
-            }
+            let what = format!("{n}x{k}x{m}");
+            let mm = a.matmul(&b).unwrap();
+            assert_eq!(bits(&mm), bits(&a.matmul_naive(&b).unwrap()), "mm {what}");
+            let gram_oracle = a.transpose_naive().matmul_naive(&a).unwrap();
+            let lower = a.matmul_lower(&bt).unwrap();
+            assert_eq!(bits(&lower), bits(&lower_naive(&a, &bt)), "lower {what}");
+            assert_eq!(bits(&a.transpose()), bits(&a.transpose_naive()), "t {what}");
+            assert_eq!(bits(&a.gram()), bits(&gram_oracle), "gram {what}");
         }
+        // A tall input, like a featurized base: 2 003 rows leave a short
+        // last transpose tile, and 63 columns a short column tile.
+        let tall = filled(2_003, 63, 50);
+        assert_eq!(bits(&tall.transpose()), bits(&tall.transpose_naive()));
+        let gram_oracle = tall.transpose_naive().matmul_naive(&tall).unwrap();
+        assert_eq!(bits(&tall.gram()), bits(&gram_oracle));
     }
 
     /// `a`'s rows × `b`'s columns, with the strict upper triangle zeroed:
@@ -970,7 +777,7 @@ mod tests {
     fn register_tiles_match_naive_oracles_at_every_remainder() {
         // n = 4..=12 puts each row and column remainder at a tile edge
         // (n < 4 takes the blocked loop); 75×228 is a lake batch's dual
-        // product and 300 rows cut into ragged bands at every width.
+        // product and 300×40 a longer run of tile rows.
         let shapes = [
             (4, 3),
             (5, 9),
@@ -995,15 +802,11 @@ mod tests {
                     (b, oracle)
                 })
                 .collect();
-            for width in [1, 2, 3, 8] {
-                Budget::isolated(width).install(|| {
-                    let what = format!("{n}x{k} width={width}");
-                    assert_eq!(bits(&a.matmul_lower(&bt).unwrap()), bits(&lower), "{what}");
-                    for (b, oracle) in &narrow {
-                        let got = a.matmul(b).unwrap();
-                        assert_eq!(bits(&got), bits(oracle), "{what} m={}", b.cols());
-                    }
-                });
+            let what = format!("{n}x{k}");
+            assert_eq!(bits(&a.matmul_lower(&bt).unwrap()), bits(&lower), "{what}");
+            for (b, oracle) in &narrow {
+                let got = a.matmul(b).unwrap();
+                assert_eq!(bits(&got), bits(oracle), "{what} m={}", b.cols());
             }
         }
     }
@@ -1014,7 +817,7 @@ mod tests {
         // and every third row also a nonzero, so the oracle skips some
         // `0 · inf` terms (finite outputs) and keeps others (inf or NaN
         // outputs). Adding the skipped terms would turn the finite ones
-        // into NaN. 300 rows take the parallel bands at width > 1.
+        // into NaN.
         for (n, k) in [(9, 13), (300, 40)] {
             let mut a = filled(n, k, 21);
             for i in 0..n {
@@ -1045,15 +848,11 @@ mod tests {
                     (b, oracle)
                 })
                 .collect();
-            for width in [1, 2, 3, 8] {
-                Budget::isolated(width).install(|| {
-                    let what = format!("{n}x{k} width={width}");
-                    assert_eq!(bits(&a.matmul_lower(&bt).unwrap()), bits(&lower), "{what}");
-                    for (b, oracle) in &narrow {
-                        let got = a.matmul(b).unwrap();
-                        assert_eq!(bits(&got), bits(oracle), "{what} m={}", b.cols());
-                    }
-                });
+            let what = format!("{n}x{k}");
+            assert_eq!(bits(&a.matmul_lower(&bt).unwrap()), bits(&lower), "{what}");
+            for (b, oracle) in &narrow {
+                let got = a.matmul(b).unwrap();
+                assert_eq!(bits(&got), bits(oracle), "{what} m={}", b.cols());
             }
         }
     }
@@ -1068,19 +867,5 @@ mod tests {
             .matmul_lower(&Matrix::zeros(0, 2))
             .unwrap();
         assert_eq!(empty, Matrix::zeros(2, 2));
-    }
-
-    #[test]
-    fn triangle_bands_cover_rows_in_equal_area_runs() {
-        for n in 1..60 {
-            for bands in 1..10 {
-                let bounds = triangle_bands(n, bands);
-                assert_eq!((bounds[0], *bounds.last().unwrap()), (0, n));
-                assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{bounds:?}");
-                assert!(bounds.len() - 1 <= bands.min(n), "n={n} {bounds:?}");
-            }
-        }
-        // Later rows are longer, so later bands hold fewer of them.
-        assert_eq!(triangle_bands(100, 2), vec![0, 71, 100]);
     }
 }

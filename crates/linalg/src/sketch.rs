@@ -199,12 +199,12 @@ mod tests {
     fn osnap_linear_consistency() {
         // Π(Ax) == (ΠA)x — sketching commutes with right multiplication.
         let a = random_matrix(60, 3, 2);
-        let x = vec![0.3, -0.7, 1.1];
+        let x = Matrix::from_vec(3, 1, vec![0.3, -0.7, 1.1]).unwrap();
         let os = Osnap::with_sparsity(60, 16, 4, 3);
-        let ax = a.matvec(&x).unwrap();
-        let left = os.apply_vec(&ax);
-        let right = os.apply(&a).matvec(&x).unwrap();
-        for (l, r) in left.iter().zip(&right) {
+        let ax = a.matmul(&x).unwrap();
+        let left = os.apply_vec(ax.data());
+        let right = os.apply(&a).matmul(&x).unwrap();
+        for (l, r) in left.iter().zip(right.data()) {
             assert!((l - r).abs() < 1e-10);
         }
     }

@@ -276,8 +276,8 @@ mod tests {
         let a = spd3();
         let b = vec![1.0, 2.0, 3.0];
         let x = cholesky_solve(&a, &b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (l, r) in ax.iter().zip(&b) {
+        let ax = a.matmul(&Matrix::from_vec(3, 1, x).unwrap()).unwrap();
+        for (l, r) in ax.data().iter().zip(&b) {
             assert!((l - r).abs() < 1e-10);
         }
     }

@@ -1,20 +1,20 @@
 //! # arda-par
 //!
-//! The workspace-wide parallel execution substrate. Every hot path in the
-//! ARDA reproduction — blocked matrix kernels (`arda-linalg`), forest fit
-//! and predict and featurization (`arda-ml`), RIFS ensemble rounds, the
-//! τ-threshold sweep and Relief's anchors (`arda-select`), `.arda` encode
-//! and decode (`arda-table`), join discovery (`arda-discovery`) and
-//! join-plan batches (`arda-core`) — funnels through the primitives in this
-//! crate instead of hand-rolling threads. Joins, group-by, k-NN scans and
-//! CSV parsing run on the calling thread: in `Arda::run` they see a coreset
-//! of the base (at most 2 000 rows by default) or one shard, and their
-//! callers already fan out.
+//! The workspace-wide parallel execution substrate. Every parallel hot path
+//! in the ARDA reproduction — forest fit and predict and featurization
+//! (`arda-ml`), RIFS ensemble rounds, the τ-threshold sweep and Relief's
+//! anchors (`arda-select`), `.arda` encode and decode (`arda-table`), join
+//! discovery (`arda-discovery`) and join-plan batches (`arda-core`) —
+//! funnels through the primitives in this crate instead of hand-rolling
+//! threads. Joins, group-by, k-NN scans, CSV parsing and the `arda-linalg`
+//! matrix kernels run on the calling thread: in `Arda::run` they see a
+//! coreset of the base (at most 2 000 rows by default), one shard or one
+//! RIFS round's design matrix, and their callers already fan out.
 //!
 //! ## The work-budget model
 //!
 //! ARDA's stages are embarrassingly parallel at several nesting levels at
-//! once, e.g. RIFS injection rounds × forest fits × blocked linalg kernels.
+//! once, e.g. join-plan batches × RIFS injection rounds × forest fits.
 //! Letting every level spawn its own
 //! full complement of workers oversubscribes the machine; pinning inner
 //! levels to one worker (the pre-budget approach) starves them whenever the
@@ -73,8 +73,6 @@
 //! | Shape of work | Primitive |
 //! |---|---|
 //! | independent items → owned results | [`par_map`] |
-//! | contiguous row ranges → owned result blocks | [`par_for_rows`] |
-//! | disjoint in-place writes to one buffer | [`par_chunks_mut`] |
 //! | a call too small to be worth a spawn | wrap it in [`sequential_below`] |
 //!
 //! ```
@@ -328,10 +326,10 @@ pub fn sequential_below<R>(work: usize, min_work: usize, f: impl FnOnce() -> R) 
 
 /// Map `f` over `items` on the ambient budget, returning results in input
 /// order. `f` receives the item's index, so callers can derive per-item
-/// seeds. This is [`par_for_rows`] over item indices, so chunking, spawning
-/// and output are exactly those of a row fan-out over `items.len()` rows:
-/// identical to the sequential `items.iter().enumerate().map(..)` for any
-/// budget and any permit availability.
+/// seeds. Items are chunked, spawned and stitched like rows of a row
+/// fan-out over `items.len()` rows, so the output is identical to the
+/// sequential `items.iter().enumerate().map(..)` for any budget and any
+/// permit availability.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -355,11 +353,8 @@ where
 /// The caller plus up to `chunks - 1` permitted workers pull whole ranges
 /// from a shared cursor; range boundaries are fixed by the width alone, so
 /// the concatenation is deterministic for any budget. Each range body runs
-/// with the ambient budget set to `budget.split(chunks)`. Output indices
-/// line up with row indices only when `f` returns exactly one item per row;
-/// a caller that filters rows gets the same *sequence* as a sequential
-/// scan, not a per-row mapping.
-pub fn par_for_rows<U, F>(n_rows: usize, f: F) -> Vec<U>
+/// with the ambient budget set to `budget.split(chunks)`.
+fn par_for_rows<U, F>(n_rows: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(Range<usize>) -> Vec<U> + Sync,
@@ -417,62 +412,6 @@ where
         }
         out
     })
-}
-
-/// Process disjoint in-place chunks of `data` concurrently on the ambient
-/// budget: the buffer is split into consecutive chunks of `chunk_len`
-/// elements (the last may be shorter) and `f(start_offset, chunk)` runs once
-/// per chunk.
-///
-/// Chunk boundaries are fixed by `chunk_len`; whole contiguous spans of
-/// chunks are distributed over the caller plus however many workers the
-/// pool permits, so outputs (positional, disjoint writes) are identical for
-/// any budget. This is the write-side primitive behind the blocked matrix
-/// kernels: a row-major output buffer with `chunk_len = row_len ×
-/// rows_per_block` gives every worker an exclusive band of output rows.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let budget = current_budget();
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len).max(1);
-    let slots = budget.width().min(n_chunks).max(1);
-    let inner = budget.split(slots);
-    let permits: Vec<Permit> = (1..slots).map_while(|_| budget.try_spawn()).collect();
-    // Runs one span of whole chunks, `base` being the span's offset.
-    let run_span = |base: usize, span: &mut [T]| {
-        inner.install(|| {
-            for (ci, ch) in span.chunks_mut(chunk_len).enumerate() {
-                f(base + ci * chunk_len, ch);
-            }
-        })
-    };
-    if permits.is_empty() {
-        run_span(0, data);
-        return;
-    }
-    let workers = permits.len() + 1;
-    let span = n_chunks.div_ceil(workers) * chunk_len;
-    std::thread::scope(|scope| {
-        let mut permits = permits.into_iter();
-        let mut spans = data.chunks_mut(span).enumerate();
-        // The caller keeps the first span and processes it below while the
-        // permitted workers run the rest.
-        let own = spans.next();
-        for (wi, wspan) in spans {
-            let permit = permits.next().expect("spans never exceed workers");
-            let run_span = &run_span;
-            scope.spawn(move || {
-                let _permit = permit;
-                run_span(wi * span, wspan)
-            });
-        }
-        if let Some((_, wspan)) = own {
-            run_span(0, wspan);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -552,36 +491,6 @@ mod tests {
             })
         });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn par_chunks_mut_covers_every_chunk_once() {
-        for width in [1, 2, 3, 8] {
-            let mut data = vec![0usize; 97];
-            Budget::isolated(width).install(|| {
-                par_chunks_mut(&mut data, 10, |start, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = start + i;
-                    }
-                })
-            });
-            let expected: Vec<usize> = (0..97).collect();
-            assert_eq!(data, expected, "width={width}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_chunk_longer_than_data() {
-        let mut data = vec![1u8; 5];
-        Budget::isolated(4).install(|| {
-            par_chunks_mut(&mut data, 100, |start, chunk| {
-                assert_eq!(start, 0);
-                for v in chunk.iter_mut() {
-                    *v = 2;
-                }
-            })
-        });
-        assert_eq!(data, vec![2; 5]);
     }
 
     // ---- Budget unit tests -------------------------------------------------
@@ -763,15 +672,6 @@ mod tests {
             let b = Budget::isolated(width);
             let rows = b.install(|| par_for_rows(103, |r| r.collect::<Vec<usize>>()));
             assert_eq!(rows, (0..103).collect::<Vec<_>>(), "width={width}");
-            let mut data = vec![0usize; 97];
-            b.install(|| {
-                par_chunks_mut(&mut data, 10, |start, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = start + i;
-                    }
-                })
-            });
-            assert_eq!(data, (0..97).collect::<Vec<_>>(), "width={width}");
             assert_eq!(b.live_workers(), 0, "width={width}");
         }
     }

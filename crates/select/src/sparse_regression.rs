@@ -25,8 +25,8 @@
 //! triangle of the symmetric `X A Xᵀ`, and only that half is computed. The
 //! ridge start follows the same rule: `(XᵀX + γI)⁻¹XᵀY` or `Xᵀ(XXᵀ + γI)⁻¹Y`.
 //! The choice depends only on the input's shape, and both forms run their
-//! products through budget-independent kernels, so the output is
-//! bit-identical at any thread budget.
+//! products on the calling thread, so the output is bit-identical at any
+//! thread budget.
 
 use crate::{Result, SelectError};
 use arda_linalg::{cholesky_solve_multi, Matrix};
@@ -301,7 +301,6 @@ fn solve_with(x: &Matrix, y: &Matrix, cfg: &L21Config, dual_step: DualStep) -> R
 mod tests {
     use super::*;
     use arda_linalg::stats::standardize_columns;
-    use arda_par::Budget;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -556,33 +555,14 @@ mod tests {
                         ..Default::default()
                     };
                     let want = solve_with(&x, &y, &cfg, dual_update_full).unwrap();
-                    for width in [1, 8] {
-                        let budget = Budget::isolated(width);
-                        let got = budget.install(|| l21_solve(&x, &y, &cfg).unwrap());
-                        let what = format!("{task:?} {cfg:?} width={width}");
-                        assert_eq!(budget.total_spawns() > 0, width > 1, "{what}");
-                        assert_eq!(bits(&got.w), bits(&want.w), "{what}");
-                        assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{what}");
-                        assert_eq!(got.iterations, want.iterations, "{what}");
-                    }
+                    let got = l21_solve(&x, &y, &cfg).unwrap();
+                    let what = format!("{task:?} {cfg:?}");
+                    assert_eq!(bits(&got.w), bits(&want.w), "{what}");
+                    assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{what}");
+                    assert_eq!(got.iterations, want.iterations, "{what}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn dual_path_identical_across_budgets() {
-        let (x, y) = shaped(75, 220, Task::Classification { n_classes: 3 }, 30);
-        let solve = |width| {
-            let budget = Budget::isolated(width);
-            let solution = budget.install(|| l21_solve(&x, &y, &L21Config::default()).unwrap());
-            assert_eq!(budget.total_spawns() > 0, width > 1, "width={width}");
-            solution
-        };
-        let (one, eight) = (solve(1), solve(8));
-        assert_eq!(bits(&one.w), bits(&eight.w));
-        assert_eq!(one.objective.to_bits(), eight.objective.to_bits());
-        assert_eq!(one.iterations, eight.iterations);
     }
 
     /// At γ = 2 the planted problem needs about two dozen iterations

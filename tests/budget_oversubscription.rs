@@ -1,8 +1,7 @@
 //! Oversubscription regression: during a full pipeline run with nested
-//! parallel stages (batch joins × soft-join scans, RIFS rounds × forest
-//! fits × blocked linalg, the parallel τ-sweep), the total number of live
-//! workers — spawned workers plus the calling thread — must never exceed
-//! the work budget.
+//! parallel stages (batch joins, RIFS rounds × forest fits, the parallel
+//! τ-sweep), the total number of live workers — spawned workers plus the
+//! calling thread — must never exceed the work budget.
 //!
 //! The run happens under an isolated budget, whose permit pool and
 //! instrumentation counters belong to this test alone: sibling tests in the

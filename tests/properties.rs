@@ -222,11 +222,11 @@ fn osnap_linearity() {
             .collect();
         let a = arda::linalg::Matrix::from_rows(&data).unwrap();
         let os = arda::linalg::Osnap::new(rows, (rows / 2).max(1), seed);
-        let x = vec![x0, x1];
-        let ax = a.matvec(&x).unwrap();
-        let left = os.apply_vec(&ax);
-        let right = os.apply(&a).matvec(&x).unwrap();
-        for (l, r) in left.iter().zip(&right) {
+        let x = arda::linalg::Matrix::from_vec(2, 1, vec![x0, x1]).unwrap();
+        let ax = a.matmul(&x).unwrap();
+        let left = os.apply_vec(ax.data());
+        let right = os.apply(&a).matmul(&x).unwrap();
+        for (l, r) in left.iter().zip(right.data()) {
             assert!((l - r).abs() < 1e-8, "case {case}");
         }
     }
